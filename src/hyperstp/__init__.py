@@ -17,7 +17,6 @@ from .permutation import (
     parity,
     perm_compose,
     perm_invert,
-    perm_matrix_transposed,
     transpose_lm,
 )
 from .expression import (
@@ -35,7 +34,6 @@ from .expression import (
     vc,
     vcs,
     vec_to_matrix_form,
-    vector_expression,
     vr,
     vrs,
 )

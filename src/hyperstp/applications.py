@@ -16,7 +16,9 @@ import numpy as np
 from .core import Hypermatrix
 from .contraction import contract_bruteforce, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, matrix_expression, split_permutation, vc, vcs, vr, vrs
-from .permutation import build_perm_matrix
+# build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
+# the benchmark's tracer patches it in every module that binds it.
+from .permutation import build_perm_matrix, perm_gather  # noqa: F401
 
 # -- cross product -------------------------------------------------------
 
@@ -212,12 +214,6 @@ def _ybe_t(inst: YbeInstance) -> Hypermatrix:
     return contract_bruteforce(inst.r, inst.r, (4,), (1,))
 
 
-def _gather_flat(flat: np.ndarray, dims: tuple[int, ...], rows: tuple[int, ...]) -> np.ndarray:
-    """Flat vector of the transpose that brings ``rows`` to the front."""
-    sigma = split_permutation(len(dims), rows)
-    return build_perm_matrix(dims, sigma, warn_degenerate=False).transpose().gather_row(flat)
-
-
 def ybe_sides(inst: YbeInstance, side: str, method: str = "bruteforce") -> Hypermatrix:
     """One side of the Yang-Baxter constraint, order 6 over dimension n.
 
@@ -249,10 +245,10 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "bruteforce") -> Hyper
     m_r = matrix_expression(inst.r, rows=(3, 4), cols=(1, 2)).mat
     v_t = vr(m_t)                            # flat vector of the order-6 pairing
     if side == "lhs":
-        m_split = vrs(_gather_flat(v_t, dims6, (1, 3, 4, 5)), n * n)   # n^4 x n^2
+        m_split = vrs(perm_gather(v_t, dims6, split_permutation(6, (1, 3, 4, 5))), n * n)  # n^4 x n^2
         out = np.dot(m_split, m_r)
     else:
-        m_split = vrs(_gather_flat(v_t, dims6, (3, 4)), n ** 4)        # n^2 x n^4
+        m_split = vrs(perm_gather(v_t, dims6, split_permutation(6, (3, 4))), n ** 4)         # n^2 x n^4
         out = np.dot(m_r, m_split)
     return Hypermatrix(dims6, out.reshape(-1).copy(), inst.r.kind)
 

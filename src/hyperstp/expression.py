@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Hypermatrix, _coerce_data, check_dims, size_of
-from .permutation import Permutation, build_perm_matrix, compose_lm
+from .permutation import Permutation, build_perm_matrix, compose_lm, perm_gather
 
 # -- stacking forms ----------------------------------------------------
 
@@ -79,9 +79,8 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     transpose is the matrix of the inverse permutation).
     """
     sigma = _as_perm(sigma, a.order)
-    w_t = build_perm_matrix(a.dims, sigma, warn_degenerate=False).transpose()
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
-    return Hypermatrix(dims, w_t.gather_row(a.data).copy(), a.kind)
+    return Hypermatrix(dims, perm_gather(a.data, a.dims, sigma), a.kind)
 
 
 # -- matrix expressions ------------------------------------------------
@@ -145,11 +144,6 @@ def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] |
     return MatrixExpression(mat, rows, cols, a.dims, a.kind)
 
 
-def vector_expression(a: Hypermatrix) -> np.ndarray:
-    """The flat 1 x n expression (empty row tuple), as a 1-D array."""
-    return a.data.copy()
-
-
 def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
     """Reassemble the source hypermatrix from any of its expressions."""
     axes = [ax - 1 for ax in m.row_axes + m.col_axes]
@@ -193,7 +187,7 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
         raise ValueError(f"vector of length {flat.size} for shape {dims}")
     cols = _complement(len(dims), rows)
     sigma = split_permutation(len(dims), rows)
-    shuffled = build_perm_matrix(dims, sigma, warn_degenerate=False).transpose().gather_row(flat)
+    shuffled = perm_gather(flat, dims, sigma)
     t = math.prod(dims[c - 1] for c in cols)
     return MatrixExpression(vrs(shuffled, t), rows, cols, dims, kind)
 

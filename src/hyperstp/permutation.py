@@ -4,8 +4,16 @@ A permutation of degree d is stored as its image array
 ``(sigma(1), ..., sigma(d))`` with 1-based values.  The associated
 permutation matrix ``W`` acting on Kronecker chains is kept in logical
 (column-index) form: an m x n matrix whose column j is the basis vector
-``delta_m^{c_j}`` is stored as just the list ``(c_1, ..., c_n)``.  All
-matrix actions are index gathers, never dense multiplies.
+``delta_m^{c_j}`` is stored as a read-only numpy ``intp`` array of the
+0-based row positions ``(c_1 - 1, ..., c_n - 1)``.  The public ``cols``
+view gives them back as a 1-based tuple of Python ints.  All matrix
+actions (apply, gather, compose, transpose) are index operations on that
+array, never dense multiplies.
+
+``build_perm_matrix`` computes every column at once by mixed-radix
+stride arithmetic over broadcast index grids.  It never calls
+``np.transpose``: the permutation-matrix route stays independent of the
+index-shuffle route it is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +23,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import check_dims, delinearize, empty_like_kind, linearize, size_of
+from .core import check_dims, empty_like_kind, size_of
+
+# Largest number of columns build_perm_matrix materialises.  The intp index
+# array takes 8 bytes per column on 64-bit hosts: 128 MiB at the cap.
+MAX_PERM_ENTRIES = 2 ** 24
 
 
 class Permutation:
@@ -99,42 +111,59 @@ def parity(p: Permutation) -> int:
 
 
 class LogicalMatrix:
-    """m x n matrix of basis-vector columns, stored as column row-positions."""
+    """m x n matrix of basis-vector columns, stored as 0-based row positions."""
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("rows", "_idx")
 
     def __init__(self, rows: int, cols: Iterable[int]):
-        rows = int(rows)
-        cols = tuple(int(c) for c in cols)
+        # Python ints first, so a value past the index type fails the range
+        # check below instead of overflowing the conversion.
+        self._init(int(rows), np.array([int(c) for c in cols], dtype=object) - 1)
+
+    @classmethod
+    def _from_index(cls, rows: int, idx: np.ndarray) -> "LogicalMatrix":
+        """Wrap a fresh 0-based intp index array (range-checked, then frozen)."""
+        self = object.__new__(cls)
+        self._init(rows, idx)
+        return self
+
+    def _init(self, rows: int, idx: np.ndarray) -> None:
         if rows < 1:
             raise ValueError("a logical matrix needs at least one row")
-        for j, c in enumerate(cols, start=1):
-            if not 1 <= c <= rows:
-                raise ValueError(f"column {j} points at row {c}, outside [1, {rows}]")
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
+            raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")
+        idx = idx.astype(np.intp, copy=False)
+        idx.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_idx", idx)
 
     def __setattr__(self, name, value):
         raise AttributeError("LogicalMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "LogicalMatrix":
-        return cls(n, range(1, n + 1))
+        return cls._from_index(int(n), np.arange(n, dtype=np.intp))
+
+    @property
+    def cols(self) -> tuple[int, ...]:
+        """1-based row position of each column, as Python ints."""
+        return tuple((self._idx + 1).tolist())
 
     @property
     def n_cols(self) -> int:
-        return len(self.cols)
+        return self._idx.size
 
     def is_permutation(self) -> bool:
-        return self.rows == self.n_cols and sorted(self.cols) == list(range(1, self.rows + 1))
+        return self.rows == self.n_cols and bool(np.all(np.bincount(self._idx, minlength=self.rows) == 1))
 
     def __eq__(self, other):
         if not isinstance(other, LogicalMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols
+        return self.rows == other.rows and np.array_equal(self._idx, other._idx)
 
     def __hash__(self):
-        return hash((self.rows, self.cols))
+        return hash((self.rows, self._idx.tobytes()))
 
     def __repr__(self):
         return f"LogicalMatrix(rows={self.rows}, cols={self.cols})"
@@ -151,7 +180,7 @@ class LogicalMatrix:
         elif x.dtype != object:
             x = x.astype(object)
         out = empty_like_kind("float" if x.dtype == np.float64 else "int", self.rows)
-        np.add.at(out, np.asarray(self.cols) - 1, x.reshape(-1))
+        np.add.at(out, self._idx, x.reshape(-1))
         return out
 
     def gather_row(self, v) -> np.ndarray:
@@ -159,26 +188,21 @@ class LogicalMatrix:
         v = np.asarray(v)
         if v.size != self.rows:
             raise ValueError(f"row vector of length {v.size} against {self.rows} rows")
-        return v.reshape(-1)[np.asarray(self.cols) - 1]
+        return v.reshape(-1)[self._idx]
 
     def compose(self, other: "LogicalMatrix") -> "LogicalMatrix":
         """Matrix product of two logical matrices (stays logical)."""
         if self.n_cols != other.rows:
             raise ValueError(f"size mismatch: {self.rows}x{self.n_cols} times {other.rows}x{other.n_cols}")
-        return LogicalMatrix(self.rows, (self.cols[c - 1] for c in other.cols))
+        return LogicalMatrix._from_index(self.rows, self._idx[other._idx])
 
     def transpose(self) -> "LogicalMatrix":
         """Transpose; only defined when the columns form a permutation."""
         if not self.is_permutation():
             raise ValueError("transpose of a non-permutation logical matrix is not logical")
-        inv = [0] * self.rows
-        for j, c in enumerate(self.cols, start=1):
-            inv[c - 1] = j
-        return LogicalMatrix(self.rows, inv)
-
-    def invert(self) -> "LogicalMatrix":
-        """Inverse; equals the transpose for permutation columns."""
-        return self.transpose()
+        inv = np.empty(self.rows, dtype=np.intp)
+        inv[self._idx] = np.arange(self.rows, dtype=np.intp)
+        return LogicalMatrix._from_index(self.rows, inv)
 
 
 def compose_lm(w1: LogicalMatrix, w2: LogicalMatrix) -> LogicalMatrix:
@@ -190,7 +214,8 @@ def transpose_lm(w: LogicalMatrix) -> LogicalMatrix:
 
 
 def invert_lm(w: LogicalMatrix) -> LogicalMatrix:
-    return w.invert()
+    """Inverse of a permutation matrix, which is its transpose."""
+    return w.transpose()
 
 
 def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerate: bool = True) -> LogicalMatrix:
@@ -200,37 +225,46 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
     ``W @ (x_1 kron ... kron x_d) = x_sigma(1) kron ... kron x_sigma(d)``
     for any vectors ``x_i`` of lengths ``dims[i]``.
 
-    Construction: column c corresponds to the multi-index
-    ``m = delinearize(c)`` over ``dims``; the column content is the chain
+    Construction: column c corresponds to the multi-index ``m`` of rank c
+    over ``dims``; the column content is the chain
     ``delta^{j_1} kron ... kron delta^{j_d}`` with ``j_k = m[sigma(k)]``
     over the permuted dims, i.e. the single 1 sits at row
     ``linearize((j_1, ..., j_d))`` over ``(dims[sigma(1)], ..., dims[sigma(d)])``.
+    That 0-based row is ``sum_a (m_a - 1) * weight[a]``, where
+    ``weight[sigma(k) - 1]`` is the stride of position k over the permuted
+    dims; all columns are summed at once over broadcast index grids.
 
-    Dimensions below 2 degenerate gracefully; direct calls get a warning
-    since such matrices rarely mean what the caller hoped.
+    Shapes above ``MAX_PERM_ENTRIES`` columns raise ``OverflowError``
+    before anything is allocated.  Dimensions below 2 degenerate
+    gracefully; direct calls get a warning since such matrices rarely
+    mean what the caller hoped.
     """
     dims = check_dims(dims)
     if isinstance(sigma, (tuple, list)):
         sigma = Permutation(sigma)
     if sigma.degree != len(dims):
         raise ValueError(f"permutation of degree {sigma.degree} for shape of order {len(dims)}")
-    if warn_degenerate and any(n < 2 for n in dims):
-        warnings.warn("permutation matrix over dims with entries < 2 degenerates", stacklevel=2)
-    permuted = tuple(dims[sigma(k) - 1] for k in range(1, len(dims) + 1))
     n = size_of(dims)
-    cols = []
-    for c in range(1, n + 1):
-        m = delinearize(dims, c)
-        j = tuple(m[sigma(k) - 1] for k in range(1, len(dims) + 1))
-        cols.append(linearize(permuted, j))
-    return LogicalMatrix(n, cols)
+    if n > MAX_PERM_ENTRIES:
+        raise OverflowError(f"permutation matrix over {dims} has {n} columns, above the budget of {MAX_PERM_ENTRIES}")
+    if warn_degenerate and any(size < 2 for size in dims):
+        warnings.warn("permutation matrix over dims with entries < 2 degenerates", stacklevel=2)
+    weight = [0] * len(dims)
+    stride = 1
+    for k in range(len(dims), 0, -1):
+        weight[sigma(k) - 1] = stride
+        stride *= dims[sigma(k) - 1]
+    rows = np.zeros((), dtype=np.intp)
+    for size, w in zip(dims, weight):
+        rows = np.add.outer(rows, np.arange(0, size * w, w, dtype=np.intp))
+    return LogicalMatrix._from_index(n, rows.reshape(-1))
 
 
-def perm_matrix_transposed(dims: Sequence[int], sigma: Permutation) -> LogicalMatrix:
-    """Transpose of ``build_perm_matrix(dims, sigma)``.
+def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
+    """``W^sigma @ flat``, as a row gather through the transpose of ``W^sigma``.
 
-    For uniform dims this equals ``build_perm_matrix(dims, sigma.inverse())``;
-    for mixed dims the inverse lives over the permuted dims instead, so the
-    transpose is the safe general form.
+    For the flat data of a hypermatrix over ``dims`` this is the flat data
+    of its sigma-transpose.  The matrix is built, transposed and gathered
+    through, so callers stay on the permutation-matrix route.
     """
-    return build_perm_matrix(dims, sigma).transpose()
+    return build_perm_matrix(dims, sigma, warn_degenerate=False).transpose().gather_row(flat)

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hyperstp import Hypermatrix, Permutation, iter_indices, linearize
+from hyperstp import Hypermatrix, Permutation, delinearize, iter_indices, linearize, size_of
 
 
 @pytest.fixture
@@ -44,6 +44,22 @@ def transpose_oracle(a: Hypermatrix, sigma: Permutation) -> Hypermatrix:
         new_idx = tuple(idx[sigma(k) - 1] for k in range(1, d + 1))
         values[new_idx] = v
     return Hypermatrix.from_flat(dims, [values[i] for i in iter_indices(dims)], a.kind)
+
+
+def perm_matrix_oracle(dims, sigma: Permutation) -> tuple[int, ...]:
+    """Columns of W^sigma, one delinearize/linearize round per column.
+
+    Column c holds the multi-index m of rank c over ``dims``; its single 1
+    sits at the rank of ``(m[sigma(1)], ..., m[sigma(d)])`` over the
+    permuted dims.
+    """
+    d = len(dims)
+    permuted = tuple(dims[sigma(k) - 1] for k in range(1, d + 1))
+    cols = []
+    for c in range(1, size_of(dims) + 1):
+        m = delinearize(dims, c)
+        cols.append(linearize(permuted, tuple(m[sigma(k) - 1] for k in range(1, d + 1))))
+    return tuple(cols)
 
 
 def expression_oracle(a: Hypermatrix, rows, cols) -> np.ndarray:

@@ -16,6 +16,7 @@ from hyperstp import (
     write_hm,
 )
 from hyperstp.cli import main
+from hyperstp.permutation import MAX_PERM_ENTRIES
 
 from conftest import random_dims, random_hm
 
@@ -150,6 +151,11 @@ def test_cli_data_errors(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["mexpr", "--rows", "1", str(bad)]) == 2
     assert main(["mexpr", "--rows", "1", str(tmp_path / "missing.hm")]) == 2
+
+
+def test_cli_permmat_over_entry_budget_is_data_error(capsys):
+    assert main(["permmat", "--dims", f"4097,{MAX_PERM_ENTRIES // 4096}", "--sigma", "2,1"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cli_transpose(tmp_path, capsys):

@@ -2,7 +2,9 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import hyperstp.permutation as permutation_module
 from hyperstp import (
     LogicalMatrix,
     Permutation,
@@ -16,8 +18,9 @@ from hyperstp import (
     transpose_lm,
 )
 from hyperstp.appendix import EXAMPLE_235_TABLES  # re-exported data for cross-checks
+from hyperstp.permutation import MAX_PERM_ENTRIES, perm_gather
 
-from conftest import basis_vec
+from conftest import basis_vec, perm_matrix_oracle
 
 
 def test_parity_examples():
@@ -187,3 +190,95 @@ def test_logical_matrix_validation():
         LogicalMatrix(2, (1, 3))
     assert not LogicalMatrix(2, (1, 1)).is_permutation()
     assert LogicalMatrix(2, (2, 1)).is_permutation()
+
+
+def test_logical_matrix_rejects_row_past_index_type():
+    with pytest.raises(ValueError, match="column 2 points at row 1000000000000000000000000000000"):
+        LogicalMatrix(2, (1, 10 ** 30))
+
+
+# -- entry budget --------------------------------------------------------------
+
+
+def test_build_entry_budget_boundary(monkeypatch):
+    monkeypatch.setattr(permutation_module, "MAX_PERM_ENTRIES", 30)
+    assert build_perm_matrix((2, 3, 5), Permutation((3, 1, 2))).n_cols == 30
+    with pytest.raises(OverflowError, match="budget of 30"):
+        build_perm_matrix((2, 3, 6), Permutation((3, 1, 2)))
+
+
+def test_build_entry_budget_just_over_constant():
+    with pytest.raises(OverflowError, match=f"budget of {MAX_PERM_ENTRIES}"):
+        build_perm_matrix((4097, MAX_PERM_ENTRIES // 4096), Permutation((2, 1)))
+
+
+# -- independence from the index-shuffle route ----------------------------------
+
+
+def test_build_and_gather_never_call_np_transpose(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.transpose called on the permutation-matrix route")
+
+    monkeypatch.setattr(np, "transpose", refuse)
+    for image in permutations((1, 2, 3)):
+        sigma = Permutation(image)
+        oracle = perm_matrix_oracle((2, 3, 5), sigma)
+        assert build_perm_matrix((2, 3, 5), sigma).cols == oracle
+        gathered = perm_gather(np.arange(1, 31), (2, 3, 5), sigma)
+        assert [int(v) for v in gathered] == [oracle.index(r) + 1 for r in range(1, 31)]
+
+
+# -- properties over random shapes and permutations ------------------------------
+
+
+@st.composite
+def mixed_dims(draw, max_size=2000):
+    """Order 1-5, each dim 1-9, total size at most ``max_size``."""
+    dims, budget = [], max_size
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, min(9, budget)))
+        dims.append(n)
+        budget //= n
+    return tuple(dims)
+
+
+@st.composite
+def dims_and_sigma(draw):
+    dims = draw(mixed_dims())
+    return dims, Permutation(draw(st.permutations(range(1, len(dims) + 1))))
+
+
+@st.composite
+def uniform_dims_and_pair(draw, max_size=2000):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max(k for k in range(1, 10) if k ** d <= max_size)))
+    perm = st.permutations(range(1, d + 1))
+    return (n,) * d, Permutation(draw(perm)), Permutation(draw(perm))
+
+
+@given(dims_and_sigma())
+def test_build_matches_loop_oracle(case):
+    dims, sigma = case
+    assert build_perm_matrix(dims, sigma, warn_degenerate=False).cols == perm_matrix_oracle(dims, sigma)
+
+
+@given(uniform_dims_and_pair())
+def test_product_law_uniform_dims(case):
+    dims, p, q = case
+    lhs = compose_lm(build_perm_matrix(dims, p, warn_degenerate=False), build_perm_matrix(dims, q, warn_degenerate=False))
+    assert lhs == build_perm_matrix(dims, perm_compose(p, q), warn_degenerate=False)
+
+
+@given(dims_and_sigma())
+def test_transpose_is_inverse_over_permuted_dims(case):
+    dims, sigma = case
+    permuted = tuple(dims[sigma(k) - 1] for k in range(1, len(dims) + 1))
+    w = build_perm_matrix(dims, sigma, warn_degenerate=False)
+    assert transpose_lm(w) == build_perm_matrix(permuted, sigma.inverse(), warn_degenerate=False)
+
+
+@given(dims_and_sigma())
+def test_logical_matrix_rebuilt_from_cols_is_equal(case):
+    w = build_perm_matrix(*case, warn_degenerate=False)
+    rebuilt = LogicalMatrix(w.rows, w.cols)
+    assert rebuilt == w and hash(rebuilt) == hash(w)
