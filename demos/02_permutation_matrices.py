@@ -28,9 +28,9 @@ print("chain reordered correctly:", list(lhs) == list(rhs))
 tau = hs.Permutation((2, 3, 1))
 wt = hs.build_perm_matrix((2, 2, 2), tau)
 print("W_tau @ W_tau == W_{tau.tau}:",
-      hs.compose_lm(wt, wt) == hs.build_perm_matrix((2, 2, 2), hs.perm_compose(tau, tau)))
-print("transpose == inverse:", hs.transpose_lm(wt) == hs.invert_lm(wt))
-print("parity of", tau.image, "is", hs.parity(tau))
+      wt.compose(wt) == hs.build_perm_matrix((2, 2, 2), hs.perm_compose(tau, tau)))
+print("transpose == W_{tau^-1}:", wt.transpose() == hs.build_perm_matrix((2, 2, 2), tau.inverse()))
+print("parity of", tau.image, "is", tau.parity())
 
 # Bundled golden tables, regenerated and compared against the published data.
 reports = hs.verify_appendix()

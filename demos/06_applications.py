@@ -27,7 +27,7 @@ game = hs.GamePayoff((2, 2), (d1, d2))
 pure = [np.array([0, 1]), np.array([1, 0])]
 print("pure-profile payoffs:", hs.game_payoff(game, pure))
 mixed = [np.array([0.5, 0.5]), np.array([0.25, 0.75])]
-print("mixed-profile payoffs:", hs.game_payoff(game, mixed))
+print("mixed-profile payoffs:", [float(p) for p in hs.game_payoff(game, mixed)])
 
 # Yang-Baxter: both sides of the constraint, by direct summation and by
 # the flattened matrix pipeline, and the residual between the sides.

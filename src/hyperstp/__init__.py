@@ -7,18 +7,18 @@ contracted products realised equivalently by direct summation and by
 matrix-expression multiplication.
 """
 
-from .core import Hypermatrix, check_dims, delinearize, iter_indices, linearize, size_of
-from .permutation import (
-    LogicalMatrix,
-    Permutation,
-    build_perm_matrix,
-    compose_lm,
-    invert_lm,
-    parity,
-    perm_compose,
-    perm_invert,
-    transpose_lm,
+from .core import (
+    Hypermatrix,
+    as_scalars,
+    as_scalars_joint,
+    check_dims,
+    delinearize,
+    iter_indices,
+    linearize,
+    same_kind,
+    size_of,
 )
+from .permutation import LogicalMatrix, Permutation, build_perm_matrix, perm_compose
 from .expression import (
     MatrixExpression,
     convert_expression,

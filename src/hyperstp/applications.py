@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix
+from .core import Hypermatrix, as_scalars_joint
 from .contraction import contract_bruteforce, eval_multilinear_scalar, eval_multilinear_vector
-from .expression import MatrixExpression, matrix_expression, split_permutation, vc, vcs, vr, vrs
+from .expression import MatrixExpression, matrix_expression, split_permutation, vc, vcs, vr
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import build_perm_matrix, perm_gather  # noqa: F401
@@ -40,21 +40,16 @@ _CROSS_COLS = (
 
 def cross_product_expression(kind: str = "int") -> MatrixExpression:
     """The 3 x 9 structure-constant expression of the cross product."""
-    mat = np.array(_CROSS_COLS, dtype=object).T
-    data = [float(v) for v in mat.reshape(-1)] if kind == "float" else mat.reshape(-1)
-    hm = Hypermatrix((3, 3, 3), data, kind)
+    hm = Hypermatrix((3, 3, 3), np.array(_CROSS_COLS).T, kind)
     return matrix_expression(hm, rows=(1,), cols=(2, 3))
 
 
 def cross_product(x, y) -> np.ndarray:
     """Cross product on R^3 evaluated through the multilinear machinery."""
-    x = np.asarray(x).reshape(-1)
-    y = np.asarray(y).reshape(-1)
+    (x, y), kind = as_scalars_joint(x, y)
     if x.size != 3 or y.size != 3:
         raise ValueError("cross product takes two length-3 vectors")
-    kind = "int" if x.dtype.kind in "iu" and y.dtype.kind in "iu" else "float"
-    out = eval_multilinear_vector(cross_product_expression(kind), [x, y])
-    return out if kind == "int" else np.asarray(out, dtype=np.float64)
+    return eval_multilinear_vector(cross_product_expression(kind), [x, y])
 
 
 # -- commutator bracket on 2x2 matrices ----------------------------------
@@ -214,7 +209,7 @@ def _ybe_t(inst: YbeInstance) -> Hypermatrix:
     return contract_bruteforce(inst.r, inst.r, (4,), (1,))
 
 
-def ybe_sides(inst: YbeInstance, side: str, method: str = "bruteforce") -> Hypermatrix:
+def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatrix:
     """One side of the Yang-Baxter constraint, order 6 over dimension n.
 
     * ``bruteforce`` evaluates the nested contracted products directly.
@@ -224,7 +219,7 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "bruteforce") -> Hyper
       of the third copy.
 
     Both methods agree entry for entry; the brute-force route is the
-    oracle.
+    oracle, kept for tests and the CLI's ``--method brute``.
     """
     side = side.lower()
     if side not in ("lhs", "rhs"):
@@ -243,18 +238,18 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "bruteforce") -> Hyper
     mb = matrix_expression(inst.r, rows=(1,), cols=(2, 3, 4))
     m_t = np.dot(ma.mat, mb.mat)            # n^3 x n^3, rows (1,2,3), cols (4,5,6)
     m_r = matrix_expression(inst.r, rows=(3, 4), cols=(1, 2)).mat
-    v_t = vr(m_t)                            # flat vector of the order-6 pairing
+    # The row stacking of m_t is the flat vector of the order-6 pairing.
     if side == "lhs":
-        m_split = vrs(perm_gather(v_t, dims6, split_permutation(6, (1, 3, 4, 5))), n * n)  # n^4 x n^2
+        m_split = perm_gather(m_t, dims6, split_permutation(6, (1, 3, 4, 5))).reshape(-1, n * n)  # n^4 x n^2
         out = np.dot(m_split, m_r)
     else:
-        m_split = vrs(perm_gather(v_t, dims6, split_permutation(6, (3, 4))), n ** 4)         # n^2 x n^4
+        m_split = perm_gather(m_t, dims6, split_permutation(6, (3, 4))).reshape(-1, n ** 4)         # n^2 x n^4
         out = np.dot(m_r, m_split)
-    return Hypermatrix(dims6, out.reshape(-1).copy(), inst.r.kind)
+    return Hypermatrix(dims6, out, inst.r.kind)
 
 
 def ybe_residual(inst: YbeInstance):
-    """Largest absolute entry of LHS minus RHS (brute-force evaluation)."""
-    lhs = ybe_sides(inst, "lhs")
-    rhs = ybe_sides(inst, "rhs")
+    """Largest absolute entry of LHS minus RHS (matrix-pipeline evaluation)."""
+    lhs = ybe_sides(inst, "lhs", "matrix")
+    rhs = ybe_sides(inst, "rhs", "matrix")
     return max(abs(a - b) for a, b in zip(lhs.data, rhs.data))

@@ -17,7 +17,7 @@ import numpy as np
 from .appendix import verification_ok, verify_appendix
 from .applications import YbeInstance, ybe_residual, ybe_sides
 from .contraction import contract_bruteforce, contract_via_expression
-from .core import Hypermatrix
+from .core import Hypermatrix, same_kind
 from .expression import matrix_expression, sigma_transpose
 from .io import DocumentError, dumps_hm, print_delta, read_hm, write_hm, densify
 from .permutation import Permutation, build_perm_matrix
@@ -45,15 +45,8 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _scalar_str(v) -> str:
-    return repr(float(v)) if isinstance(v, float) or isinstance(v, np.floating) else str(int(v))
-
-
-def _matrix_as_lists(mat) -> list:
-    out = []
-    for row in np.asarray(mat):
-        out.append([float(v) if isinstance(v, (float, np.floating)) else int(v) for v in row])
-    return out
+def _scalar_str(v, kind: str) -> str:
+    return repr(float(v)) if kind == "float" else str(int(v))
 
 
 def _as_matrix_hm(a: Hypermatrix) -> np.ndarray:
@@ -64,14 +57,6 @@ def _as_matrix_hm(a: Hypermatrix) -> np.ndarray:
     if a.order == 0:
         return a.nd.reshape(1, 1)
     raise ValueError(f"order-{a.order} hypermatrix is not a matrix")
-
-
-def _hm_from_array(arr: np.ndarray, kind: str) -> Hypermatrix:
-    arr = np.asarray(arr)
-    values = arr.reshape(-1).tolist()
-    if kind == "float":
-        values = [float(v) for v in values]
-    return Hypermatrix(arr.shape, values, kind)
 
 
 def build_parser() -> _Parser:
@@ -143,7 +128,7 @@ def _cmd_mexpr(args) -> int:
         "dims": list(m.dims),
         "shape": [m.mat.shape[0], m.mat.shape[1]],
         "scalar_kind": m.kind,
-        "mat": _matrix_as_lists(m.mat),
+        "mat": m.mat.tolist(),
     }
     print(json.dumps(doc))
     return 0
@@ -172,19 +157,20 @@ def _cmd_contract(args) -> int:
 def _cmd_stp(args) -> int:
     a = read_hm(args.afile)
     b = read_hm(args.bfile)
+    kind = same_kind(a, b)
     if args.op == "vv":
         if a.order != 1 or b.order != 1:
             raise ValueError("vv needs two order-1 hypermatrices")
-        print(_scalar_str(vv_stp(a.data, b.data)))
+        print(_scalar_str(vv_stp(a.data, b.data), kind))
         return 0
     if args.op == "mv":
         if b.order != 1:
             raise ValueError("mv needs an order-1 second operand")
         out = mv_stp(_as_matrix_hm(a), b.data)
-        print(dumps_hm(_hm_from_array(out, a.kind)))
+        print(dumps_hm(Hypermatrix(out.shape, out, kind)))
         return 0
     out = mm_stp(_as_matrix_hm(a), _as_matrix_hm(b))
-    print(dumps_hm(_hm_from_array(out, a.kind)))
+    print(dumps_hm(Hypermatrix(out.shape, out, kind)))
     return 0
 
 
@@ -197,7 +183,7 @@ def _cmd_ybe(args) -> int:
         method = "bruteforce" if args.method == "brute" else "matrix"
         print(dumps_hm(ybe_sides(inst, args.side, method)))
         return 0
-    print(_scalar_str(ybe_residual(inst)))
+    print(_scalar_str(ybe_residual(inst), r.kind))
     return 0
 
 
@@ -239,7 +225,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DocumentError, OSError, ValueError, KeyError, IndexError, OverflowError) as exc:
+    except (DocumentError, OSError, ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

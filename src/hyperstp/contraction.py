@@ -1,11 +1,14 @@
 """Contracted products of hypermatrices, two equivalent ways.
 
-The defining route sums over the paired axes directly (explicit loops in
-ID order, which also fixes the float accumulation order).  The second
-route flattens both operands into matrix expressions, multiplies, and
+The defining route, ``contract_bruteforce``, sums over the paired axes
+directly (explicit loops in ID order, which also fixes the float
+accumulation order); it is the oracle and no production path calls it.
+The second route flattens both operands into matrix expressions,
+multiplies through ``np.dot`` (float sums in BLAS's order), and
 reassembles; on exact data the two agree bit for bit.  On top of these
 sit rank-one hypervectors, multilinear evaluation by semi-tensor chains,
-and the block operators that act on order-d operands.
+and the block operators that act on order-d operands, all on the second
+route.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix
+from .core import Hypermatrix, same_kind
 from .expression import MatrixExpression, matrix_expression, split_permutation
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -44,8 +47,7 @@ def check_contraction_spec(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes):
             raise ValueError(
                 f"pair {t} contracts axis {ax} (dim {a.dims[ax - 1]}) with axis {bx} (dim {b.dims[bx - 1]})"
             )
-    if a.kind != b.kind:
-        raise ValueError(f"scalar kind mismatch: {a.kind} vs {b.kind}")
+    same_kind(a, b)
     return a_axes, b_axes
 
 
@@ -111,7 +113,7 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     mb = matrix_expression(b, rows=b_axes, cols=b_free)
     mat = np.dot(ma.mat, mb.mat)
     out_dims = tuple(a.dims[x - 1] for x in a_free) + tuple(b.dims[x - 1] for x in b_free)
-    return Hypermatrix(out_dims, mat.reshape(-1).copy(), a.kind)
+    return Hypermatrix(out_dims, mat, a.kind)
 
 
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:
@@ -140,19 +142,16 @@ def onto_contract(a: Hypermatrix, b: Hypermatrix, rs, method: str = "expression"
     expect = tuple(a.dims[x - 1] for x in rs)
     if b.dims != expect:
         raise ValueError(f"operand shape {b.dims} does not match dims {expect} at axes {rs}")
-    if a.kind != b.kind:
-        raise ValueError(f"scalar kind mismatch: {a.kind} vs {b.kind}")
+    same_kind(a, b)
     free = _free_axes(a.order, rs)
     out_dims = tuple(a.dims[x - 1] for x in free)
     if method == "expression":
         ma = matrix_expression(a, rows=free, cols=rs)
-        flat = np.dot(ma.mat, b.data)
-        return Hypermatrix(out_dims, flat.copy(), a.kind)
+        return Hypermatrix(out_dims, np.dot(ma.mat, b.data), a.kind)
     if method == "stp":
         front = split_permutation(a.order, rs)
         row = perm_gather(a.data, a.dims, front)
-        flat = mm_stp(row.reshape(1, -1), b.data.reshape(-1, 1))
-        return Hypermatrix(out_dims, flat.reshape(-1).copy(), a.kind)
+        return Hypermatrix(out_dims, mm_stp(row.reshape(1, -1), b.data.reshape(-1, 1)), a.kind)
     raise ValueError(f"unknown onto-contract method {method!r}")
 
 
@@ -165,10 +164,8 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     The flat data is the Kronecker chain of the factors, so the entry at
     (i_1, ..., i_d) is ``x_1[i_1] * ... * x_d[i_d]``.
     """
-    chain = kron_chain(factors)
     dims = tuple(np.asarray(f).size for f in factors)
-    inferred = "float" if chain.dtype == np.float64 else "int"
-    return Hypermatrix(dims, chain, kind or inferred)
+    return Hypermatrix(dims, kron_chain(factors), kind)
 
 
 def eval_multilinear_scalar(pi: Hypermatrix, xs) -> object:
@@ -261,7 +258,7 @@ def unary_apply(a: Hypermatrix, b: Hypermatrix) -> Hypermatrix:
     """
     d = b.order
     _check_blocks(a, b.dims, 1)
-    return contract_bruteforce(a, b, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)))
+    return contract_via_expression(a, b, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)))
 
 
 def binary_apply(a: Hypermatrix, b: Hypermatrix, c: Hypermatrix) -> Hypermatrix:
@@ -274,8 +271,8 @@ def binary_apply(a: Hypermatrix, b: Hypermatrix, c: Hypermatrix) -> Hypermatrix:
     if c.dims != b.dims:
         raise ValueError(f"operand shapes differ: {b.dims} vs {c.dims}")
     _check_blocks(a, b.dims, 2)
-    first = contract_bruteforce(a, b, tuple(range(2 * d + 1, 3 * d + 1)), tuple(range(1, d + 1)))
-    return contract_bruteforce(first, c, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)))
+    first = contract_via_expression(a, b, tuple(range(2 * d + 1, 3 * d + 1)), tuple(range(1, d + 1)))
+    return contract_via_expression(first, c, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)))
 
 
 def kary_apply(a: Hypermatrix, operands) -> Hypermatrix:
@@ -296,5 +293,5 @@ def kary_apply(a: Hypermatrix, operands) -> Hypermatrix:
     acc = a
     for t, b in enumerate(operands):
         lo = (k - t) * d
-        acc = contract_bruteforce(acc, b, tuple(range(lo + 1, lo + d + 1)), tuple(range(1, d + 1)))
+        acc = contract_via_expression(acc, b, tuple(range(lo + 1, lo + d + 1)), tuple(range(1, d + 1)))
     return acc

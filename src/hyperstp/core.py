@@ -10,6 +10,10 @@ Two scalar backends are supported:
 * ``"int"``  -- exact arbitrary-precision integers (numpy object array),
   so golden comparisons are bit-exact and sums can never silently wrap;
 * ``"float"`` -- IEEE binary64.
+
+``as_scalars`` is the one rule that decides which backend data lives on;
+every layer calls it (or ``as_scalars_joint`` for several raw operands)
+instead of inspecting dtypes itself.
 """
 
 from __future__ import annotations
@@ -81,22 +85,76 @@ def iter_indices(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield delinearize(dims, rank)
 
 
-def _coerce_data(values, kind: str | None):
-    """Build the flat backing array, inferring the scalar kind if needed."""
-    values = list(values)
-    if kind is None:
-        kind = "int" if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values) else "float"
-    if kind == "int":
-        for pos, v in enumerate(values, start=1):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"non-integer value {v!r} at position {pos} for the int backend")
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = [int(v) for v in values]
-    elif kind == "float":
-        arr = np.asarray([float(v) for v in values], dtype=np.float64)
-    else:
+DTYPE = {"int": object, "float": np.float64}
+
+# Array dtype kind -> scalar kind.  Object arrays are the int backend as they
+# stand: their entries are trusted, not scanned.
+_ARRAY_KINDS = {"O": "int", "i": "int", "u": "int", "f": "float"}
+
+
+def _sequence_kind(flat: list, types: set) -> str:
+    """'int' when every value is an integer, 'float' when some is a float."""
+    kind = "int"
+    for t in types:
+        if issubclass(t, (int, np.integer)) and t is not bool:
+            continue
+        if not issubclass(t, (float, np.floating)):
+            pos, v = next((pos, v) for pos, v in enumerate(flat, start=1) if type(v) is t)
+            raise TypeError(f"{v!r} at position {pos} is not a scalar")
+        kind = "float"
+    return kind
+
+
+def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
+    """The scalar-kind policy: ``values`` on one backend, and that backend.
+
+    * An object array is int data and a float64 array is float data, taken
+      as they are (an O(1) check, no scan); other integer or float arrays
+      convert by dtype.  Boolean and any other arrays raise ``TypeError``.
+    * Anything else is read as a (possibly nested) sequence: it is int when
+      every value is an integer, float when some value is a float; a
+      boolean or a non-number raises ``TypeError``.
+    * ``kind`` asks for a backend.  Int data converts to float; float data
+      never converts to int (``TypeError``).
+
+    The result keeps the shape of ``values``; int entries are Python ints.
+    """
+    if kind is not None and kind not in DTYPE:
         raise ValueError(f"unknown scalar kind {kind!r}")
+    if isinstance(values, np.ndarray):
+        have = _ARRAY_KINDS.get(values.dtype.kind)
+        if have is None:
+            raise TypeError(f"arrays of dtype {values.dtype} do not hold scalars")
+        arr = values
+    else:
+        if isinstance(values, Iterator):
+            values = list(values)
+        arr = np.array(values, dtype=object)
+        flat = arr.reshape(-1).tolist()
+        types = set(map(type, flat))
+        have = _sequence_kind(flat, types)
+        if have == "int" and types - {int}:
+            arr = np.array([int(v) for v in flat], dtype=object).reshape(arr.shape)
+    if kind == "int" and have == "float":
+        raise TypeError("float data does not convert to the int backend")
+    kind = kind or have
+    if arr.dtype != DTYPE[kind]:
+        arr = arr.astype(DTYPE[kind])
     return arr, kind
+
+
+def as_scalars_joint(*operands) -> tuple[list[np.ndarray], str]:
+    """Several raw operands on one backend: float when any of them is float."""
+    pairs = [as_scalars(x) for x in operands]
+    kind = "float" if any(k == "float" for _, k in pairs) else "int"
+    return [x if k == kind else as_scalars(x, kind)[0] for x, k in pairs], kind
+
+
+def same_kind(*hms: "Hypermatrix") -> str:
+    """The common declared kind of hypermatrix operands; a mismatch raises."""
+    if len({h.kind for h in hms}) > 1:
+        raise ValueError(f"scalar kind mismatch: {' vs '.join(h.kind for h in hms)}")
+    return hms[0].kind
 
 
 class Hypermatrix:
@@ -110,16 +168,8 @@ class Hypermatrix:
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
-        fast = (
-            isinstance(data, np.ndarray)
-            and ((kind == "int" and data.dtype == object) or (kind == "float" and data.dtype == np.float64))
-        )
-        if fast:
-            flat = data.reshape(-1)
-        else:
-            if isinstance(data, np.ndarray):
-                data = data.reshape(-1).tolist()
-            flat, kind = _coerce_data(data, kind)
+        flat, kind = as_scalars(data, kind)
+        flat = flat.reshape(-1)
         if flat.size != size_of(dims):
             raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
         object.__setattr__(self, "dims", dims)
@@ -140,14 +190,12 @@ class Hypermatrix:
     @classmethod
     def from_nd(cls, array, kind: str | None = None) -> "Hypermatrix":
         """Hypermatrix from a (row-major) numpy array or nested lists."""
-        arr = np.asarray(array)
-        dims = arr.shape
-        return cls(dims, arr.reshape(-1).tolist(), kind)
+        arr, kind = as_scalars(array, kind)
+        return cls(arr.shape, arr, kind)
 
     @classmethod
     def zeros(cls, dims, kind: str = "int") -> "Hypermatrix":
-        zero = 0 if kind == "int" else 0.0
-        return cls(dims, [zero] * size_of(check_dims(dims)), kind)
+        return cls(dims, [0] * size_of(check_dims(dims)), kind)
 
     # -- views -------------------------------------------------------
 
@@ -190,9 +238,7 @@ class Hypermatrix:
         """
         if self.dims != other.dims:
             raise ValueError(f"shape mismatch: {self.dims} vs {other.dims}")
-        if self.kind != other.kind:
-            raise ValueError(f"scalar kind mismatch: {self.kind} vs {other.kind}")
-        if self.kind == "int":
+        if same_kind(self, other) == "int":
             return all(a == b for a, b in zip(self.data, other.data))
         a, b = self.data, other.data
         bound = tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
@@ -215,11 +261,3 @@ class Hypermatrix:
             return f"Hypermatrix(dims={self.dims}, data={list(self.data)}, kind={self.kind!r})"
         return f"Hypermatrix(dims={self.dims}, size={self.size}, kind={self.kind!r})"
 
-
-def empty_like_kind(kind: str, size: int) -> np.ndarray:
-    """Zero-initialised flat buffer of a given scalar kind."""
-    if kind == "int":
-        buf = np.empty(size, dtype=object)
-        buf[:] = 0
-        return buf
-    return np.zeros(size, dtype=np.float64)

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _coerce_data, check_dims, size_of
-from .permutation import Permutation, build_perm_matrix, compose_lm, perm_gather
+from .core import Hypermatrix, as_scalars, check_dims, size_of
+from .permutation import Permutation, build_perm_matrix, perm_gather
 
 # -- stacking forms ----------------------------------------------------
 
@@ -178,18 +178,15 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
     """
     dims = check_dims(dims)
     rows = _require_increasing(rows)
-    if isinstance(v, np.ndarray) and v.dtype in (np.float64, object):
-        flat = v.reshape(-1)
-        kind = kind or ("float" if v.dtype == np.float64 else "int")
-    else:
-        flat, kind = _coerce_data(list(np.asarray(v, dtype=object).reshape(-1)), kind)
+    flat, kind = as_scalars(v, kind)
+    flat = flat.reshape(-1)
     if flat.size != size_of(dims):
         raise ValueError(f"vector of length {flat.size} for shape {dims}")
     cols = _complement(len(dims), rows)
     sigma = split_permutation(len(dims), rows)
     shuffled = perm_gather(flat, dims, sigma)
     t = math.prod(dims[c - 1] for c in cols)
-    return MatrixExpression(vrs(shuffled, t), rows, cols, dims, kind)
+    return MatrixExpression(shuffled.reshape(-1, t), rows, cols, dims, kind)
 
 
 def matrix_form_to_vec(m: MatrixExpression) -> np.ndarray:
@@ -201,7 +198,7 @@ def matrix_form_to_vec(m: MatrixExpression) -> np.ndarray:
     """
     _require_increasing(m.row_axes)
     sigma = split_permutation(len(m.dims), m.row_axes)
-    return build_perm_matrix(m.dims, sigma, warn_degenerate=False).gather_row(vr(m.mat)).copy()
+    return build_perm_matrix(m.dims, sigma, warn_degenerate=False).gather_row(m.mat)
 
 
 def convert_expression(m: MatrixExpression, new_rows) -> MatrixExpression:
@@ -216,10 +213,9 @@ def convert_expression(m: MatrixExpression, new_rows) -> MatrixExpression:
     new_cols = _complement(d, new_rows)
     w_old = build_perm_matrix(m.dims, split_permutation(d, m.row_axes), warn_degenerate=False)
     w_new_t = build_perm_matrix(m.dims, split_permutation(d, new_rows), warn_degenerate=False).transpose()
-    combined = compose_lm(w_old, w_new_t)
-    shuffled = combined.gather_row(vr(m.mat))
+    shuffled = w_old.compose(w_new_t).gather_row(m.mat)
     t = math.prod(m.dims[c - 1] for c in new_cols)
-    return MatrixExpression(vrs(shuffled, t), new_rows, new_cols, m.dims, m.kind)
+    return MatrixExpression(shuffled.reshape(-1, t), new_rows, new_cols, m.dims, m.kind)
 
 
 def transpose_expr(m: MatrixExpression) -> MatrixExpression:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import check_dims, empty_like_kind, size_of
+from .core import as_scalars, check_dims, size_of
 
 # Largest number of columns build_perm_matrix materialises.  The intp index
 # array takes 8 bytes per column on 64-bit hosts: 128 MiB at the cap.
@@ -102,14 +102,6 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(q(p(k)) for k in range(1, p.degree + 1))
 
 
-def perm_invert(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def parity(p: Permutation) -> int:
-    return p.parity()
-
-
 class LogicalMatrix:
     """m x n matrix of basis-vector columns, stored as 0-based row positions."""
 
@@ -172,14 +164,10 @@ class LogicalMatrix:
 
     def apply(self, x) -> np.ndarray:
         """Gather-product ``W @ x``: out[r] = sum of x[j] over cols[j] == r."""
-        x = np.asarray(x)
+        x, _ = as_scalars(x)
         if x.size != self.n_cols:
             raise ValueError(f"vector of length {x.size} against {self.n_cols} columns")
-        if x.dtype != object and not np.issubdtype(x.dtype, np.integer) and x.dtype != bool:
-            x = x.astype(np.float64)
-        elif x.dtype != object:
-            x = x.astype(object)
-        out = empty_like_kind("float" if x.dtype == np.float64 else "int", self.rows)
+        out = np.zeros(self.rows, dtype=x.dtype)
         np.add.at(out, self._idx, x.reshape(-1))
         return out
 
@@ -197,25 +185,12 @@ class LogicalMatrix:
         return LogicalMatrix._from_index(self.rows, self._idx[other._idx])
 
     def transpose(self) -> "LogicalMatrix":
-        """Transpose; only defined when the columns form a permutation."""
+        """Transpose, which is also the inverse; only defined when the columns form a permutation."""
         if not self.is_permutation():
             raise ValueError("transpose of a non-permutation logical matrix is not logical")
         inv = np.empty(self.rows, dtype=np.intp)
         inv[self._idx] = np.arange(self.rows, dtype=np.intp)
         return LogicalMatrix._from_index(self.rows, inv)
-
-
-def compose_lm(w1: LogicalMatrix, w2: LogicalMatrix) -> LogicalMatrix:
-    return w1.compose(w2)
-
-
-def transpose_lm(w: LogicalMatrix) -> LogicalMatrix:
-    return w.transpose()
-
-
-def invert_lm(w: LogicalMatrix) -> LogicalMatrix:
-    """Inverse of a permutation matrix, which is its transpose."""
-    return w.transpose()
 
 
 def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerate: bool = True) -> LogicalMatrix:

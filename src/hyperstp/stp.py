@@ -6,8 +6,10 @@ dimensions; the matrix-vector and vector-vector variants replicate the
 vector side with a ones block instead.  With these, vectors of different
 lengths can be added, compared and measured.
 
-Arrays with integer entries are computed on as exact Python integers
-(object dtype); everything else as binary64.
+Operands go through ``core.as_scalars_joint``: integer data is computed on
+as exact Python integers (object dtype), and any float operand puts the
+whole product on binary64.  Sums run through ``np.dot``, so float results
+follow BLAS's summation order.
 """
 
 from __future__ import annotations
@@ -16,50 +18,38 @@ import math
 
 import numpy as np
 
-from .core import MAX_SIZE
+from .core import MAX_SIZE, as_scalars, as_scalars_joint
 
 
-def _normalize(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object or a.dtype == np.float64:
-        return a
-    if np.issubdtype(a.dtype, np.integer) or a.dtype == bool:
-        return a.astype(object)
-    return a.astype(np.float64)
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a)
+def _matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {a.ndim}")
-    return _normalize(a)
+    return a
 
 
-def _as_vector(x) -> np.ndarray:
-    x = np.asarray(x)
+def _vector(x: np.ndarray) -> np.ndarray:
     if x.ndim == 2 and 1 in x.shape:
         x = x.reshape(-1)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
-    return _normalize(x)
+    return x
 
 
-def _eye(n: int, dtype) -> np.ndarray:
-    if dtype == object:
-        eye = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            eye[i, i] = 1
-        return eye
-    return np.eye(n, dtype=np.float64)
+def _pad(a: np.ndarray, k: int) -> np.ndarray:
+    """``a kron I_k`` for a matrix, ``a kron ones_k`` for a vector."""
+    if k == 1:
+        return a
+    return np.kron(a, np.eye(k, dtype=a.dtype) if a.ndim == 2 else np.ones(k, dtype=a.dtype))
 
 
-def _ones(n: int, dtype) -> np.ndarray:
-    if dtype == object:
-        ones = np.empty(n, dtype=object)
-        ones[:] = 1
-        return ones
-    return np.ones(n, dtype=np.float64)
+def _lifted(x, y) -> tuple[np.ndarray, np.ndarray, str]:
+    """Two vectors ones-replicated up to the lcm of their lengths, and their kind."""
+    (x, y), kind = as_scalars_joint(x, y)
+    x, y = _vector(x), _vector(y)
+    t = _checked_lcm(x.size, y.size)
+    return _pad(x, t // x.size), _pad(y, t // y.size), kind
 
 
 def _checked_lcm(n: int, p: int) -> int:
@@ -71,7 +61,8 @@ def _checked_lcm(n: int, p: int) -> int:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product (dense)."""
-    return np.kron(_normalize(np.asarray(a)), _normalize(np.asarray(b)))
+    (a, b), _ = as_scalars_joint(a, b)
+    return np.kron(a, b)
 
 
 def kron_chain(vectors) -> np.ndarray:
@@ -80,12 +71,12 @@ def kron_chain(vectors) -> np.ndarray:
     Entry at the ID rank of (i_1, ..., i_d) is the product
     ``x_1[i_1] * ... * x_d[i_d]``.
     """
-    vectors = [_as_vector(v) for v in vectors]
     if not vectors:
         raise ValueError("empty chain")
-    out = vectors[0]
+    vectors, _ = as_scalars_joint(*vectors)
+    out = _vector(vectors[0])
     for v in vectors[1:]:
-        out = np.kron(out, v)
+        out = np.kron(out, _vector(v))
     return out
 
 
@@ -96,14 +87,11 @@ def mm_stp(a, b) -> np.ndarray:
     count n and b's row count p; reduces to the ordinary product when
     n equals p.
     """
-    a, b = _as_matrix(a), _as_matrix(b)
+    (a, b), _ = as_scalars_joint(a, b)
+    a, b = _matrix(a), _matrix(b)
     n, p = a.shape[1], b.shape[0]
     t = _checked_lcm(n, p)
-    if t // n > 1:
-        a = np.kron(a, _eye(t // n, a.dtype))
-    if t // p > 1:
-        b = np.kron(b, _eye(t // p, b.dtype))
-    return np.dot(a, b)
+    return np.dot(_pad(a, t // n), _pad(b, t // p))
 
 
 def mv_stp(a, x) -> np.ndarray:
@@ -113,24 +101,16 @@ def mv_stp(a, x) -> np.ndarray:
     replicated entrywise rather than identity-padded, so the result is a
     vector of length ``rows(a) * t / n``.
     """
-    a, x = _as_matrix(a), _as_vector(x)
+    (a, x), _ = as_scalars_joint(a, x)
+    a, x = _matrix(a), _vector(x)
     n, p = a.shape[1], x.size
     t = _checked_lcm(n, p)
-    if t // n > 1:
-        a = np.kron(a, _eye(t // n, a.dtype))
-    if t // p > 1:
-        x = np.kron(x, _ones(t // p, x.dtype))
-    return np.dot(a, x)
+    return np.dot(_pad(a, t // n), _pad(x, t // p))
 
 
 def vv_stp(x, y):
     """Vector-vector semi-tensor product (a scalar)."""
-    x, y = _as_vector(x), _as_vector(y)
-    t = _checked_lcm(x.size, y.size)
-    if t // x.size > 1:
-        x = np.kron(x, _ones(t // x.size, x.dtype))
-    if t // y.size > 1:
-        y = np.kron(y, _ones(t // y.size, y.dtype))
+    x, y, _ = _lifted(x, y)
     return np.dot(x, y)
 
 
@@ -142,12 +122,7 @@ def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    x, y = _as_vector(x), _as_vector(y)
-    t = _checked_lcm(x.size, y.size)
-    if t // x.size > 1:
-        x = np.kron(x, _ones(t // x.size, x.dtype))
-    if t // y.size > 1:
-        y = np.kron(y, _ones(t // y.size, y.dtype))
+    x, y, _ = _lifted(x, y)
     return x + y if sign > 0 else x - y
 
 
@@ -157,10 +132,10 @@ def stp_inner(x, y):
     Exact integer inputs stay exact when t divides the raw product and
     raise otherwise; float inputs divide in binary64.
     """
-    x, y = _as_vector(x), _as_vector(y)
-    t = _checked_lcm(x.size, y.size)
-    raw = vv_stp(x, y)
-    if x.dtype == np.float64 or y.dtype == np.float64:
+    x, y, kind = _lifted(x, y)
+    t = x.size
+    raw = np.dot(x, y)
+    if kind == "float":
         return float(raw) / t
     if raw % t == 0:
         return raw // t
@@ -169,17 +144,14 @@ def stp_inner(x, y):
 
 def stp_norm(x) -> float:
     """Norm induced by the dimension-free inner product (float backend)."""
-    x = _as_vector(x)
-    if x.dtype != np.float64:
+    x, kind = as_scalars(x)
+    if kind != "float":
         raise ValueError("norm needs the float backend (square roots are irrational)")
     return math.sqrt(stp_inner(x, x))
 
 
 def stp_distance(x, y) -> float:
     """Distance: norm of the dimension-free difference (float backend)."""
-    x, y = _as_vector(x), _as_vector(y)
-    if x.dtype != np.float64 or y.dtype != np.float64:
-        raise ValueError("distance needs the float backend (square roots are irrational)")
     return stp_norm(vec_oplus(x, y, -1))
 
 
@@ -192,8 +164,4 @@ def delta_I(n: int, dtype=object) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye = np.zeros(n * n, dtype=dtype)
-    one = 1 if dtype == object else 1.0
-    for i in range(n):
-        eye[i * n + i] = one
-    return eye
+    return np.eye(n, dtype=dtype).reshape(-1)

@@ -9,13 +9,8 @@ from hyperstp import (
     LogicalMatrix,
     Permutation,
     build_perm_matrix,
-    compose_lm,
-    invert_lm,
     kron_chain,
-    parity,
     perm_compose,
-    perm_invert,
-    transpose_lm,
 )
 from hyperstp.appendix import EXAMPLE_235_TABLES  # re-exported data for cross-checks
 from hyperstp.permutation import MAX_PERM_ENTRIES, perm_gather
@@ -24,16 +19,16 @@ from conftest import basis_vec, perm_matrix_oracle
 
 
 def test_parity_examples():
-    assert parity(Permutation((1, 2, 3))) == 1
-    assert parity(Permutation((2, 1, 3))) == -1
-    assert parity(Permutation((2, 3, 1))) == 1
+    assert Permutation((1, 2, 3)).parity() == 1
+    assert Permutation((2, 1, 3)).parity() == -1
+    assert Permutation((2, 3, 1)).parity() == 1
 
 
 def test_parity_is_homomorphism_on_s4():
     for p in permutations(range(1, 5)):
         for q in permutations(range(1, 5)):
             P, Q = Permutation(p), Permutation(q)
-            assert parity(perm_compose(P, Q)) == parity(P) * parity(Q)
+            assert perm_compose(P, Q).parity() == P.parity() * Q.parity()
 
 
 def test_permutation_validation():
@@ -118,27 +113,27 @@ def test_apply_length_mismatch():
 def test_compose_with_inverse_is_identity():
     for p in permutations(range(1, 4)):
         w = build_perm_matrix((2, 2, 2), Permutation(p))
-        assert compose_lm(w, invert_lm(w)) == LogicalMatrix.identity(8)
+        assert w.compose(w.transpose()) == LogicalMatrix.identity(8)
 
 
 def test_compose_frozen_example():
     w = build_perm_matrix((2, 2, 2), Permutation((2, 3, 1)))
     expected = build_perm_matrix((2, 2, 2), Permutation((3, 1, 2)))
-    assert compose_lm(w, w) == expected
+    assert w.compose(w) == expected
 
 
 def test_transpose_frozen_example():
-    assert transpose_lm(LogicalMatrix(8, (1, 3, 5, 7, 2, 4, 6, 8))) == LogicalMatrix(8, (1, 5, 2, 6, 3, 7, 4, 8))
+    assert LogicalMatrix(8, (1, 3, 5, 7, 2, 4, 6, 8)).transpose() == LogicalMatrix(8, (1, 5, 2, 6, 3, 7, 4, 8))
 
 
 def test_transpose_rejects_non_permutation():
     with pytest.raises(ValueError):
-        transpose_lm(LogicalMatrix(2, (1, 1)))
+        LogicalMatrix(2, (1, 1)).transpose()
 
 
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
-        compose_lm(LogicalMatrix(2, (1, 2)), LogicalMatrix(3, (1, 2, 3)))
+        LogicalMatrix(2, (1, 2)).compose(LogicalMatrix(3, (1, 2, 3)))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3)])
@@ -146,7 +141,7 @@ def test_product_law_exhaustive_d3(dims):
     for p in permutations(range(1, 4)):
         for q in permutations(range(1, 4)):
             P, Q = Permutation(p), Permutation(q)
-            lhs = compose_lm(build_perm_matrix(dims, P), build_perm_matrix(dims, Q))
+            lhs = build_perm_matrix(dims, P).compose(build_perm_matrix(dims, Q))
             assert lhs == build_perm_matrix(dims, perm_compose(P, Q))
 
 
@@ -155,7 +150,7 @@ def test_product_law_exhaustive_d4_n2():
     mats = {p: build_perm_matrix(dims, Permutation(p)) for p in permutations(range(1, 5))}
     for p, wp in mats.items():
         for q, wq in mats.items():
-            assert compose_lm(wp, wq) == mats[perm_compose(Permutation(p), Permutation(q)).image]
+            assert wp.compose(wq) == mats[perm_compose(Permutation(p), Permutation(q)).image]
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2)])
@@ -163,7 +158,7 @@ def test_transpose_equals_inverse_sigma_uniform(dims):
     for p in permutations(range(1, len(dims) + 1)):
         sigma = Permutation(p)
         w = build_perm_matrix(dims, sigma)
-        assert transpose_lm(w) == invert_lm(w) == build_perm_matrix(dims, sigma.inverse())
+        assert w.transpose() == build_perm_matrix(dims, sigma.inverse())
 
 
 def test_transpose_mixed_dims_lives_over_permuted_dims():
@@ -173,14 +168,14 @@ def test_transpose_mixed_dims_lives_over_permuted_dims():
     for p in permutations(range(1, 4)):
         sigma = Permutation(p)
         permuted = tuple(dims[sigma(k) - 1] for k in range(1, 4))
-        assert transpose_lm(build_perm_matrix(dims, sigma)) == build_perm_matrix(permuted, sigma.inverse())
+        assert build_perm_matrix(dims, sigma).transpose() == build_perm_matrix(permuted, sigma.inverse())
 
 
 def test_perm_compose_identity_and_invert():
     sigma = Permutation((2, 3, 1))
     assert perm_compose(sigma, Permutation.identity(3)) == sigma
     assert perm_compose(Permutation.identity(3), sigma) == sigma
-    assert perm_invert(sigma) == Permutation((3, 1, 2))
+    assert sigma.inverse() == Permutation((3, 1, 2))
     with pytest.raises(ValueError):
         perm_compose(sigma, Permutation((1, 2)))
 
@@ -265,7 +260,7 @@ def test_build_matches_loop_oracle(case):
 @given(uniform_dims_and_pair())
 def test_product_law_uniform_dims(case):
     dims, p, q = case
-    lhs = compose_lm(build_perm_matrix(dims, p, warn_degenerate=False), build_perm_matrix(dims, q, warn_degenerate=False))
+    lhs = build_perm_matrix(dims, p, warn_degenerate=False).compose(build_perm_matrix(dims, q, warn_degenerate=False))
     assert lhs == build_perm_matrix(dims, perm_compose(p, q), warn_degenerate=False)
 
 
@@ -274,7 +269,7 @@ def test_transpose_is_inverse_over_permuted_dims(case):
     dims, sigma = case
     permuted = tuple(dims[sigma(k) - 1] for k in range(1, len(dims) + 1))
     w = build_perm_matrix(dims, sigma, warn_degenerate=False)
-    assert transpose_lm(w) == build_perm_matrix(permuted, sigma.inverse(), warn_degenerate=False)
+    assert w.transpose() == build_perm_matrix(permuted, sigma.inverse(), warn_degenerate=False)
 
 
 @given(dims_and_sigma())

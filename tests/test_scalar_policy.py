@@ -1,0 +1,218 @@
+"""The scalar-kind policy (``core.as_scalars``) and the layers that call it.
+
+Object arrays are the int backend and float64 arrays the float backend;
+other numpy dtypes convert by dtype, sequences by their values, booleans
+are never scalars, and float data never becomes int.  Raw-array operands
+promote together; declared hypermatrix kinds must match.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hyperstp import (
+    Hypermatrix,
+    LogicalMatrix,
+    as_scalars,
+    as_scalars_joint,
+    cross_product,
+    hypervector_expand,
+    kron,
+    kron_chain,
+    mm_stp,
+    mv_stp,
+    stp_inner,
+    vec_oplus,
+    vec_to_matrix_form,
+    vv_stp,
+    write_hm,
+)
+from hyperstp.cli import main
+
+
+def ints(values):
+    return np.array([int(v) for v in values], dtype=object)
+
+
+# -- regressions: each case once changed the scalar kind silently -----------------
+
+
+@pytest.mark.parametrize(
+    "fn, a, b",
+    [
+        (mm_stp, ints([1, 2, 3, 4]).reshape(2, 2), np.array([[0.5], [1.5]])),
+        (mv_stp, ints([1, 2, 3, 4]).reshape(2, 2), np.array([0.5, 1.5, 2.5, 3.5])),
+        (vv_stp, ints([1, 2]), np.array([0.5, 1.5, 2.5])),
+        (vec_oplus, ints([1, 2]), np.array([0.5, 1.5, 2.5, 3.5])),
+    ],
+    ids=["mm", "mv", "vv", "oplus"],
+)
+def test_stp_int_times_float_is_float64(fn, a, b):
+    assert getattr(fn(a, b), "dtype", None) == np.float64
+
+
+def test_hypervector_of_int_and_float_factors_is_float():
+    h = hypervector_expand([ints([1, 2]), np.array([0.5, 1.5])])
+    assert h.kind == "float" and h.data.dtype == np.float64
+    assert list(h.data) == [0.5, 1.5, 1.0, 3.0]
+
+
+def test_cross_product_of_object_int_vectors_stays_int():
+    out = cross_product(ints([1, 0, 0]), ints([0, 1, 0]))
+    assert list(out) == [0, 0, 1] and all(type(v) is int for v in out)
+
+
+def test_vec_to_matrix_form_refuses_float_data_as_int():
+    with pytest.raises(TypeError):
+        vec_to_matrix_form(np.arange(8.0), (2, 2, 2), (1,), kind="int")
+
+
+def test_booleans_are_not_scalars():
+    with pytest.raises(TypeError):
+        Hypermatrix((2,), [True, 1])
+    with pytest.raises(TypeError):
+        mm_stp(np.array([[True, False]]), ints([1, 2]).reshape(2, 1))
+
+
+@pytest.mark.parametrize("order", [("i", "f"), ("f", "i")])
+def test_cli_stp_on_mixed_kinds_is_a_data_error(tmp_path, capsys, order):
+    files = {
+        "i": Hypermatrix((2, 2), [1, 2, 3, 4], "int"),
+        "f": Hypermatrix((2, 2), [1, 2, 3, 4], "float"),
+    }
+    paths = []
+    for key in order:
+        paths.append(str(tmp_path / f"{key}.hm"))
+        write_hm(files[key], paths[-1])
+    assert main(["stp", "--op", "mm", *paths]) == 2
+    assert "scalar kind mismatch" in capsys.readouterr().err
+
+
+# -- properties of the policy ---------------------------------------------------
+
+int_values = st.integers(-(2 ** 70), 2 ** 70)
+float_values = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(st.lists(st.one_of(int_values, float_values), max_size=20))
+def test_sequence_kind_rule(values):
+    arr, kind = as_scalars(values)
+    if all(type(v) is int for v in values):
+        assert kind == "int" and arr.dtype == object and all(type(v) is int for v in arr)
+        assert list(arr) == values
+    else:
+        assert kind == "float" and arr.dtype == np.float64
+        assert list(arr) == [float(v) for v in values]
+
+
+@given(
+    st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]),
+    st.lists(st.integers(0, 100), min_size=1, max_size=10),
+)
+def test_integer_dtypes_become_python_ints(dtype, values):
+    arr, kind = as_scalars(np.array(values, dtype=dtype))
+    assert kind == "int" and arr.dtype == object
+    assert all(type(v) is int for v in arr) and list(arr) == values
+
+
+@given(st.sampled_from([np.float16, np.float32, np.float64]), st.lists(st.integers(-100, 100), max_size=10))
+def test_float_dtypes_become_float64(dtype, values):
+    arr, kind = as_scalars(np.array(values, dtype=dtype))
+    assert kind == "float" and arr.dtype == np.float64 and list(arr) == values
+    with pytest.raises(TypeError):
+        as_scalars(np.array(values, dtype=dtype), "int")
+
+
+@given(st.lists(int_values, max_size=10), st.integers(0, 10), st.booleans())
+def test_a_boolean_anywhere_raises(values, pos, flag):
+    values.insert(min(pos, len(values)), flag)
+    with pytest.raises(TypeError):
+        as_scalars(values)
+    with pytest.raises(TypeError):
+        as_scalars(np.array([flag]))
+
+
+@given(st.lists(int_values, max_size=10), st.integers(0, 10), float_values)
+def test_float_data_never_converts_to_int(values, pos, x):
+    values.insert(min(pos, len(values)), x)
+    with pytest.raises(TypeError):
+        as_scalars(values, "int")
+    converted, kind = as_scalars(values, "float")
+    assert kind == "float" and list(converted) == [float(v) for v in values]
+
+
+@st.composite
+def int_matrix(draw, max_dim=4):
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    return ints(draw(st.lists(st.integers(-9, 9), min_size=m * n, max_size=m * n))).reshape(m, n)
+
+
+@st.composite
+def int_vector(draw, max_len=6):
+    n = draw(st.integers(1, max_len))
+    return ints(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+
+
+def raw_ops(draw):
+    """(name, fn, operands) with int operands of compatible shapes."""
+    a, x, y = draw(int_matrix()), draw(int_vector()), draw(int_vector())
+    return [
+        ("mm", mm_stp, (a, draw(int_matrix()))),
+        ("mv", mv_stp, (a, x)),
+        ("vv", vv_stp, (x, y)),
+        ("oplus", vec_oplus, (x, y)),
+        ("kron", kron, (a, x)),
+        ("chain", lambda *vs: kron_chain(vs), (x, y)),
+        ("inner", stp_inner, (x, y)),
+        ("apply", LogicalMatrix(len(x), [1 + (5 * j) % len(x) for j in range(len(x))]).apply, (x,)),
+    ]
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_int_times_float_equals_the_all_float_computation(data):
+    for name, fn, operands in raw_ops(data.draw):
+        floated = [op.astype(np.float64) for op in operands]
+        want = np.asarray(fn(*floated))
+        # every operand in turn on the float backend, the rest left int
+        for k in range(len(operands)):
+            mixed = [floated[j] if j == k else operands[j] for j in range(len(operands))]
+            got = np.asarray(fn(*mixed))
+            assert got.dtype == np.float64, name
+            assert np.array_equal(got, want), name
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_int_times_int_stays_python_int(data):
+    for name, fn, operands in raw_ops(data.draw):
+        if name == "inner":
+            continue  # exact division may raise; its result type is checked below
+        out = np.asarray(fn(*operands), dtype=object).reshape(-1)
+        assert all(type(v) is int for v in out), name
+
+
+def test_inner_on_ints_is_an_int():
+    assert type(stp_inner(ints([2, 2]), ints([1, 1, 1]))) is int
+
+
+def test_joint_promotion():
+    (a, b), kind = as_scalars_joint(ints([1]), [2.5])
+    assert kind == "float" and a.dtype == b.dtype == np.float64
+    (a, b), kind = as_scalars_joint(ints([1]), [2])
+    assert kind == "int" and a.dtype == b.dtype == object
+
+
+def test_declared_kinds_must_match():
+    a = Hypermatrix((2,), [1, 2])
+    with pytest.raises(ValueError, match="scalar kind mismatch"):
+        a.approx_equal(Hypermatrix((2,), [1, 2], "float"))
+
+
+# -- algebra on the int backend ------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(int_matrix(), int_matrix(), int_matrix())
+def test_mm_stp_is_associative_exactly(a, b, c):
+    assert np.array_equal(mm_stp(mm_stp(a, b), c), mm_stp(a, mm_stp(b, c)))
