@@ -29,7 +29,6 @@ from .expression import (
     matrix_form_to_vec,
     sigma_transpose,
     sigma_transpose_via_perm,
-    split_permutation,
     transpose_expr,
     vc,
     vcs,

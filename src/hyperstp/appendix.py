@@ -95,6 +95,13 @@ class TableReport:
         return list(difflib.unified_diff(pub, gen, "published", "generated", lineterm=""))
 
 
+def _report(d: int, n: int, label: int, dims: tuple[int, ...], published, registered=None) -> TableReport:
+    """Regenerate the table ``label`` of degree ``d`` over ``dims`` and compare."""
+    sigma = appendix_sigma(d, label)
+    generated = build_perm_matrix(dims, sigma).cols
+    return TableReport(d, n, label, sigma.image, generated == published, registered, published, generated)
+
+
 def verify_appendix() -> list[TableReport]:
     """Regenerate every bundled table and compare with the published one.
 
@@ -103,47 +110,16 @@ def verify_appendix() -> list[TableReport]:
     unexpectedly passes (which would mean the registry went stale).
     """
     registered = errata_index()
-    reports = []
-    for (d, n) in appendix_families():
-        for label in appendix_labels(d, n):
-            sigma = appendix_sigma(d, label)
-            generated = build_perm_matrix((n,) * d, sigma).cols
-            published = APPENDIX_TABLES[(d, n)][label]
-            reports.append(
-                TableReport(
-                    d=d,
-                    n=n,
-                    label=label,
-                    sigma=sigma.image,
-                    matches=generated == published,
-                    registered=registered.get((d, n, label)),
-                    published=published,
-                    generated=generated,
-                )
-            )
-    return reports
+    return [
+        _report(d, n, label, (n,) * d, APPENDIX_TABLES[(d, n)][label], registered.get((d, n, label)))
+        for (d, n) in appendix_families()
+        for label in appendix_labels(d, n)
+    ]
 
 
 def verify_example_tables() -> list[TableReport]:
     """Same regeneration check for the worked (2,3,5) tables (all must pass)."""
-    reports = []
-    for label in sorted(EXAMPLE_235_TABLES):
-        sigma = appendix_sigma(3, label)
-        generated = build_perm_matrix((2, 3, 5), sigma).cols
-        published = EXAMPLE_235_TABLES[label]
-        reports.append(
-            TableReport(
-                d=3,
-                n=0,
-                label=label,
-                sigma=sigma.image,
-                matches=generated == published,
-                registered=None,
-                published=published,
-                generated=generated,
-            )
-        )
-    return reports
+    return [_report(3, 0, label, (2, 3, 5), EXAMPLE_235_TABLES[label]) for label in sorted(EXAMPLE_235_TABLES)]
 
 
 def verification_ok(reports: list[TableReport]) -> bool:

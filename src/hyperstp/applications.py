@@ -15,10 +15,10 @@ import numpy as np
 
 from .core import Hypermatrix, as_scalars_joint
 from .contraction import contract_bruteforce, eval_multilinear_scalar, eval_multilinear_vector
-from .expression import MatrixExpression, matrix_expression, split_permutation, vc, vcs, vr
+from .expression import MatrixExpression, matrix_expression, vc, vcs, vr
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
-from .permutation import build_perm_matrix, perm_gather  # noqa: F401
+from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
 
 # -- cross product -------------------------------------------------------
 
@@ -240,16 +240,16 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatr
     m_r = matrix_expression(inst.r, rows=(3, 4), cols=(1, 2)).mat
     # The row stacking of m_t is the flat vector of the order-6 pairing.
     if side == "lhs":
-        m_split = perm_gather(m_t, dims6, split_permutation(6, (1, 3, 4, 5))).reshape(-1, n * n)  # n^4 x n^2
+        m_split = perm_gather(m_t, dims6, Permutation((1, 3, 4, 5, 2, 6))).reshape(-1, n * n)  # n^4 x n^2
         out = np.dot(m_split, m_r)
     else:
-        m_split = perm_gather(m_t, dims6, split_permutation(6, (3, 4))).reshape(-1, n ** 4)         # n^2 x n^4
+        m_split = perm_gather(m_t, dims6, Permutation((3, 4, 1, 2, 5, 6))).reshape(-1, n ** 4)  # n^2 x n^4
         out = np.dot(m_r, m_split)
     return Hypermatrix(dims6, out, inst.r.kind)
 
 
-def ybe_residual(inst: YbeInstance):
-    """Largest absolute entry of LHS minus RHS (matrix-pipeline evaluation)."""
-    lhs = ybe_sides(inst, "lhs", "matrix")
-    rhs = ybe_sides(inst, "rhs", "matrix")
+def ybe_residual(inst: YbeInstance, method: str = "matrix"):
+    """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``."""
+    lhs = ybe_sides(inst, "lhs", method)
+    rhs = ybe_sides(inst, "rhs", method)
     return max(abs(a - b) for a, b in zip(lhs.data, rhs.data))

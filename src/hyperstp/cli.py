@@ -179,11 +179,11 @@ def _cmd_ybe(args) -> int:
     if r.order != 4 or len(set(r.dims)) != 1:
         raise ValueError(f"shape {r.dims} is not (n,n,n,n)")
     inst = YbeInstance(r.dims[0], r)
+    method = "bruteforce" if args.method == "brute" else "matrix"
     if args.side:
-        method = "bruteforce" if args.method == "brute" else "matrix"
         print(dumps_hm(ybe_sides(inst, args.side, method)))
         return 0
-    print(_scalar_str(ybe_residual(inst), r.kind))
+    print(_scalar_str(ybe_residual(inst, method), r.kind))
     return 0
 
 

@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import Hypermatrix, same_kind
-from .expression import MatrixExpression, matrix_expression, split_permutation
+from .expression import MatrixExpression, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
-from .permutation import build_perm_matrix, perm_gather  # noqa: F401
+from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
 from .stp import kron_chain, mm_stp
 
 
@@ -132,9 +132,9 @@ def onto_contract(a: Hypermatrix, b: Hypermatrix, rs, method: str = "expression"
 
     * ``expression``: multiply the (free x rs) expression of a by b's
       flat column;
-    * ``stp``: gather a's flat row through the transposed permutation
-      matrix that brings the rs axes to the front, then take the
-      matrix-matrix semi-tensor product with b's flat column.
+    * ``stp``: gather a's flat row through the permutation matrix of
+      ``(rs, free)``, which brings the rs axes to the front, then take
+      the matrix-matrix semi-tensor product with b's flat column.
     """
     rs = _check_axes("contracted", a.order, rs)
     if list(rs) != sorted(rs):
@@ -149,8 +149,7 @@ def onto_contract(a: Hypermatrix, b: Hypermatrix, rs, method: str = "expression"
         ma = matrix_expression(a, rows=free, cols=rs)
         return Hypermatrix(out_dims, np.dot(ma.mat, b.data), a.kind)
     if method == "stp":
-        front = split_permutation(a.order, rs)
-        row = perm_gather(a.data, a.dims, front)
+        row = perm_gather(a.data, a.dims, Permutation(rs + free))
         return Hypermatrix(out_dims, mm_stp(row.reshape(1, -1), b.data.reshape(-1, 1)), a.kind)
     raise ValueError(f"unknown onto-contract method {method!r}")
 
@@ -168,6 +167,22 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     return Hypermatrix(dims, kron_chain(factors), kind)
 
 
+def _fold(acc, xs, dims) -> np.ndarray:
+    """Semi-tensor chain of ``acc`` with argument columns, one per dim.
+
+    Argument k must have length ``dims[k]``; each factor peels one axis.
+    """
+    xs = list(xs)
+    if len(xs) != len(dims):
+        raise ValueError(f"{len(xs)} arguments for {len(dims)} axes")
+    for k, (n, x) in enumerate(zip(dims, xs), start=1):
+        x = np.asarray(x)
+        if x.size != n:
+            raise ValueError(f"argument {k} has length {x.size}, expected {n}")
+        acc = mm_stp(acc, x.reshape(-1, 1))
+    return acc.reshape(-1)
+
+
 def eval_multilinear_scalar(pi: Hypermatrix, xs) -> object:
     """Scalar multilinear form: fold the flat row through the arguments.
 
@@ -175,16 +190,7 @@ def eval_multilinear_scalar(pi: Hypermatrix, xs) -> object:
     columns peels one axis per factor; with basis arguments it reads the
     coefficient entries straight off.
     """
-    xs = list(xs)
-    if len(xs) != pi.order:
-        raise ValueError(f"{len(xs)} arguments for order {pi.order}")
-    for k, x in enumerate(xs, start=1):
-        if np.asarray(x).size != pi.dims[k - 1]:
-            raise ValueError(f"argument {k} has length {np.asarray(x).size}, expected {pi.dims[k - 1]}")
-    acc = pi.data.reshape(1, -1)
-    for x in xs:
-        acc = mm_stp(acc, np.asarray(x).reshape(-1, 1))
-    return acc.reshape(-1)[0]
+    return _fold(pi.data.reshape(1, -1), xs, pi.dims)[0]
 
 
 def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
@@ -195,16 +201,7 @@ def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
     """
     if len(m.row_axes) != 1:
         raise ValueError(f"expression has row axes {m.row_axes}; need exactly one")
-    xs = list(xs)
-    if len(xs) != len(m.col_axes):
-        raise ValueError(f"{len(xs)} arguments for {len(m.col_axes)} column axes")
-    for k, (ax, x) in enumerate(zip(m.col_axes, xs), start=1):
-        if np.asarray(x).size != m.dims[ax - 1]:
-            raise ValueError(f"argument {k} has length {np.asarray(x).size}, expected {m.dims[ax - 1]}")
-    acc = m.mat
-    for x in xs:
-        acc = mm_stp(acc, np.asarray(x).reshape(-1, 1))
-    return acc.reshape(-1)
+    return _fold(m.mat, xs, [m.dims[ax - 1] for ax in m.col_axes])
 
 
 def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
@@ -224,7 +221,7 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
     if omega.order and len(set(omega.dims)) != 1:
         raise ValueError(f"shape {omega.dims} is not hypercubic")
     n = omega.dims[0] if omega.order else 1
-    for w in covectors + vectors:
+    for w in covectors:
         if w.size != n:
             raise ValueError(f"argument of length {w.size}, expected {n}")
     m = matrix_expression(omega, rows=tuple(range(r + 1, r + s + 1)), cols=tuple(range(1, r + 1)))
@@ -233,9 +230,7 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
         w = covectors[s - j].reshape(1, -1)
         acc = w if acc is None else mm_stp(acc, w)
     acc = m.mat if acc is None else mm_stp(acc, m.mat)
-    for x in vectors:
-        acc = mm_stp(acc, x.reshape(-1, 1))
-    return acc.reshape(-1)[0]
+    return _fold(acc, vectors, (n,) * r)[0]
 
 
 # -- block operators -----------------------------------------------------
@@ -252,27 +247,17 @@ def _check_blocks(a: Hypermatrix, block_dims: tuple[int, ...], k: int):
 
 
 def unary_apply(a: Hypermatrix, b: Hypermatrix) -> Hypermatrix:
-    """Order-2d operator acting on one order-d operand.
-
-    Pairs the trailing d axes of the operator with the operand.
-    """
-    d = b.order
-    _check_blocks(a, b.dims, 1)
-    return contract_via_expression(a, b, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)))
+    """Order-2d operator acting on one order-d operand: ``kary_apply(a, [b])``."""
+    return kary_apply(a, [b])
 
 
 def binary_apply(a: Hypermatrix, b: Hypermatrix, c: Hypermatrix) -> Hypermatrix:
-    """Order-3d operator acting on two order-d operands.
+    """Order-3d operator on two order-d operands: ``kary_apply(a, [b, c])``.
 
     The first operand binds the last axis block, then the second operand
     binds the block before it; the nesting is literal, not fused.
     """
-    d = b.order
-    if c.dims != b.dims:
-        raise ValueError(f"operand shapes differ: {b.dims} vs {c.dims}")
-    _check_blocks(a, b.dims, 2)
-    first = contract_via_expression(a, b, tuple(range(2 * d + 1, 3 * d + 1)), tuple(range(1, d + 1)))
-    return contract_via_expression(first, c, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)))
+    return kary_apply(a, [b, c])
 
 
 def kary_apply(a: Hypermatrix, operands) -> Hypermatrix:

@@ -3,9 +3,10 @@
 An order-d hypermatrix has a 2-D "matrix expression" for every split of
 its axes into an ordered row tuple and column tuple: rows enumerate the
 row-axis indices in ID order, columns the column-axis indices.  The empty
-row tuple gives the 1 x n vector expression.  Conversions between
-expressions are realised by index gathers through permutation matrices
-and are verified against direct index-shuffle construction.
+row tuple gives the 1 x n vector expression.  Each conversion between
+expressions (and the vector form) is one row gather through one
+permutation matrix, for any axis order on either side; the conversions
+are verified against direct index-shuffle construction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import Hypermatrix, as_scalars, check_dims, size_of
-from .permutation import Permutation, build_perm_matrix, perm_gather
+# build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
+# the benchmark's tracer patches it in every module that binds it.
+from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
 
 # -- stacking forms ----------------------------------------------------
 
@@ -74,9 +77,8 @@ def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
 def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """Same transpose computed through the permutation matrix.
 
-    The flat vector of the result is the flat vector of ``a`` gathered
-    through the transposed permutation matrix (for uniform dims that
-    transpose is the matrix of the inverse permutation).
+    The flat vector of the result is ``W^sigma`` applied to the flat
+    vector of ``a``, computed by ``perm_gather``.
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
@@ -86,16 +88,13 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
 # -- matrix expressions ------------------------------------------------
 
 
-def _check_partition(d: int, rows: Sequence[int], cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _check_partition(d: int, rows: Sequence[int], cols: Sequence[int] | None = None):
+    """Validated ``(rows, cols)`` tuples; ``cols`` defaults to the increasing complement of ``rows``."""
     rows = tuple(int(r) for r in rows)
-    cols = tuple(int(c) for c in cols)
+    cols = tuple(k for k in range(1, d + 1) if k not in rows) if cols is None else tuple(int(c) for c in cols)
     if sorted(rows + cols) != list(range(1, d + 1)):
         raise ValueError(f"row axes {rows} and column axes {cols} do not partition 1..{d}")
     return rows, cols
-
-
-def _complement(d: int, axes: Sequence[int]) -> tuple[int, ...]:
-    return tuple(k for k in range(1, d + 1) if k not in set(axes))
 
 
 class MatrixExpression:
@@ -133,9 +132,6 @@ def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] |
     increasing order.  Rows enumerate the row-axis indices in ID order
     under the listed axis order, columns likewise.
     """
-    rows = tuple(int(r) for r in rows)
-    if cols is None:
-        cols = _complement(a.order, rows)
     rows, cols = _check_partition(a.order, rows, cols)
     s = math.prod(a.dims[r - 1] for r in rows)
     t = math.prod(a.dims[c - 1] for c in cols)
@@ -156,35 +152,29 @@ def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
 # -- conversions through permutation matrices --------------------------
 
 
-def split_permutation(d: int, rows: Sequence[int]) -> Permutation:
-    """The permutation sending natural axis order to (rows, complement)."""
-    rows = tuple(int(r) for r in rows)
-    return Permutation(rows + _complement(d, rows))
+def _relayout(data, dims, src, dst) -> np.ndarray:
+    """Re-lay flat data from axis order ``src`` to axis order ``dst``.
 
-
-def _require_increasing(rows: Sequence[int]) -> tuple[int, ...]:
-    rows = tuple(int(r) for r in rows)
-    if list(rows) != sorted(set(rows)):
-        raise ValueError(f"row axes {rows} must be strictly increasing here")
-    return rows
+    One gather through the permutation matrix of the relative permutation
+    ``tau(k) = position of dst[k] in src``, over the dims in ``src`` order.
+    """
+    tau = Permutation(src.index(ax) + 1 for ax in dst)
+    return perm_gather(data, [dims[ax - 1] for ax in src], tau)
 
 
 def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpression:
     """Vector form to matrix form.
 
-    Gathers the flat vector through the transposed permutation matrix of
-    the split permutation (rows, complement) and reshapes with one row
-    per row-axis index combination.  ``rows`` must be increasing.
+    Re-lays the flat vector from natural axis order to ``rows`` followed
+    by their increasing complement, and reshapes with one row per row-axis
+    index combination.  ``rows`` may list axes in any order.
     """
     dims = check_dims(dims)
-    rows = _require_increasing(rows)
+    rows, cols = _check_partition(len(dims), rows)
     flat, kind = as_scalars(v, kind)
-    flat = flat.reshape(-1)
     if flat.size != size_of(dims):
         raise ValueError(f"vector of length {flat.size} for shape {dims}")
-    cols = _complement(len(dims), rows)
-    sigma = split_permutation(len(dims), rows)
-    shuffled = perm_gather(flat, dims, sigma)
+    shuffled = _relayout(flat, dims, tuple(range(1, len(dims) + 1)), rows + cols)
     t = math.prod(dims[c - 1] for c in cols)
     return MatrixExpression(shuffled.reshape(-1, t), rows, cols, dims, kind)
 
@@ -192,28 +182,21 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
 def matrix_form_to_vec(m: MatrixExpression) -> np.ndarray:
     """Matrix form back to the flat vector form.
 
-    The row stacking of the matrix is the flat vector of the transposed
-    hypermatrix; gathering it through the split permutation's matrix
-    restores natural order.  Row axes must be increasing.
+    The row stacking of the matrix is the flat data laid out in the axis
+    order ``row_axes + col_axes``; one gather restores natural order.
     """
-    _require_increasing(m.row_axes)
-    sigma = split_permutation(len(m.dims), m.row_axes)
-    return build_perm_matrix(m.dims, sigma, warn_degenerate=False).gather_row(m.mat)
+    return _relayout(m.mat, m.dims, m.row_axes + m.col_axes, tuple(range(1, len(m.dims) + 1)))
 
 
 def convert_expression(m: MatrixExpression, new_rows) -> MatrixExpression:
     """Re-split an expression without going through the hypermatrix.
 
-    Composes the two split-permutation matrices into a single gather:
-    unstack, permute, restack.  Both row tuples must be increasing.
+    One gather re-lays the row stacking from ``row_axes + col_axes`` to
+    ``new_rows`` followed by their increasing complement.  Both splits may
+    list axes in any order.
     """
-    _require_increasing(m.row_axes)
-    new_rows = _require_increasing(new_rows)
-    d = len(m.dims)
-    new_cols = _complement(d, new_rows)
-    w_old = build_perm_matrix(m.dims, split_permutation(d, m.row_axes), warn_degenerate=False)
-    w_new_t = build_perm_matrix(m.dims, split_permutation(d, new_rows), warn_degenerate=False).transpose()
-    shuffled = w_old.compose(w_new_t).gather_row(m.mat)
+    new_rows, new_cols = _check_partition(len(m.dims), new_rows)
+    shuffled = _relayout(m.mat, m.dims, m.row_axes + m.col_axes, new_rows + new_cols)
     t = math.prod(m.dims[c - 1] for c in new_cols)
     return MatrixExpression(shuffled.reshape(-1, t), new_rows, new_cols, m.dims, m.kind)
 

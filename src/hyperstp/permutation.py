@@ -236,10 +236,13 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
 
 
 def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
-    """``W^sigma @ flat``, as a row gather through the transpose of ``W^sigma``.
+    """``W^sigma @ flat``, as one row gather.
 
     For the flat data of a hypermatrix over ``dims`` this is the flat data
-    of its sigma-transpose.  The matrix is built, transposed and gathered
-    through, so callers stay on the permutation-matrix route.
+    of its sigma-transpose.  The transpose of ``W^sigma`` over ``dims`` is
+    ``W^{sigma^-1}`` over the permuted dims, so that matrix is built and
+    gathered through directly; callers stay on the permutation-matrix
+    route.
     """
-    return build_perm_matrix(dims, sigma, warn_degenerate=False).transpose().gather_row(flat)
+    permuted = [dims[s - 1] for s in sigma.image]
+    return build_perm_matrix(permuted, sigma.inverse(), warn_degenerate=False).gather_row(flat)

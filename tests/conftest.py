@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hyperstp import Hypermatrix, Permutation, delinearize, iter_indices, linearize, size_of
 
@@ -24,6 +25,17 @@ def random_dims(rng, max_order=4, max_dim=5, max_size=400):
         dims = tuple(int(v) for v in rng.integers(1, max_dim + 1, d))
         if np.prod(dims) <= max_size:
             return dims
+
+
+@st.composite
+def mixed_dims(draw, max_size=2000):
+    """Order 1-5, each dim 1-9, total size at most ``max_size``."""
+    dims, budget = [], max_size
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, min(9, budget)))
+        dims.append(n)
+        budget //= n
+    return tuple(dims)
 
 
 def random_hm(rng, dims, lo=-9, hi=9, kind="int"):

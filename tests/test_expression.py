@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperstp import (
     Hypermatrix,
@@ -24,7 +25,7 @@ from hyperstp import (
     vrs,
 )
 
-from conftest import expression_oracle, random_dims, random_hm, transpose_oracle
+from conftest import expression_oracle, mixed_dims, random_dims, random_hm, transpose_oracle
 
 
 def all_increasing_subsets(d):
@@ -207,9 +208,20 @@ def test_matrix_form_to_vec_d2_row_split_is_vr(rng):
     assert list(matrix_form_to_vec(m)) == list(vr(mat))
 
 
-def test_vec_to_matrix_form_rejects_decreasing(ex215):
-    with pytest.raises(ValueError):
-        vec_to_matrix_form(ex215.data, ex215.dims, (3, 1))
+def test_vec_to_matrix_form_accepts_decreasing(ex215):
+    m = vec_to_matrix_form(ex215.data, ex215.dims, (3, 1))
+    direct = matrix_expression(ex215, (3, 1))
+    assert np.array_equal(m.mat, direct.mat)
+    assert m.row_axes == direct.row_axes == (3, 1) and m.col_axes == direct.col_axes == (2,)
+
+
+def test_conversions_read_non_increasing_column_axes():
+    # Regression: the columns (3, 1) were once read as the increasing
+    # complement (1, 3), which returned wrong data without an error.
+    a = Hypermatrix.from_flat((2, 3, 5), list(range(30)))
+    m = matrix_expression(a, (2,), (3, 1))
+    assert list(matrix_form_to_vec(m)) == list(a.data)
+    assert np.array_equal(convert_expression(m, (1,)).mat, matrix_expression(a, (1,)).mat)
 
 
 def test_convert_expression_identity(ex215):
@@ -234,6 +246,35 @@ def test_convert_expression_closure(rng):
             for dst in splits:
                 got = convert_expression(m, dst)
                 assert np.array_equal(got.mat, matrix_expression(a, dst).mat)
+
+
+@st.composite
+def ordered_split(draw, d):
+    """Any ordered row tuple and column tuple partitioning 1..d."""
+    axes = draw(st.permutations(range(1, d + 1)))
+    cut = draw(st.integers(0, d))
+    return tuple(axes[:cut]), tuple(axes[cut:])
+
+
+@st.composite
+def hm_and_two_splits(draw):
+    dims = draw(mixed_dims())
+    # Distinct entries, so any misplaced entry shows.
+    a = Hypermatrix.from_flat(dims, list(range(int(np.prod(dims)))))
+    return a, draw(ordered_split(len(dims))), draw(ordered_split(len(dims)))
+
+
+@given(hm_and_two_splits())
+def test_conversions_match_direct_for_any_axis_order(case):
+    a, (rows, cols), (rows2, _) = case
+    direct = matrix_expression(a, rows)
+    m = vec_to_matrix_form(a.data, a.dims, rows)
+    assert np.array_equal(m.mat, direct.mat) and (m.row_axes, m.col_axes) == (direct.row_axes, direct.col_axes)
+    m = matrix_expression(a, rows, cols)
+    assert list(matrix_form_to_vec(m)) == list(a.data)
+    converted, direct2 = convert_expression(m, rows2), matrix_expression(a, rows2)
+    assert np.array_equal(converted.mat, direct2.mat)
+    assert (converted.row_axes, converted.col_axes) == (direct2.row_axes, direct2.col_axes)
 
 
 # -- expression transpose -------------------------------------------------

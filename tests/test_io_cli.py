@@ -217,6 +217,26 @@ def test_cli_ybe(tmp_path, capsys):
     assert doc["shape"] == [2] * 6 and all(v == 0 for v in doc["data"])
 
 
+def test_cli_ybe_method_reaches_the_residual(tmp_path, capsys, monkeypatch):
+    import hyperstp.applications as applications_mod
+
+    calls = []
+    real = applications_mod.contract_bruteforce
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(applications_mod, "contract_bruteforce", spy)
+    r = write_doc(tmp_path / "r.hm", [2, 2, 2, 2], list(range(16)))
+    assert main(["ybe", "--r", r]) == 0
+    brute = capsys.readouterr().out
+    assert calls
+    calls.clear()
+    assert main(["ybe", "--r", r, "--method", "matrix"]) == 0
+    assert capsys.readouterr().out == brute and not calls
+
+
 def test_cli_verify_appendix(capsys):
     assert main(["verify-appendix"]) == 0
     out = capsys.readouterr().out

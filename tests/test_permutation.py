@@ -15,7 +15,7 @@ from hyperstp import (
 from hyperstp.appendix import EXAMPLE_235_TABLES  # re-exported data for cross-checks
 from hyperstp.permutation import MAX_PERM_ENTRIES, perm_gather
 
-from conftest import basis_vec, perm_matrix_oracle
+from conftest import basis_vec, mixed_dims, perm_matrix_oracle
 
 
 def test_parity_examples():
@@ -224,17 +224,6 @@ def test_build_and_gather_never_call_np_transpose(monkeypatch):
 
 
 # -- properties over random shapes and permutations ------------------------------
-
-
-@st.composite
-def mixed_dims(draw, max_size=2000):
-    """Order 1-5, each dim 1-9, total size at most ``max_size``."""
-    dims, budget = [], max_size
-    for _ in range(draw(st.integers(1, 5))):
-        n = draw(st.integers(1, min(9, budget)))
-        dims.append(n)
-        budget //= n
-    return tuple(dims)
 
 
 @st.composite

@@ -1,10 +1,29 @@
 """Production paths run on the fast route; the oracles only check them."""
 
+from itertools import permutations
+
+import numpy as np
 import pytest
 
 import hyperstp.applications as applications
 import hyperstp.contraction as contraction
-from hyperstp import YbeInstance, binary_apply, contract_bruteforce, kary_apply, unary_apply, ybe_residual, ybe_sides
+from hyperstp import (
+    Permutation,
+    YbeInstance,
+    binary_apply,
+    contract_bruteforce,
+    convert_expression,
+    kary_apply,
+    matrix_expression,
+    matrix_form_to_vec,
+    onto_contract,
+    sigma_transpose,
+    sigma_transpose_via_perm,
+    unary_apply,
+    vec_to_matrix_form,
+    ybe_residual,
+    ybe_sides,
+)
 
 from conftest import random_hm
 
@@ -36,3 +55,26 @@ def test_ybe_residual_matches_the_brute_force_sides(rng, kind):
         want = max(abs(x - y) for x, y in zip(lhs.data, rhs.data))
         expected = pytest.approx(want, rel=1e-9, abs=1e-12) if kind == "float" else want
         assert ybe_residual(inst) == expected
+
+
+def test_permutation_route_never_calls_np_transpose(rng, monkeypatch):
+    a = random_hm(rng, (2, 3, 5))
+    b = random_hm(rng, (2, 5))
+    splits = [(rows, cols) for p in permutations((1, 2, 3)) for rows, cols in ((p[:1], p[1:]), (p[:2], p[2:]))]
+    direct = {split: matrix_expression(a, *split) for split in splits}
+    transposed = {p: sigma_transpose(a, Permutation(p)) for p in permutations((1, 2, 3))}
+    onto = onto_contract(a, b, (1, 3), "expression")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.transpose called on the permutation-matrix route")
+
+    monkeypatch.setattr(np, "transpose", refuse)
+    for (rows, cols), m in direct.items():
+        assert np.array_equal(vec_to_matrix_form(a.data, a.dims, rows).mat, direct[rows, tuple(sorted(cols))].mat)
+        assert list(matrix_form_to_vec(m)) == list(a.data)
+        for rows2, cols2 in splits:
+            if cols2 == tuple(sorted(cols2)):
+                assert np.array_equal(convert_expression(m, rows2).mat, direct[rows2, cols2].mat)
+    for p, t in transposed.items():
+        assert sigma_transpose_via_perm(a, Permutation(p)) == t
+    assert onto_contract(a, b, (1, 3), "stp") == onto
