@@ -2,8 +2,8 @@
 
 Each application packages a structure-constant fixture plus an evaluator:
 the cross product on R^3, the commutator bracket on 2x2 matrices, finite
-game payoffs, and both sides of the Yang-Baxter constraint computed two
-independent ways.
+game payoffs, and both sides of the Yang-Baxter constraint as nested
+contracted products on either contraction route.
 """
 
 from __future__ import annotations
@@ -14,11 +14,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import Hypermatrix, as_scalars_joint
-from .contraction import contract_bruteforce, eval_multilinear_scalar, eval_multilinear_vector
+from .contraction import (
+    contract_bruteforce,
+    contract_via_expression,
+    eval_multilinear_scalar,
+    eval_multilinear_vector,
+)
 from .expression import MatrixExpression, matrix_expression, vc, vcs, vr
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
-from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
+from .permutation import build_perm_matrix  # noqa: F401
 
 # -- cross product -------------------------------------------------------
 
@@ -204,48 +209,31 @@ class YbeInstance:
             raise ValueError(f"shape {self.r.dims} is not ({self.n},)*4")
 
 
-def _ybe_t(inst: YbeInstance) -> Hypermatrix:
-    """The pairing of two copies: last axis of one against first of the other."""
-    return contract_bruteforce(inst.r, inst.r, (4,), (1,))
-
-
 def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatrix:
     """One side of the Yang-Baxter constraint, order 6 over dimension n.
 
-    * ``bruteforce`` evaluates the nested contracted products directly.
-    * ``matrix`` follows the flattened pipeline: form the n^3 x n^3
-      product matrix of the double copy, re-split it with the appropriate
-      six-axis permutation, and multiply by the (3,4) x (1,2) expression
-      of the third copy.
-
-    Both methods agree entry for entry; the brute-force route is the
-    oracle, kept for tests and the CLI's ``--method brute``.
+    Both sides are nested contracted products: the pairing
+    ``t = r (4)x(1) r`` of two copies, then ``t (2,6)x(3,4) r`` for the
+    left side and ``r (1,2)x(3,4) t`` for the right.  ``method`` picks the
+    contraction route: ``matrix`` runs ``contract_via_expression`` and
+    ``bruteforce`` (or ``brute``) the oracle ``contract_bruteforce``, kept
+    for tests and the CLI's ``--method brute``.  The two agree entry for
+    entry on int data.
     """
     side = side.lower()
     if side not in ("lhs", "rhs"):
         raise ValueError(f"side must be 'lhs' or 'rhs', got {side!r}")
     if method in ("bruteforce", "brute"):
-        t = _ybe_t(inst)
-        if side == "lhs":
-            return contract_bruteforce(t, inst.r, (2, 6), (3, 4))
-        return contract_bruteforce(inst.r, t, (1, 2), (3, 4))
-    if method != "matrix":
-        raise ValueError(f"method must be 'bruteforce' or 'matrix', got {method!r}")
-
-    n = inst.n
-    dims6 = (n,) * 6
-    ma = matrix_expression(inst.r, rows=(1, 2, 3), cols=(4,))
-    mb = matrix_expression(inst.r, rows=(1,), cols=(2, 3, 4))
-    m_t = np.dot(ma.mat, mb.mat)            # n^3 x n^3, rows (1,2,3), cols (4,5,6)
-    m_r = matrix_expression(inst.r, rows=(3, 4), cols=(1, 2)).mat
-    # The row stacking of m_t is the flat vector of the order-6 pairing.
-    if side == "lhs":
-        m_split = perm_gather(m_t, dims6, Permutation((1, 3, 4, 5, 2, 6))).reshape(-1, n * n)  # n^4 x n^2
-        out = np.dot(m_split, m_r)
+        contract = contract_bruteforce
+    elif method == "matrix":
+        contract = contract_via_expression
     else:
-        m_split = perm_gather(m_t, dims6, Permutation((3, 4, 1, 2, 5, 6))).reshape(-1, n ** 4)  # n^2 x n^4
-        out = np.dot(m_r, m_split)
-    return Hypermatrix(dims6, out, inst.r.kind)
+        raise ValueError(f"method must be 'bruteforce' or 'matrix', got {method!r}")
+    r = inst.r
+    t = contract(r, r, (4,), (1,))
+    if side == "lhs":
+        return contract(t, r, (2, 6), (3, 4))
+    return contract(r, t, (1, 2), (3, 4))
 
 
 def ybe_residual(inst: YbeInstance, method: str = "matrix"):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .appendix import verification_ok, verify_appendix
 from .applications import YbeInstance, ybe_residual, ybe_sides
-from .contraction import contract_bruteforce, contract_via_expression
+from .contraction import contract
 from .core import Hypermatrix, same_kind
 from .expression import matrix_expression, sigma_transpose
 from .io import DocumentError, dumps_hm, print_delta, read_hm, write_hm, densify
@@ -139,13 +139,9 @@ def _cmd_contract(args) -> int:
     b = read_hm(args.b)
     a_axes = _int_list(args.a_axes, "--a-axes")
     b_axes = _int_list(args.b_axes, "--b-axes")
-    if args.method == "brute":
-        out = contract_bruteforce(a, b, a_axes, b_axes)
-    elif args.method == "expr":
-        out = contract_via_expression(a, b, a_axes, b_axes)
-    else:
-        out = contract_bruteforce(a, b, a_axes, b_axes)
-        other = contract_via_expression(a, b, a_axes, b_axes)
+    out = contract(a, b, a_axes, b_axes, args.method or "brute")
+    if not args.method:
+        other = contract(a, b, a_axes, b_axes, "expr")
         agree = out == other if a.kind == "int" else out.approx_equal(other, 1e-9)
         if not agree:
             print("contraction methods disagree", file=sys.stderr)
@@ -179,11 +175,10 @@ def _cmd_ybe(args) -> int:
     if r.order != 4 or len(set(r.dims)) != 1:
         raise ValueError(f"shape {r.dims} is not (n,n,n,n)")
     inst = YbeInstance(r.dims[0], r)
-    method = "bruteforce" if args.method == "brute" else "matrix"
     if args.side:
-        print(dumps_hm(ybe_sides(inst, args.side, method)))
+        print(dumps_hm(ybe_sides(inst, args.side, args.method)))
         return 0
-    print(_scalar_str(ybe_residual(inst, method), r.kind))
+    print(_scalar_str(ybe_residual(inst, args.method), r.kind))
     return 0
 
 

@@ -5,10 +5,12 @@ directly (explicit loops in ID order, which also fixes the float
 accumulation order); it is the oracle and no production path calls it.
 The second route flattens both operands into matrix expressions,
 multiplies through ``np.dot`` (float sums in BLAS's order), and
-reassembles; on exact data the two agree bit for bit.  On top of these
-sit rank-one hypervectors, multilinear evaluation by semi-tensor chains,
-and the block operators that act on order-d operands, all on the second
-route.
+reassembles; on exact data the two agree bit for bit.  Composite
+products call these routes rather than repeating them: ``onto_contract``
+is ``contract_via_expression`` (or a semi-tensor product), the block
+operators are chains of it, and so are the Yang-Baxter sides in
+``applications``.  Rank-one hypervectors and multilinear evaluation by
+semi-tensor chains complete the module.
 """
 
 from __future__ import annotations
@@ -127,28 +129,24 @@ def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expr
 def onto_contract(a: Hypermatrix, b: Hypermatrix, rs, method: str = "expression") -> Hypermatrix:
     """Pair a whole hypermatrix against a subset of a's axes.
 
-    ``b``'s shape must equal a's dims at the (increasing) axes ``rs``;
+    ``b``'s shape must equal a's dims at the axes ``rs``, in any order;
     axis t of b pairs with axis rs[t] of a.  Two realisations:
 
-    * ``expression``: multiply the (free x rs) expression of a by b's
-      flat column;
+    * ``expression``: ``contract_via_expression(a, b, rs, (1, ..., k))``;
     * ``stp``: gather a's flat row through the permutation matrix of
       ``(rs, free)``, which brings the rs axes to the front, then take
       the matrix-matrix semi-tensor product with b's flat column.
     """
     rs = _check_axes("contracted", a.order, rs)
-    if list(rs) != sorted(rs):
-        raise ValueError(f"axes {rs} must be increasing")
     expect = tuple(a.dims[x - 1] for x in rs)
     if b.dims != expect:
         raise ValueError(f"operand shape {b.dims} does not match dims {expect} at axes {rs}")
     same_kind(a, b)
-    free = _free_axes(a.order, rs)
-    out_dims = tuple(a.dims[x - 1] for x in free)
     if method == "expression":
-        ma = matrix_expression(a, rows=free, cols=rs)
-        return Hypermatrix(out_dims, np.dot(ma.mat, b.data), a.kind)
+        return contract_via_expression(a, b, rs, tuple(range(1, b.order + 1)))
     if method == "stp":
+        free = _free_axes(a.order, rs)
+        out_dims = tuple(a.dims[x - 1] for x in free)
         row = perm_gather(a.data, a.dims, Permutation(rs + free))
         return Hypermatrix(out_dims, mm_stp(row.reshape(1, -1), b.data.reshape(-1, 1)), a.kind)
     raise ValueError(f"unknown onto-contract method {method!r}")

@@ -9,7 +9,7 @@ Two scalar backends are supported:
 
 * ``"int"``  -- exact arbitrary-precision integers (numpy object array),
   so golden comparisons are bit-exact and sums can never silently wrap;
-* ``"float"`` -- IEEE binary64.
+* ``"float"`` -- IEEE binary64, finite values only (NaN and inf raise).
 
 ``as_scalars`` is the one rule that decides which backend data lives on;
 every layer calls it (or ``as_scalars_joint`` for several raw operands)
@@ -116,6 +116,8 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
       boolean or a non-number raises ``TypeError``.
     * ``kind`` asks for a backend.  Int data converts to float; float data
       never converts to int (``TypeError``).
+    * Float data must be finite: NaN or +-inf raises ``ValueError`` naming
+      the first such value and its 1-based flat position.
 
     The result keeps the shape of ``values``; int entries are Python ints.
     """
@@ -140,6 +142,9 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
     kind = kind or have
     if arr.dtype != DTYPE[kind]:
         arr = arr.astype(DTYPE[kind])
+    if kind == "float" and not np.isfinite(arr).all():
+        pos = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise ValueError(f"non-finite value {float(arr.reshape(-1)[pos])} at position {pos + 1}")
     return arr, kind
 
 

@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from .core import Hypermatrix
-from .permutation import LogicalMatrix
+from .permutation import MAX_PERM_ENTRIES, LogicalMatrix
 
 
 class DocumentError(ValueError):
@@ -42,7 +42,7 @@ def loads_hm(text: str) -> Hypermatrix:
     """Parse a .hm document, checking every field strictly."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
@@ -66,11 +66,8 @@ def loads_hm(text: str) -> Hypermatrix:
             raise DocumentError(f"field 'data' position {pos}: booleans are not scalars")
         if kind == "int" and not isinstance(v, int):
             raise DocumentError(f"field 'data' position {pos}: {v!r} is not an integer")
-        if kind == "float":
-            if not isinstance(v, (int, float)):
-                raise DocumentError(f"field 'data' position {pos}: {v!r} is not a number")
-            if not math.isfinite(float(v)):
-                raise DocumentError(f"field 'data' position {pos}: non-finite value")
+        if kind == "float" and not isinstance(v, (int, float)):
+            raise DocumentError(f"field 'data' position {pos}: {v!r} is not a number")
     try:
         return Hypermatrix(shape, data, kind)
     except (ValueError, OverflowError) as exc:
@@ -116,8 +113,14 @@ def parse_delta(text: str) -> LogicalMatrix:
 
 
 def densify(w: LogicalMatrix) -> np.ndarray:
-    """Dense 0/1 matrix with column j equal to the basis vector cols[j]."""
+    """Dense 0/1 matrix with column j equal to the basis vector cols[j].
+
+    Above ``MAX_PERM_ENTRIES`` dense entries it raises ``OverflowError``
+    before allocating anything.
+    """
+    entries = w.rows * w.n_cols
+    if entries > MAX_PERM_ENTRIES:
+        raise OverflowError(f"dense {w.rows} x {w.n_cols} matrix has {entries} entries, above the budget of {MAX_PERM_ENTRIES}")
     out = np.zeros((w.rows, w.n_cols), dtype=np.int64)
-    for j, c in enumerate(w.cols):
-        out[c - 1, j] = 1
+    out[np.array(w.cols) - 1, np.arange(w.n_cols)] = 1
     return out

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperstp import (
     Hypermatrix,
@@ -16,10 +17,11 @@ from hyperstp import (
     kary_apply,
     matrix_expression,
     onto_contract,
+    size_of,
     unary_apply,
 )
 
-from conftest import basis_vec, contract_oracle, random_dims, random_hm
+from conftest import basis_vec, contract_oracle, mixed_dims, random_dims, random_hm
 
 
 def random_spec(rng, a, b, max_pairs=None):
@@ -170,10 +172,31 @@ def test_onto_methods_match_bruteforce(rng):
 
 def test_onto_validation(rng):
     a = random_hm(rng, (2, 3, 4))
-    with pytest.raises(ValueError, match="increasing"):
-        onto_contract(a, random_hm(rng, (4, 2)), (3, 1))
+    b = random_hm(rng, (4, 2))
+    assert onto_contract(a, b, (3, 1)) == contract_bruteforce(a, b, (3, 1), (1, 2))
     with pytest.raises(ValueError, match="shape"):
         onto_contract(a, random_hm(rng, (3,)), (1,))
+
+
+@st.composite
+def hm_and_ordered_axes(draw):
+    """An int hypermatrix, an ordered subset ``rs`` of its axes, and a matching operand."""
+    dims = draw(mixed_dims(max_size=120))
+    axes = draw(st.permutations(range(1, len(dims) + 1)))
+    rs = tuple(axes[: draw(st.integers(0, len(dims)))])
+    values = st.integers(-9, 9)
+    a = Hypermatrix(dims, draw(st.lists(values, min_size=size_of(dims), max_size=size_of(dims))))
+    b_dims = tuple(dims[x - 1] for x in rs)
+    b = Hypermatrix(b_dims, draw(st.lists(values, min_size=size_of(b_dims), max_size=size_of(b_dims))))
+    return a, b, rs
+
+
+@given(hm_and_ordered_axes())
+def test_onto_methods_match_bruteforce_for_any_axis_order(case):
+    a, b, rs = case
+    brute = contract_bruteforce(a, b, rs, tuple(range(1, len(rs) + 1)))
+    assert onto_contract(a, b, rs, "expression") == brute
+    assert onto_contract(a, b, rs, "stp") == brute
 
 
 # -- hypervectors -------------------------------------------------------------

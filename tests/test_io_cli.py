@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperstp import (
     DocumentError,
@@ -158,6 +159,18 @@ def test_cli_permmat_over_entry_budget_is_data_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_permmat_dense_over_entry_budget_is_data_error(capsys):
+    assert main(["permmat", "--dims", "64,65", "--sigma", "2,1", "--dense"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_document_is_data_error(tmp_path, capsys):
+    deep = tmp_path / "deep.hm"
+    deep.write_text("[" * 100_000)
+    assert main(["transpose", "--sigma", "1", str(deep), str(tmp_path / "out.hm")]) == 2
+    assert "recursion" in capsys.readouterr().err
+
+
 def test_cli_transpose(tmp_path, capsys):
     src = write_doc(tmp_path / "a.hm", [2, 3], [1, 2, 3, 4, 5, 6])
     out = str(tmp_path / "t.hm")
@@ -259,3 +272,53 @@ def test_cli_verify_appendix_detects_regression(monkeypatch, capsys):
     monkeypatch.setattr(appendix_mod, "APPENDIX_TABLES", broken)
     assert main(["verify-appendix"]) == 3
     assert "MISMATCH d=3 n=2 label=1" in capsys.readouterr().out
+
+
+# -- CLI fuzz ------------------------------------------------------------------
+
+
+def _doc(shape=(2,), data=(1, 2), kind="int") -> bytes:
+    return json.dumps({"shape": shape, "data": data, "scalar_kind": kind}).encode()
+
+
+def _nested(depth: int, closed: bool) -> bytes:
+    inner = b"[" * depth + (b"]" * depth if closed else b"")
+    return b'{"shape":[1],"data":[' + inner + b'],"scalar_kind":"int"}'
+
+
+_not_a_number = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
+_not_a_list = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.dictionaries(st.text(max_size=2), st.integers())
+)
+
+# Every document here is malformed: none of them may reach a result.
+malformed_documents = st.one_of(
+    _not_a_list.map(lambda v: _doc(shape=v)),
+    _not_a_list.map(lambda v: _doc(data=v)),
+    st.one_of(_not_a_list, st.just("bool")).filter(lambda v: v not in ("int", "float")).map(lambda v: _doc(kind=v)),
+    st.one_of(_not_a_number, st.floats(allow_nan=False)).map(lambda v: _doc(shape=[2, v])),
+    _not_a_number.map(lambda v: _doc(data=[1, v])),
+    st.builds(_nested, st.integers(1, 100_000), st.booleans()),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth),
+    st.builds(lambda k, junk: _doc()[:k] + b"\xff" + junk, st.integers(0, 40), st.binary(max_size=8)),
+    st.integers(19, 6000).map(lambda k: b'{"shape":[1%s],"data":[1],"scalar_kind":"int"}' % (b"0" * k)),
+    st.integers(309, 6000).map(lambda k: b'{"shape":[1],"data":[1%s],"scalar_kind":"float"}' % (b"0" * k)),
+    st.integers(309, 100_000).map(lambda k: b'{"shape":[1],"data":[1e%d],"scalar_kind":"float"}' % k),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_documents, st.sampled_from(["transpose", "mexpr", "contract", "stp", "ybe"]))
+def test_cli_fuzz_malformed_documents_exit_with_a_code(tmp_path_factory, doc, command):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, out = folder / "doc.hm", str(folder / "out.hm")
+    path.write_bytes(doc)
+    f = str(path)
+    argv = {
+        "transpose": ["transpose", "--sigma", "1", f, out],
+        "mexpr": ["mexpr", "--rows", "1", f],
+        "contract": ["contract", "--a", f, "--b", f, "--a-axes", "1", "--b-axes", "1", out],
+        "stp": ["stp", "--op", "mm", f, f],
+        "ybe": ["ybe", "--r", f],
+    }[command]
+    assert main(argv) in (1, 2)

@@ -2,8 +2,8 @@
 
 Object arrays are the int backend and float64 arrays the float backend;
 other numpy dtypes convert by dtype, sequences by their values, booleans
-are never scalars, and float data never becomes int.  Raw-array operands
-promote together; declared hypermatrix kinds must match.
+are never scalars, float data never becomes int and must be finite.
+Raw-array operands promote together; declared hypermatrix kinds must match.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from hyperstp import (
     LogicalMatrix,
     as_scalars,
     as_scalars_joint,
+    contract_via_expression,
     cross_product,
     hypervector_expand,
     kron,
@@ -207,6 +208,20 @@ def test_declared_kinds_must_match():
     a = Hypermatrix((2,), [1, 2])
     with pytest.raises(ValueError, match="scalar kind mismatch"):
         a.approx_equal(Hypermatrix((2,), [1, 2], "float"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_are_rejected_at_the_core(bad):
+    with pytest.raises(ValueError, match="non-finite value .* at position 2"):
+        Hypermatrix((2,), [1.0, bad], "float")
+    with pytest.raises(ValueError, match="non-finite"):
+        mm_stp(np.array([[1.0, bad]]), np.array([[1.0], [2.0]]))
+
+
+def test_float_contraction_overflowing_to_inf_is_rejected():
+    a = Hypermatrix((2,), [1e300, 1e300], "float")
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        contract_via_expression(a, a, (1,), (1,))
 
 
 # -- algebra on the int backend ------------------------------------------------
