@@ -1,8 +1,9 @@
-"""Contracted products: pair up axes, sum them out, two equivalent ways.
+"""Contracted products: pair up axes, sum them out, three equivalent ways.
 
 The direct route sums entry products over the paired axes; the second
-route flattens both operands into matrix expressions and multiplies.
-On the exact backend the agreement is bit-for-bit.
+route flattens both operands into matrix expressions and multiplies; the
+third is the paper's semi-tensor form.  ``contract`` picks the route by
+name.  On the exact backend the agreement is bit-for-bit.
 """
 
 import numpy as np
@@ -23,13 +24,19 @@ ma = hs.matrix_expression(a, rows=(1,), cols=(2, 3))
 mb = hs.matrix_expression(b, rows=(3, 1), cols=(2,))
 print("M_C == M_A @ M_B:", np.array_equal(np.dot(ma.mat, mb.mat), c1.nd))
 
+# The paper's form: a's expression (free axes as rows) semi-tensor
+# multiplied by b's data re-laid as one column with the paired axes first.
+c3 = hs.contract(a, b, (2, 3), (3, 1), "stp")
+vb = hs.matrix_expression(b, rows=(3, 1, 2), cols=()).mat
+print("stp route agrees:", c3 == c1, " M_A |x V(B) == C:", np.array_equal(hs.mm_stp(ma.mat, vb).reshape(-1), c1.data))
+
 # Matrix product is the single-pair special case.
 m = hs.Hypermatrix.from_flat((2, 2), [1, 2, 3, 4])
 n = hs.Hypermatrix.from_flat((2, 2), [5, 6, 7, 8])
 print("matrix product:", hs.contract_bruteforce(m, n, (2,), (1,)).nd.tolist())
 
-# Pairing a smaller array against chosen axes ("onto" form) has a third,
-# semi-tensor realisation as well.
+# Pairing a whole smaller array against chosen axes ("onto" form) is
+# contract with b's axes in order, on either fast route.
 v = hs.Hypermatrix.from_flat((3,), [1, 0, -1])
 for method in ("expression", "stp"):
     print("onto", method, ":", list(hs.onto_contract(a, v, (2,), method).data)[:4], "...")

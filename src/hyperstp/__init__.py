@@ -3,8 +3,8 @@
 Order-d arrays with 1-based ID-order indexing, sparse permutation
 matrices over Kronecker chains, the full lattice of 2-D matrix
 expressions with conversions, the semi-tensor product family, and
-contracted products realised equivalently by direct summation and by
-matrix-expression multiplication.
+contracted products realised equivalently by direct summation, by
+matrix-expression multiplication and by one semi-tensor product.
 """
 
 from .core import (

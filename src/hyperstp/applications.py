@@ -3,7 +3,7 @@
 Each application packages a structure-constant fixture plus an evaluator:
 the cross product on R^3, the commutator bracket on 2x2 matrices, finite
 game payoffs, and both sides of the Yang-Baxter constraint as nested
-contracted products on either contraction route.
+``contract`` calls on any contraction route.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Hypermatrix, as_scalars_joint
-from .contraction import (
-    contract_bruteforce,
-    contract_via_expression,
-    eval_multilinear_scalar,
-    eval_multilinear_vector,
-)
+from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, matrix_expression, vc, vcs, vr
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -214,26 +209,20 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatr
 
     Both sides are nested contracted products: the pairing
     ``t = r (4)x(1) r`` of two copies, then ``t (2,6)x(3,4) r`` for the
-    left side and ``r (1,2)x(3,4) t`` for the right.  ``method`` picks the
-    contraction route: ``matrix`` runs ``contract_via_expression`` and
-    ``bruteforce`` (or ``brute``) the oracle ``contract_bruteforce``, kept
-    for tests and the CLI's ``--method brute``.  The two agree entry for
-    entry on int data.
+    left side and ``r (1,2)x(3,4) t`` for the right.  Each is one
+    ``contract(..., method)`` call, so ``method`` names any contraction
+    route: ``matrix`` (the default), ``stp``, or the oracle
+    ``bruteforce`` (``brute``) kept for tests and the CLI's
+    ``--method brute``.  The routes agree entry for entry on int data.
     """
     side = side.lower()
     if side not in ("lhs", "rhs"):
         raise ValueError(f"side must be 'lhs' or 'rhs', got {side!r}")
-    if method in ("bruteforce", "brute"):
-        contract = contract_bruteforce
-    elif method == "matrix":
-        contract = contract_via_expression
-    else:
-        raise ValueError(f"method must be 'bruteforce' or 'matrix', got {method!r}")
     r = inst.r
-    t = contract(r, r, (4,), (1,))
+    t = contract(r, r, (4,), (1,), method)
     if side == "lhs":
-        return contract(t, r, (2, 6), (3, 4))
-    return contract(r, t, (1, 2), (3, 4))
+        return contract(t, r, (2, 6), (3, 4), method)
+    return contract(r, t, (1, 2), (3, 4), method)
 
 
 def ybe_residual(inst: YbeInstance, method: str = "matrix"):

@@ -9,6 +9,7 @@ error, 2 data error, 3 verification failure.  All output is ASCII with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -97,6 +98,11 @@ def build_parser() -> _Parser:
 
     sub.add_parser("verify-appendix", help="regenerate and check every bundled table")
     return parser
+
+
+# ``main`` builds its parser once per process: building costs more than a
+# small command, and parsing keeps no state between calls.
+_parser = functools.cache(build_parser)
 
 
 def _cmd_permmat(args) -> int:
@@ -209,9 +215,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,20 +1,20 @@
-"""Contracted products of hypermatrices, two equivalent ways.
+"""Contracted products of hypermatrices, three equivalent routes.
 
-The defining route, ``contract_bruteforce``, sums over the paired axes
-directly (explicit loops in ID order, which also fixes the float
-accumulation order); it is the oracle and no production path calls it.
-The second route flattens both operands into matrix expressions,
-multiplies through ``np.dot`` (float sums in BLAS's order), and
-reassembles; on exact data the two agree bit for bit.  Composite
-products call these routes rather than repeating them: ``onto_contract``
-is ``contract_via_expression`` (or a semi-tensor product), the block
-operators are chains of it, and so are the Yang-Baxter sides in
-``applications``.  Rank-one hypervectors and multilinear evaluation by
+``contract_bruteforce`` sums over the paired axes directly (explicit
+loops in ID order, which also fixes the float accumulation order); it is
+the oracle and no production path calls it.  ``contract_via_expression``
+multiplies two matrix expressions through ``np.dot`` (float sums in
+BLAS's order), and the ``stp`` route is the paper's semi-tensor form; on
+exact data the three agree bit for bit.  ``contract`` is the one table
+from method name to route: ``onto_contract`` and the Yang-Baxter sides
+in ``applications`` call it, and the block operators chain the
+expression route.  Rank-one hypervectors and multilinear evaluation by
 semi-tensor chains complete the module.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Sequence
 
@@ -58,6 +58,15 @@ def _free_axes(order: int, axes: Sequence[int]) -> tuple[int, ...]:
     return tuple(k for k in range(1, order + 1) if k not in taken)
 
 
+def _layout(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes):
+    """Checked pairing, both free-axis tuples, and the output dims (a's free, then b's)."""
+    a_axes, b_axes = check_contraction_spec(a, b, a_axes, b_axes)
+    a_free = _free_axes(a.order, a_axes)
+    b_free = _free_axes(b.order, b_axes)
+    out_dims = tuple(a.dims[x - 1] for x in a_free) + tuple(b.dims[x - 1] for x in b_free)
+    return a_axes, b_axes, a_free, b_free, out_dims
+
+
 def _strides(dims: tuple[int, ...]) -> list[int]:
     out = [1] * len(dims)
     for k in range(len(dims) - 2, -1, -1):
@@ -73,10 +82,7 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
     ID order.  No paired axes gives the outer product; pairing all axes
     of both gives an order-0 scalar.
     """
-    a_axes, b_axes = check_contraction_spec(a, b, a_axes, b_axes)
-    a_free = _free_axes(a.order, a_axes)
-    b_free = _free_axes(b.order, b_axes)
-    out_dims = tuple(a.dims[x - 1] for x in a_free) + tuple(b.dims[x - 1] for x in b_free)
+    a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
     sa, sb = _strides(a.dims), _strides(b.dims)
     af_str = [sa[x - 1] for x in a_free]
     bf_str = [sb[x - 1] for x in b_free]
@@ -108,19 +114,36 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     listed order) as columns, ``b`` the other way round, multiplies, and
     reads the product off as the output's row-major data.
     """
-    a_axes, b_axes = check_contraction_spec(a, b, a_axes, b_axes)
-    a_free = _free_axes(a.order, a_axes)
-    b_free = _free_axes(b.order, b_axes)
+    a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
     ma = matrix_expression(a, rows=a_free, cols=a_axes)
     mb = matrix_expression(b, rows=b_axes, cols=b_free)
     mat = np.dot(ma.mat, mb.mat)
-    out_dims = tuple(a.dims[x - 1] for x in a_free) + tuple(b.dims[x - 1] for x in b_free)
     return Hypermatrix(out_dims, mat, a.kind)
 
 
+def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
+    """The paper's route: ``M_A |x V(B)``, one semi-tensor product.
+
+    ``M_A`` is a's data re-laid to ``a_free + a_axes`` with one row per
+    free index, ``V(B)`` b's data re-laid to ``b_axes + b_free`` as one
+    column; their product is the output data, already in order.
+    """
+    a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
+    k = math.prod(a.dims[x - 1] for x in a_axes)
+    m_a = perm_gather(a.data, a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
+    v_b = perm_gather(b.data, b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
+    return Hypermatrix(out_dims, mm_stp(m_a, v_b), a.kind)
+
+
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:
-    if method in ("expression", "expr"):
+    """Contracted product on the route ``method`` names, the only such table.
+
+    Names resolve at call time, so a rebound module global is what runs.
+    """
+    if method in ("expression", "expr", "matrix"):
         return contract_via_expression(a, b, a_axes, b_axes)
+    if method == "stp":
+        return _contract_stp(a, b, a_axes, b_axes)
     if method in ("bruteforce", "brute"):
         return contract_bruteforce(a, b, a_axes, b_axes)
     raise ValueError(f"unknown contraction method {method!r}")
@@ -130,26 +153,14 @@ def onto_contract(a: Hypermatrix, b: Hypermatrix, rs, method: str = "expression"
     """Pair a whole hypermatrix against a subset of a's axes.
 
     ``b``'s shape must equal a's dims at the axes ``rs``, in any order;
-    axis t of b pairs with axis rs[t] of a.  Two realisations:
-
-    * ``expression``: ``contract_via_expression(a, b, rs, (1, ..., k))``;
-    * ``stp``: gather a's flat row through the permutation matrix of
-      ``(rs, free)``, which brings the rs axes to the front, then take
-      the matrix-matrix semi-tensor product with b's flat column.
+    axis t of b pairs with axis rs[t] of a.  This is
+    ``contract(a, b, rs, (1, ..., k), method)``.
     """
     rs = _check_axes("contracted", a.order, rs)
     expect = tuple(a.dims[x - 1] for x in rs)
     if b.dims != expect:
         raise ValueError(f"operand shape {b.dims} does not match dims {expect} at axes {rs}")
-    same_kind(a, b)
-    if method == "expression":
-        return contract_via_expression(a, b, rs, tuple(range(1, b.order + 1)))
-    if method == "stp":
-        free = _free_axes(a.order, rs)
-        out_dims = tuple(a.dims[x - 1] for x in free)
-        row = perm_gather(a.data, a.dims, Permutation(rs + free))
-        return Hypermatrix(out_dims, mm_stp(row.reshape(1, -1), b.data.reshape(-1, 1)), a.kind)
-    raise ValueError(f"unknown onto-contract method {method!r}")
+    return contract(a, b, rs, tuple(range(1, b.order + 1)), method)
 
 
 # -- hypervectors and multilinear evaluation ----------------------------

@@ -110,18 +110,25 @@ class MatrixExpression:
         t = math.prod(dims[c - 1] for c in col_axes)
         if mat.shape != (s, t):
             raise ValueError(f"matrix of shape {mat.shape}, expected {(s, t)} for split {row_axes} x {col_axes}")
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "row_axes", row_axes)
-        object.__setattr__(self, "col_axes", col_axes)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "kind", kind)
-        self.mat.setflags(write=False)
+        self._fill(mat, row_axes, col_axes, dims, kind)
+
+    def _fill(self, mat, row_axes, col_axes, dims, kind):
+        for name, value in zip(self.__slots__, (mat, row_axes, col_axes, dims, kind)):
+            object.__setattr__(self, name, value)
+        mat.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixExpression is immutable")
 
     def __repr__(self):
         return f"MatrixExpression(rows={self.row_axes}, cols={self.col_axes}, dims={self.dims}, shape={self.mat.shape})"
+
+
+def _expression(mat, row_axes, col_axes, dims, kind) -> MatrixExpression:
+    """Trusted construction from parts the caller has already validated."""
+    m = object.__new__(MatrixExpression)
+    m._fill(mat, row_axes, col_axes, dims, kind)
+    return m
 
 
 def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] | None = None) -> MatrixExpression:
@@ -137,7 +144,7 @@ def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] |
     t = math.prod(a.dims[c - 1] for c in cols)
     axes = [ax - 1 for ax in rows + cols]
     mat = np.ascontiguousarray(np.transpose(a.nd, axes)).reshape(s, t)
-    return MatrixExpression(mat, rows, cols, a.dims, a.kind)
+    return _expression(mat, rows, cols, a.dims, a.kind)
 
 
 def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
@@ -176,7 +183,7 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
         raise ValueError(f"vector of length {flat.size} for shape {dims}")
     shuffled = _relayout(flat, dims, tuple(range(1, len(dims) + 1)), rows + cols)
     t = math.prod(dims[c - 1] for c in cols)
-    return MatrixExpression(shuffled.reshape(-1, t), rows, cols, dims, kind)
+    return _expression(shuffled.reshape(-1, t), rows, cols, dims, kind)
 
 
 def matrix_form_to_vec(m: MatrixExpression) -> np.ndarray:
@@ -198,12 +205,12 @@ def convert_expression(m: MatrixExpression, new_rows) -> MatrixExpression:
     new_rows, new_cols = _check_partition(len(m.dims), new_rows)
     shuffled = _relayout(m.mat, m.dims, m.row_axes + m.col_axes, new_rows + new_cols)
     t = math.prod(m.dims[c - 1] for c in new_cols)
-    return MatrixExpression(shuffled.reshape(-1, t), new_rows, new_cols, m.dims, m.kind)
+    return _expression(shuffled.reshape(-1, t), new_rows, new_cols, m.dims, m.kind)
 
 
 def transpose_expr(m: MatrixExpression) -> MatrixExpression:
     """Swap the axis tuples; the matrix transposes."""
-    return MatrixExpression(m.mat.T.copy(), m.col_axes, m.row_axes, m.dims, m.kind)
+    return _expression(m.mat.T.copy(), m.col_axes, m.row_axes, m.dims, m.kind)
 
 
 # -- symmetry ----------------------------------------------------------

@@ -79,8 +79,12 @@ def _reject_constant(name):
 
 
 def read_hm(path) -> Hypermatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_hm(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc}") from None
+    return loads_hm(text)
 
 
 def write_hm(a: Hypermatrix, path) -> None:

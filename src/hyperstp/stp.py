@@ -20,6 +20,10 @@ import numpy as np
 
 from .core import MAX_SIZE, as_scalars, as_scalars_joint
 
+# Budget on the entries of one padded factor or Kronecker chain; larger
+# requests raise ``OverflowError`` before anything is allocated.
+MAX_PAD_ENTRIES = 2 ** 24
+
 
 def _matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
@@ -37,10 +41,16 @@ def _vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_budget(entries: int, what: str) -> None:
+    if entries > MAX_PAD_ENTRIES:
+        raise OverflowError(f"{what} has {entries} entries, above the budget of {MAX_PAD_ENTRIES}")
+
+
 def _pad(a: np.ndarray, k: int) -> np.ndarray:
     """``a kron I_k`` for a matrix, ``a kron ones_k`` for a vector."""
     if k == 1:
         return a
+    _check_budget(a.size * k ** a.ndim, f"shape {a.shape} padded by {k}")
     return np.kron(a, np.eye(k, dtype=a.dtype) if a.ndim == 2 else np.ones(k, dtype=a.dtype))
 
 
@@ -62,6 +72,7 @@ def _checked_lcm(n: int, p: int) -> int:
 def kron(a, b) -> np.ndarray:
     """Kronecker product (dense)."""
     (a, b), _ = as_scalars_joint(a, b)
+    _check_budget(a.size * b.size, "Kronecker product")
     return np.kron(a, b)
 
 
@@ -74,6 +85,7 @@ def kron_chain(vectors) -> np.ndarray:
     if not vectors:
         raise ValueError("empty chain")
     vectors, _ = as_scalars_joint(*vectors)
+    _check_budget(math.prod(np.size(v) for v in vectors), "Kronecker chain")
     out = _vector(vectors[0])
     for v in vectors[1:]:
         out = np.kron(out, _vector(v))

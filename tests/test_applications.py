@@ -157,6 +157,24 @@ def test_ybe_methods_agree_exact_int(rng):
                 assert ybe_sides(inst, side, "matrix") == ybe_sides(inst, side, "bruteforce")
 
 
+def test_ybe_stp_route_matches_matrix_route(rng):
+    for n in (2, 3, 4):
+        inst = YbeInstance(n, random_hm(rng, (n,) * 4, lo=-3, hi=3))
+        for side in ("lhs", "rhs"):
+            assert ybe_sides(inst, side, "stp") == ybe_sides(inst, side, "matrix")
+
+
+def test_ybe_stp_route_refuses_padding_over_budget(rng, monkeypatch):
+    inst = YbeInstance(6, random_hm(rng, (6,) * 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("padding allocated past the budget")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    with pytest.raises(OverflowError, match="budget"):
+        ybe_sides(inst, "lhs", "stp")
+
+
 def test_ybe_zero_instance(rng):
     inst = YbeInstance(2, Hypermatrix.zeros((2,) * 4))
     for side in ("lhs", "rhs"):

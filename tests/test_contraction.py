@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperstp import (
     Hypermatrix,
@@ -135,6 +135,53 @@ def test_contract_dispatcher(rng):
     assert contract(a, b, (2,), (1,), "brute") == contract(a, b, (2,), (1,), "expr")
     with pytest.raises(ValueError):
         contract(a, b, (2,), (1,), "nope")
+
+
+@st.composite
+def pairings(draw, kind="int"):
+    """Two hypermatrices of order 0-4 over dims 1-3 and a random axis pairing.
+
+    The pairing takes an ordered subset of a's axes and places the matching
+    dims at random positions of b, among b's own free axes.
+    """
+    a_dims = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
+    a_axes = tuple(draw(st.permutations(range(1, len(a_dims) + 1)))[: draw(st.integers(0, len(a_dims)))])
+    b_free = draw(st.lists(st.integers(1, 3), max_size=4 - len(a_axes)))
+    b_order = len(a_axes) + len(b_free)
+    b_axes = tuple(draw(st.permutations(range(1, b_order + 1)))[: len(a_axes)])
+    b_dims = [0] * b_order
+    for ax, bx in zip(a_axes, b_axes):
+        b_dims[bx - 1] = a_dims[ax - 1]
+    free = iter(b_free)
+    b_dims = tuple(n or next(free) for n in b_dims)
+    values = st.integers(-9, 9) if kind == "int" else st.floats(-9, 9, allow_nan=False)
+    a = Hypermatrix(a_dims, draw(st.lists(values, min_size=size_of(a_dims), max_size=size_of(a_dims))), kind)
+    b = Hypermatrix(b_dims, draw(st.lists(values, min_size=size_of(b_dims), max_size=size_of(b_dims))), kind)
+    return a, b, a_axes, b_axes
+
+
+_A = Hypermatrix((2, 3), [1, -2, 3, -4, 5, -6])
+_B = Hypermatrix((3, 2), [7, 8, -9, 1, 2, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairings())
+@example((_A, _B, (), ()))
+@example((_A, _B, (1, 2), (2, 1)))
+def test_every_route_equals_the_oracle_on_int(case):
+    a, b, a_axes, b_axes = case
+    brute = contract_bruteforce(a, b, a_axes, b_axes)
+    for method in ("expression", "stp", "bruteforce"):
+        assert contract(a, b, a_axes, b_axes, method) == brute
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairings(kind="float"))
+def test_every_route_matches_the_oracle_on_float(case):
+    a, b, a_axes, b_axes = case
+    brute = contract_bruteforce(a, b, a_axes, b_axes)
+    for method in ("expression", "stp"):
+        assert contract(a, b, a_axes, b_axes, method).approx_equal(brute, 1e-9)
 
 
 # -- onto contraction ---------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperstp.expression as expression_mod
 from hyperstp import (
     Hypermatrix,
+    MatrixExpression,
     Permutation,
     convert_expression,
     expression_to_hypermatrix,
@@ -162,6 +164,34 @@ def test_expression_rejects_bad_partitions(ex215):
         matrix_expression(ex215, rows=(1, 1))
     with pytest.raises(ValueError):
         matrix_expression(ex215, rows=(1,), cols=(2,))
+
+
+def test_expression_validates_its_split_once(rng, monkeypatch):
+    calls = []
+    real = expression_mod._check_partition
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expression_mod, "_check_partition", spy)
+    a = random_hm(rng, (2, 3, 4))
+    for rows in [(), (2,), (3, 1), (1, 2, 3)]:
+        calls.clear()
+        m = matrix_expression(a, rows)
+        assert len(calls) == 1
+        assert np.array_equal(m.mat, expression_oracle(a, m.row_axes, m.col_axes))
+
+
+def test_public_expression_constructor_validates(ex215):
+    m = matrix_expression(ex215, (1,))
+    assert repr(MatrixExpression(m.mat, m.row_axes, m.col_axes, m.dims, m.kind)) == repr(m)
+    with pytest.raises(ValueError, match="partition"):
+        MatrixExpression(m.mat, (1,), (1, 3), m.dims, m.kind)
+    with pytest.raises(ValueError, match="expected"):
+        MatrixExpression(m.mat.T, m.row_axes, m.col_axes, m.dims, m.kind)
+    with pytest.raises(ValueError, match="dimension"):
+        MatrixExpression(m.mat, m.row_axes, m.col_axes, (2, 0, 5), m.kind)
 
 
 def test_expression_roundtrip_hypermatrix(rng):

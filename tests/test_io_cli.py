@@ -16,7 +16,7 @@ from hyperstp import (
     read_hm,
     write_hm,
 )
-from hyperstp.cli import main
+from hyperstp.cli import _parser, main
 from hyperstp.permutation import MAX_PERM_ENTRIES
 
 from conftest import random_dims, random_hm
@@ -66,6 +66,13 @@ def test_hm_rejects_malformed():
         loads_hm("not json")
     with pytest.raises(DocumentError, match="scalar_kind"):
         loads_hm('{"shape":[1],"data":[1],"scalar_kind":"bool"}')
+
+
+def test_read_hm_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "bad.hm"
+    path.write_bytes(b"\xff" + b'{"shape":[1],"data":[1],"scalar_kind":"int"}')
+    with pytest.raises(DocumentError, match="UTF-8"):
+        read_hm(path)
 
 
 def test_hm_rejects_non_finite_on_write():
@@ -146,6 +153,14 @@ def test_cli_usage_errors(capsys):
     assert main(["permmat", "--dims", "2,x", "--sigma", "1,2"]) == 1
 
 
+def test_cli_parser_is_built_once_and_reused(capsys):
+    assert _parser() is _parser()
+    assert main(["permmat", "--dims", "2,2"]) == 1
+    assert main(["permmat", "--dims", "2,2", "--sigma", "2,1", "--dense"]) == 0
+    assert main(["permmat", "--dims", "2,2", "--sigma", "2,1"]) == 0
+    assert capsys.readouterr().out == "1 0 0 0\n0 0 1 0\n0 1 0 0\n0 0 0 1\nd4[1,3,2,4]\n"
+
+
 def test_cli_data_errors(tmp_path, capsys):
     assert main(["permmat", "--dims", "2,2", "--sigma", "1,1"]) == 2
     bad = tmp_path / "bad.hm"
@@ -161,6 +176,17 @@ def test_cli_permmat_over_entry_budget_is_data_error(capsys):
 
 def test_cli_permmat_dense_over_entry_budget_is_data_error(capsys):
     assert main(["permmat", "--dims", "64,65", "--sigma", "2,1", "--dense"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cli_stp_over_padding_budget_is_data_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("padding allocated past the budget")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    row = write_doc(tmp_path / "row.hm", [1, 10000], [1] * 10000)
+    col = write_doc(tmp_path / "col.hm", [10001, 1], [1] * 10001)
+    assert main(["stp", "--op", "mm", row, col]) == 2
     assert "budget" in capsys.readouterr().err
 
 
@@ -231,16 +257,16 @@ def test_cli_ybe(tmp_path, capsys):
 
 
 def test_cli_ybe_method_reaches_the_residual(tmp_path, capsys, monkeypatch):
-    import hyperstp.applications as applications_mod
+    import hyperstp.contraction as contraction_mod
 
     calls = []
-    real = applications_mod.contract_bruteforce
+    real = contraction_mod.contract_bruteforce
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(applications_mod, "contract_bruteforce", spy)
+    monkeypatch.setattr(contraction_mod, "contract_bruteforce", spy)
     r = write_doc(tmp_path / "r.hm", [2, 2, 2, 2], list(range(16)))
     assert main(["ybe", "--r", r]) == 0
     brute = capsys.readouterr().out

@@ -5,12 +5,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-import hyperstp.applications as applications
 import hyperstp.contraction as contraction
 from hyperstp import (
     Permutation,
     YbeInstance,
     binary_apply,
+    contract,
     contract_bruteforce,
     convert_expression,
     kary_apply,
@@ -33,13 +33,17 @@ def no_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a production path called the brute-force oracle")
 
-    for module in (contraction, applications):
-        monkeypatch.setattr(module, "contract_bruteforce", refuse)
+    monkeypatch.setattr(contraction, "contract_bruteforce", refuse)
 
 
 def test_block_operators_and_ybe_residual_skip_the_oracle(rng, no_oracle):
     a = random_hm(rng, (2, 3) * 3)
     b, c = random_hm(rng, (2, 3)), random_hm(rng, (2, 3))
+    for method in ("expression", "stp"):
+        onto_contract(a, b, (3, 4), method)
+    contract(a, b, (3, 4), (1, 2))
+    with pytest.raises(AssertionError, match="oracle"):
+        contract(a, b, (3, 4), (1, 2), "brute")
     unary_apply(random_hm(rng, (2, 3) * 2), b)
     binary_apply(a, b, c)
     kary_apply(a, [b, c])
@@ -64,6 +68,8 @@ def test_permutation_route_never_calls_np_transpose(rng, monkeypatch):
     direct = {split: matrix_expression(a, *split) for split in splits}
     transposed = {p: sigma_transpose(a, Permutation(p)) for p in permutations((1, 2, 3))}
     onto = onto_contract(a, b, (1, 3), "expression")
+    c = random_hm(rng, (5, 4, 2))
+    general = contract_bruteforce(a, c, (3, 1), (1, 3))
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.transpose called on the permutation-matrix route")
@@ -78,3 +84,4 @@ def test_permutation_route_never_calls_np_transpose(rng, monkeypatch):
     for p, t in transposed.items():
         assert sigma_transpose_via_perm(a, Permutation(p)) == t
     assert onto_contract(a, b, (1, 3), "stp") == onto
+    assert contract(a, c, (3, 1), (1, 3), "stp") == general

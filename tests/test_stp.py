@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import hyperstp.stp as stp_mod
 from hyperstp import (
     Permutation,
     build_perm_matrix,
     delta_I,
+    hypervector_expand,
     kron,
     kron_chain,
     mm_stp,
@@ -158,6 +160,40 @@ def test_norm_rejects_exact_backend():
 def test_inner_exact_backend_rejects_fractions():
     with pytest.raises(ValueError):
         stp_inner([1, 0], [1, 1, 1])  # raw 2, t 6
+
+
+# -- padding budget ---------------------------------------------------------
+
+
+def test_padding_over_budget_is_refused_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the padding budget")
+
+    row, col = np.ones((1, 10000), dtype=np.int64), np.ones((10001, 1), dtype=np.int64)
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    with pytest.raises(OverflowError, match="budget"):
+        mm_stp(row, col)
+    with pytest.raises(OverflowError, match="budget"):
+        mv_stp(row, col.reshape(-1))
+    big = np.ones(4097, dtype=np.int64)
+    with pytest.raises(OverflowError, match="budget"):
+        kron_chain([big, big])
+    with pytest.raises(OverflowError, match="budget"):
+        hypervector_expand([big, big])
+    with pytest.raises(OverflowError, match="budget"):
+        kron(big, big)
+
+
+def test_padding_budget_bounds_the_padded_entries(monkeypatch):
+    monkeypatch.setattr(stp_mod, "MAX_PAD_ENTRIES", 24)
+    a = np.arange(6).reshape(2, 3)
+    assert mm_stp(a, np.ones((6, 1), dtype=np.int64)).shape == (4, 1)
+    with pytest.raises(OverflowError, match="budget"):
+        mm_stp(a, np.ones((9, 1), dtype=np.int64))
+    assert kron_chain([np.ones(4), np.ones(6)]).size == 24
+    with pytest.raises(OverflowError, match="budget"):
+        kron_chain([np.ones(5), np.ones(5)])
 
 
 # -- stacked identity and the stacking identities ----------------------------
