@@ -4,8 +4,11 @@
 loops in ID order, which also fixes the float accumulation order); it is
 the oracle and no production path calls it.  ``contract_via_expression``
 multiplies two matrix expressions through ``np.dot`` (float sums in
-BLAS's order), and the ``stp`` route is the paper's semi-tensor form; on
-exact data the three agree bit for bit.  ``contract`` is the one table
+BLAS's order), and the ``stp`` route is the paper's semi-tensor form.
+Int products on both go through ``core.narrow``: int64 when
+``max|a| * max|b| * K`` (K the paired size) proves no partial sum can
+wrap, Python ints otherwise, and Python ints out; on exact data the
+three routes agree bit for bit.  ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation by
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, same_kind
+from .core import Hypermatrix, narrow, same_kind, widen
 from .expression import MatrixExpression, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -117,8 +120,8 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
     ma = matrix_expression(a, rows=a_free, cols=a_axes)
     mb = matrix_expression(b, rows=b_axes, cols=b_free)
-    mat = np.dot(ma.mat, mb.mat)
-    return Hypermatrix(out_dims, mat, a.kind)
+    mat = np.dot(*narrow(ma.mat, mb.mat, ma.mat.shape[1]))
+    return Hypermatrix(out_dims, widen(mat), a.kind)
 
 
 def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:

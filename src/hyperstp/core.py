@@ -7,13 +7,18 @@ last index varies fastest (row-major).  All public indices are 1-based;
 
 Two scalar backends are supported:
 
-* ``"int"``  -- exact arbitrary-precision integers (numpy object array),
-  so golden comparisons are bit-exact and sums can never silently wrap;
+* ``"int"``  -- exact arbitrary-precision integers (numpy object array of
+  Python ints), so golden comparisons are bit-exact and sums can never
+  silently wrap;
 * ``"float"`` -- IEEE binary64, finite values only (NaN and inf raise).
 
 ``as_scalars`` is the one rule that decides which backend data lives on;
 every layer calls it (or ``as_scalars_joint`` for several raw operands)
-instead of inspecting dtypes itself.
+instead of inspecting dtypes itself.  Int products multiply through the
+checked int64 kernel, ``narrow`` then ``widen``: int64 when
+``max|a| * max|b| * inner <= 2**63 - 1`` proves that no partial sum can
+wrap, the object array otherwise, and Python ints out either way.  Sums
+of vectors stay on the object array.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def iter_indices(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 DTYPE = {"int": object, "float": np.float64}
 
 # Array dtype kind -> scalar kind.  Object arrays are the int backend as they
-# stand: their entries are trusted, not scanned.
+# stand: their entries are trusted here, and scanned only by ``narrow``.
 _ARRAY_KINDS = {"O": "int", "i": "int", "u": "int", "f": "float"}
 
 
@@ -103,6 +108,16 @@ def _sequence_kind(flat: list, types: set) -> str:
             raise TypeError(f"{v!r} at position {pos} is not a scalar")
         kind = "float"
     return kind
+
+
+def _scanned(arr: np.ndarray) -> tuple[np.ndarray, str]:
+    """An object array's kind by the sequence rule; int entries become Python ints."""
+    flat = arr.reshape(-1).tolist()
+    types = set(map(type, flat))
+    have = _sequence_kind(flat, types)
+    if have == "int" and types - {int}:
+        arr = np.array([int(v) for v in flat], dtype=object).reshape(arr.shape)
+    return arr, have
 
 
 def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
@@ -131,12 +146,7 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
     else:
         if isinstance(values, Iterator):
             values = list(values)
-        arr = np.array(values, dtype=object)
-        flat = arr.reshape(-1).tolist()
-        types = set(map(type, flat))
-        have = _sequence_kind(flat, types)
-        if have == "int" and types - {int}:
-            arr = np.array([int(v) for v in flat], dtype=object).reshape(arr.shape)
+        arr, have = _scanned(np.array(values, dtype=object))
     if kind == "int" and have == "float":
         raise TypeError("float data does not convert to the int backend")
     kind = kind or have
@@ -153,6 +163,53 @@ def as_scalars_joint(*operands) -> tuple[list[np.ndarray], str]:
     pairs = [as_scalars(x) for x in operands]
     kind = "float" if any(k == "float" for _, k in pairs) else "int"
     return [x if k == kind else as_scalars(x, kind)[0] for x, k in pairs], kind
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _checked_ints(arr: np.ndarray) -> np.ndarray:
+    """An int-backend object array with every entry a Python int.
+
+    Other integer types convert; a float or a non-number raises
+    ``TypeError`` naming the value and its 1-based flat position.
+    """
+    arr, have = _scanned(arr)
+    if have == "float":
+        flat = enumerate(arr.reshape(-1).tolist(), start=1)
+        pos, v = next((pos, v) for pos, v in flat if isinstance(v, (float, np.floating)))
+        raise TypeError(f"float {v!r} at position {pos} is not an int-backend value")
+    return arr
+
+
+def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both factors of a product as int64 when no partial sum can overflow.
+
+    For int (object) factors whose products sum ``inner`` terms at most:
+    when ``max|a| * max|b| * inner <= 2**63 - 1`` (in Python ints) both come
+    back as int64, otherwise as object arrays of Python ints.  The entries
+    are scanned once, so a float or a boolean raises ``TypeError`` instead
+    of truncating.  Float factors come back untouched.
+    """
+    if a.dtype != object or b.dtype != object:
+        return a, b
+    a, b = _checked_ints(a), _checked_ints(b)
+    try:
+        a64, b64 = a.astype(np.int64), b.astype(np.int64)
+    except OverflowError:
+        return a, b
+    amax = max(int(a64.max(initial=0)), -int(a64.min(initial=0)))
+    bmax = max(int(b64.max(initial=0)), -int(b64.min(initial=0)))
+    if amax * bmax * inner > _INT64_MAX:
+        return a, b
+    return a64, b64
+
+
+def widen(out):
+    """An int64 product back on the int backend: Python ints, as an object array or a scalar."""
+    if getattr(out, "dtype", None) != np.int64:
+        return out
+    return out.astype(object) if isinstance(out, np.ndarray) else int(out)
 
 
 def same_kind(*hms: "Hypermatrix") -> str:

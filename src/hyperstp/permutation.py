@@ -242,7 +242,9 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
     of its sigma-transpose.  The transpose of ``W^sigma`` over ``dims`` is
     ``W^{sigma^-1}`` over the permuted dims, so that matrix is built and
     gathered through directly; callers stay on the permutation-matrix
-    route.
+    route.  The identity builds nothing: its gather is a copy.
     """
+    if sigma.image == tuple(range(1, len(dims) + 1)) and np.size(flat) == size_of(check_dims(dims)):
+        return np.array(flat).reshape(-1)
     permuted = [dims[s - 1] for s in sigma.image]
     return build_perm_matrix(permuted, sigma.inverse(), warn_degenerate=False).gather_row(flat)

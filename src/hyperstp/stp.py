@@ -6,10 +6,14 @@ dimensions; the matrix-vector and vector-vector variants replicate the
 vector side with a ones block instead.  With these, vectors of different
 lengths can be added, compared and measured.
 
-Operands go through ``core.as_scalars_joint``: integer data is computed on
-as exact Python integers (object dtype), and any float operand puts the
-whole product on binary64.  Sums run through ``np.dot``, so float results
-follow BLAS's summation order.
+Operands go through ``core.as_scalars_joint``: any float operand puts the
+whole product on binary64, and integer data stays exact.  Products run
+through ``np.dot``, so float results follow BLAS's summation order; int
+factors are narrowed before padding (``core.narrow``, with the lcm as the
+inner length) and multiply on int64 when ``max|a| * max|b| * t`` stays
+below 2**63, on Python ints otherwise, and come back as Python ints.
+``vec_oplus`` is a sum, which that bound does not cover, so it stays on
+Python ints.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_SIZE, as_scalars, as_scalars_joint
+from .core import MAX_SIZE, as_scalars, as_scalars_joint, narrow, widen
 
 # Budget on the entries of one padded factor or Kronecker chain; larger
 # requests raise ``OverflowError`` before anything is allocated.
@@ -41,6 +45,12 @@ def _vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _vectors(x, y) -> tuple[np.ndarray, np.ndarray, str]:
+    """Two raw vector operands on one backend, and that backend."""
+    (x, y), kind = as_scalars_joint(x, y)
+    return _vector(x), _vector(y), kind
+
+
 def _check_budget(entries: int, what: str) -> None:
     if entries > MAX_PAD_ENTRIES:
         raise OverflowError(f"{what} has {entries} entries, above the budget of {MAX_PAD_ENTRIES}")
@@ -54,12 +64,16 @@ def _pad(a: np.ndarray, k: int) -> np.ndarray:
     return np.kron(a, np.eye(k, dtype=a.dtype) if a.ndim == 2 else np.ones(k, dtype=a.dtype))
 
 
-def _lifted(x, y) -> tuple[np.ndarray, np.ndarray, str]:
-    """Two vectors ones-replicated up to the lcm of their lengths, and their kind."""
-    (x, y), kind = as_scalars_joint(x, y)
-    x, y = _vector(x), _vector(y)
-    t = _checked_lcm(x.size, y.size)
-    return _pad(x, t // x.size), _pad(y, t // y.size), kind
+def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``pad(a) @ pad(b)`` over t, the lcm of a's last and b's first dim.
+
+    Int factors are narrowed unpadded, so the padding is built on int64
+    whenever the product fits it.
+    """
+    n, p = a.shape[-1], b.shape[0]
+    t = _checked_lcm(n, p)
+    a, b = narrow(a, b, t)
+    return widen(np.dot(_pad(a, t // n), _pad(b, t // p)))
 
 
 def _checked_lcm(n: int, p: int) -> int:
@@ -100,10 +114,7 @@ def mm_stp(a, b) -> np.ndarray:
     n equals p.
     """
     (a, b), _ = as_scalars_joint(a, b)
-    a, b = _matrix(a), _matrix(b)
-    n, p = a.shape[1], b.shape[0]
-    t = _checked_lcm(n, p)
-    return np.dot(_pad(a, t // n), _pad(b, t // p))
+    return _stp_dot(_matrix(a), _matrix(b))
 
 
 def mv_stp(a, x) -> np.ndarray:
@@ -114,16 +125,13 @@ def mv_stp(a, x) -> np.ndarray:
     vector of length ``rows(a) * t / n``.
     """
     (a, x), _ = as_scalars_joint(a, x)
-    a, x = _matrix(a), _vector(x)
-    n, p = a.shape[1], x.size
-    t = _checked_lcm(n, p)
-    return np.dot(_pad(a, t // n), _pad(x, t // p))
+    return _stp_dot(_matrix(a), _vector(x))
 
 
 def vv_stp(x, y):
     """Vector-vector semi-tensor product (a scalar)."""
-    x, y, _ = _lifted(x, y)
-    return np.dot(x, y)
+    x, y, _ = _vectors(x, y)
+    return _stp_dot(x, y)
 
 
 def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
@@ -134,7 +142,10 @@ def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    x, y, _ = _lifted(x, y)
+    # A sum, not a product: ``narrow``'s bound does not cover |x| + |y|.
+    x, y, _ = _vectors(x, y)
+    t = _checked_lcm(x.size, y.size)
+    x, y = _pad(x, t // x.size), _pad(y, t // y.size)
     return x + y if sign > 0 else x - y
 
 
@@ -144,9 +155,9 @@ def stp_inner(x, y):
     Exact integer inputs stay exact when t divides the raw product and
     raise otherwise; float inputs divide in binary64.
     """
-    x, y, kind = _lifted(x, y)
-    t = x.size
-    raw = np.dot(x, y)
+    x, y, kind = _vectors(x, y)
+    t = math.lcm(x.size, y.size)
+    raw = _stp_dot(x, y)
     if kind == "float":
         return float(raw) / t
     if raw % t == 0:

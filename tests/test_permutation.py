@@ -6,10 +6,13 @@ from hypothesis import given, strategies as st
 
 import hyperstp.permutation as permutation_module
 from hyperstp import (
+    Hypermatrix,
     LogicalMatrix,
     Permutation,
     build_perm_matrix,
+    contract_bruteforce,
     kron_chain,
+    onto_contract,
     perm_compose,
 )
 from hyperstp.appendix import EXAMPLE_235_TABLES  # re-exported data for cross-checks
@@ -221,6 +224,42 @@ def test_build_and_gather_never_call_np_transpose(monkeypatch):
         assert build_perm_matrix((2, 3, 5), sigma).cols == oracle
         gathered = perm_gather(np.arange(1, 31), (2, 3, 5), sigma)
         assert [int(v) for v in gathered] == [oracle.index(r) + 1 for r in range(1, 31)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The dims of every permutation matrix that ``perm_gather`` builds."""
+    seen = []
+    real = permutation_module.build_perm_matrix
+
+    def spy(dims, sigma, **kwargs):
+        seen.append(tuple(dims))
+        return real(dims, sigma, **kwargs)
+
+    monkeypatch.setattr(permutation_module, "build_perm_matrix", spy)
+    return seen
+
+
+def test_identity_gather_builds_nothing_and_copies(builds):
+    flat = np.arange(1, 31)
+    out = perm_gather(flat, (2, 3, 5), Permutation.identity(3))
+    assert builds == [] and out.tolist() == flat.tolist()
+    out[0] = 99
+    assert flat[0] == 1
+    perm_gather(flat, (2, 3, 5), Permutation((1, 3, 2)))
+    assert builds == [(2, 5, 3)]
+    with pytest.raises(ValueError):
+        perm_gather(flat, (2, 3, 4), Permutation.identity(3))
+
+
+def test_onto_stp_on_trailing_axes_builds_no_permutation(builds):
+    rng = np.random.default_rng(7)
+    a = Hypermatrix.from_flat((5, 5, 4, 4), [int(v) for v in rng.integers(-9, 10, 400)])
+    b = Hypermatrix.from_flat((4, 4), [int(v) for v in rng.integers(-9, 10, 16)])
+    assert onto_contract(a, b, (3, 4), "stp") == contract_bruteforce(a, b, (3, 4), (1, 2))
+    assert builds == []
+    assert onto_contract(a, b, (4, 3), "stp") == contract_bruteforce(a, b, (4, 3), (1, 2))
+    assert builds == [(5, 5, 4, 4)]
 
 
 # -- properties over random shapes and permutations ------------------------------

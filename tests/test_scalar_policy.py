@@ -15,6 +15,7 @@ from hyperstp import (
     LogicalMatrix,
     as_scalars,
     as_scalars_joint,
+    contract,
     contract_via_expression,
     cross_product,
     hypervector_expand,
@@ -73,6 +74,45 @@ def test_booleans_are_not_scalars():
         Hypermatrix((2,), [True, 1])
     with pytest.raises(TypeError):
         mm_stp(np.array([[True, False]]), ints([1, 2]).reshape(2, 1))
+
+
+# -- object arrays on the int backend: products scan them, never truncate ------
+
+
+@pytest.mark.parametrize("method", ["expression", "stp"])
+def test_contract_refuses_a_float_inside_int_data(method):
+    a = Hypermatrix((3,), np.array([2, 1.5, 4], dtype=object))
+    assert a.kind == "int"  # taken unscanned at the boundary
+    b = Hypermatrix.from_flat((3,), [1, 1, 1])
+    with pytest.raises(TypeError, match=r"1\.5 at position 2"):
+        contract(a, b, (1,), (1,), method)
+
+
+def test_mm_stp_refuses_a_float_inside_object_ints():
+    a = np.array([[1, 2], [3, 1.5]], dtype=object)
+    with pytest.raises(TypeError, match=r"1\.5 at position 4"):
+        mm_stp(a, ints([1, 1]).reshape(2, 1))
+    with pytest.raises(TypeError, match=r"1\.5 at position 4"):
+        mm_stp(ints([1, 1]).reshape(1, 2), a)
+
+
+def test_a_boolean_inside_object_ints_is_refused_by_products():
+    a = np.array([1, True], dtype=object)
+    with pytest.raises(TypeError, match="True at position 2"):
+        mm_stp(a.reshape(1, 2), ints([1, 1]).reshape(2, 1))
+    with pytest.raises(TypeError, match="True at position 2"):
+        contract_via_expression(Hypermatrix((2,), a), Hypermatrix.from_flat((2,), [1, 1]), (1,), (1,))
+
+
+def test_numpy_integers_inside_object_arrays_give_python_ints():
+    a = np.array([np.int64(3), np.int32(-4), 5], dtype=object)
+    out = mm_stp(a.reshape(1, 3), ints([1, 2, 3]).reshape(3, 1))
+    assert out.tolist() == [[10]] and type(out[0, 0]) is int
+    big = np.array([np.int64(2 ** 62), np.int64(2 ** 62)], dtype=object)
+    total = vv_stp(big, ints([2, 2]))  # 2**64: past int64, exact on Python ints
+    assert total == 2 ** 64 and type(total) is int
+    hm = contract(Hypermatrix((3,), a), Hypermatrix.from_flat((3,), [1, 1, 1]), (), ())
+    assert hm.data.tolist() == [3, 3, 3, -4, -4, -4, 5, 5, 5] and all(type(v) is int for v in hm.data)
 
 
 @pytest.mark.parametrize("order", [("i", "f"), ("f", "i")])

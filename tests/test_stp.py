@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperstp.stp as stp_mod
 from hyperstp import (
@@ -105,6 +106,41 @@ def test_distributivity_identities(rng):
         assert vv_stp(z, x + y) == vv_stp(z, x) + vv_stp(z, y)
 
 
+# |v| <= 9, or |v| near 2**31.5: products of the large values fall on
+# both sides of the int64 kernel's bound, so its two paths meet here.
+NEAR_BOUND = 3037000499  # NEAR_BOUND**2 < 2**63 - 1 < (NEAR_BOUND + 1)**2
+
+
+@st.composite
+def int_array(draw, shape):
+    size = math.prod(shape)
+    if draw(st.booleans()):
+        values = st.integers(-9, 9)
+    else:
+        values = st.builds(lambda v, s: v * s, st.integers(NEAR_BOUND - 2, NEAR_BOUND + 2), st.sampled_from([1, -1]))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=object).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distributivity_across_the_int64_bound(data):
+    m, n, p, q = (data.draw(st.integers(1, 6)) for _ in range(4))
+    a, b, c = data.draw(int_array((m, n))), data.draw(int_array((m, n))), data.draw(int_array((p, q)))
+    x, y, z = data.draw(int_array((p,))), data.draw(int_array((p,))), data.draw(int_array((q,)))
+    pairs = [
+        (mm_stp(a + b, c), mm_stp(a, c) + mm_stp(b, c)),
+        (mm_stp(c, a + b), mm_stp(c, a) + mm_stp(c, b)),
+        (mv_stp(a + b, x), mv_stp(a, x) + mv_stp(b, x)),
+        (mv_stp(a, x + y), mv_stp(a, x) + mv_stp(a, y)),
+        (vv_stp(x + y, z), vv_stp(x, z) + vv_stp(y, z)),
+        (vv_stp(z, x + y), vv_stp(z, x) + vv_stp(z, y)),
+    ]
+    for left, right in pairs:
+        left, right = np.ravel(np.array(left, dtype=object)), np.ravel(np.array(right, dtype=object))
+        assert left.tolist() == right.tolist()
+        assert all(type(v) is int for v in left)
+
+
 def test_mv_identity_multiple():
     x = np.array([1, 2, 3, 4], dtype=object)
     assert list(mv_stp(np.eye(2, dtype=np.int64), x)) == [1, 2, 3, 4]
@@ -141,6 +177,14 @@ def test_vec_oplus_commutes(rng):
     x = np.array([int(v) for v in rng.integers(-9, 10, 4)], dtype=object)
     y = np.array([int(v) for v in rng.integers(-9, 10, 6)], dtype=object)
     assert list(vec_oplus(x, y)) == list(vec_oplus(y, x))
+
+
+def test_vec_oplus_is_exact_past_int64():
+    # A sum is not a product: the int64 kernel's bound does not cover it.
+    up = vec_oplus([2 ** 63 - 1], [1])
+    down = vec_oplus([-(2 ** 63 - 1)], [2], -1)
+    assert list(up) == [2 ** 63] and list(down) == [-(2 ** 63) - 1]
+    assert type(up[0]) is int and type(down[0]) is int
 
 
 def test_inner_norm_distance():
