@@ -4,11 +4,12 @@
 loops in ID order, which also fixes the float accumulation order); it is
 the oracle and no production path calls it.  ``contract_via_expression``
 multiplies two matrix expressions through ``np.dot`` (float sums in
-BLAS's order), and the ``stp`` route is the paper's semi-tensor form.
-Int products on both go through ``core.narrow``: int64 when
-``max|a| * max|b| * K`` (K the paired size) proves no partial sum can
-wrap, Python ints otherwise, and Python ints out; on exact data the
-three routes agree bit for bit.  ``contract`` is the one table
+BLAS's order).  The ``stp`` route is the paper's ``M_A |x V(B)``, whose
+block-form semi-tensor product does the same multiply-adds.  Int products
+on both go through ``core.narrow``: int64 when ``max|a| * max|b| * K``
+proves no partial sum can wrap (K the paired size, or the lcm on the
+``stp`` route), Python ints otherwise, and Python ints out; on exact
+data the three routes agree bit for bit.  ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation by

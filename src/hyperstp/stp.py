@@ -1,17 +1,17 @@
 """Semi-tensor products and the dimension-free vector operations.
 
-The matrix-matrix product is generalised by padding both factors with
-Kronecker identity blocks up to the least common multiple of the inner
-dimensions; the matrix-vector and vector-vector variants replicate the
-vector side with a ones block instead.  With these, vectors of different
-lengths can be added, compared and measured.
+The matrix-matrix product ``(a kron I_{t/n}) @ (b kron I_{t/p})``, with t
+the lcm of the inner dimensions n and p, is computed block by block with
+no padded factor built (Cheng, Qi and Zhao, 2012); the matrix-vector and
+vector-vector variants replicate the vector side with ones instead.  With
+these, vectors of different lengths can be added, compared and measured.
 
 Operands go through ``core.as_scalars_joint``: any float operand puts the
 whole product on binary64, and integer data stays exact.  Products run
-through ``np.dot``, so float results follow BLAS's summation order; int
-factors are narrowed before padding (``core.narrow``, with the lcm as the
-inner length) and multiply on int64 when ``max|a| * max|b| * t`` stays
-below 2**63, on Python ints otherwise, and come back as Python ints.
+through ``np.matmul``, so float results follow its summation order; int
+factors are narrowed (``core.narrow``, with the lcm t as the inner
+length) and multiply on int64 when ``max|a| * max|b| * t`` stays below
+2**63, on Python ints otherwise, and come back as Python ints.
 ``vec_oplus`` is a sum, which that bound does not cover, so it stays on
 Python ints.
 """
@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import MAX_SIZE, as_scalars, as_scalars_joint, narrow, widen
 
-# Budget on the entries of one padded factor or Kronecker chain; larger
-# requests raise ``OverflowError`` before anything is allocated.
+# Budget on the entries of any array a semi-tensor product or Kronecker
+# chain allocates; larger requests raise ``OverflowError`` before allocating.
 MAX_PAD_ENTRIES = 2 ** 24
 
 
@@ -56,24 +56,24 @@ def _check_budget(entries: int, what: str) -> None:
         raise OverflowError(f"{what} has {entries} entries, above the budget of {MAX_PAD_ENTRIES}")
 
 
-def _pad(a: np.ndarray, k: int) -> np.ndarray:
-    """``a kron I_k`` for a matrix, ``a kron ones_k`` for a vector."""
-    if k == 1:
-        return a
-    _check_budget(a.size * k ** a.ndim, f"shape {a.shape} padded by {k}")
-    return np.kron(a, np.eye(k, dtype=a.dtype) if a.ndim == 2 else np.ones(k, dtype=a.dtype))
-
-
 def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``pad(a) @ pad(b)`` over t, the lcm of a's last and b's first dim.
+    """``(a kron I_α) @ (b kron I_β)``, not widened; t = lcm(n, p), α = t/n, β = t/p.
 
-    Int factors are narrowed unpadded, so the padding is built on int64
-    whenever the product fits it.
+    α and β are coprime, so inner index s feeds only block (s mod α, s mod β):
+    ``a[:, s // α]`` and ``b[s // β]``, split by s mod αβ, give every block in
+    one batched product.  Inner length t also bounds the vector products' sums.
     """
-    n, p = a.shape[-1], b.shape[0]
+    (m, n), (p, q) = a.shape, b.shape
     t = _checked_lcm(n, p)
+    al, be = t // n, t // p
+    _check_budget(max(m * t, t * q, m * al * q * be), f"semi-tensor product of {a.shape} and {b.shape}")
     a, b = narrow(a, b, t)
-    return widen(np.dot(_pad(a, t // n), _pad(b, t // p)))
+    k = al * be
+    ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
+    gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
+    out = np.zeros((m, al, q, be), dtype=a.dtype)
+    out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
+    return out.reshape(m * al, q * be)
 
 
 def _checked_lcm(n: int, p: int) -> int:
@@ -114,7 +114,7 @@ def mm_stp(a, b) -> np.ndarray:
     n equals p.
     """
     (a, b), _ = as_scalars_joint(a, b)
-    return _stp_dot(_matrix(a), _matrix(b))
+    return widen(_stp_dot(_matrix(a), _matrix(b)))
 
 
 def mv_stp(a, x) -> np.ndarray:
@@ -125,13 +125,13 @@ def mv_stp(a, x) -> np.ndarray:
     vector of length ``rows(a) * t / n``.
     """
     (a, x), _ = as_scalars_joint(a, x)
-    return _stp_dot(_matrix(a), _vector(x))
+    return widen(_stp_dot(_matrix(a), _vector(x).reshape(-1, 1)).sum(axis=1))
 
 
 def vv_stp(x, y):
     """Vector-vector semi-tensor product (a scalar)."""
     x, y, _ = _vectors(x, y)
-    return _stp_dot(x, y)
+    return widen(_stp_dot(x.reshape(1, -1), y.reshape(-1, 1)).sum())
 
 
 def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
@@ -145,7 +145,8 @@ def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
     # A sum, not a product: ``narrow``'s bound does not cover |x| + |y|.
     x, y, _ = _vectors(x, y)
     t = _checked_lcm(x.size, y.size)
-    x, y = _pad(x, t // x.size), _pad(y, t // y.size)
+    _check_budget(t, f"sum of lengths {x.size} and {y.size}")
+    x, y = np.repeat(x, t // x.size), np.repeat(y, t // y.size)
     return x + y if sign > 0 else x - y
 
 
@@ -157,7 +158,7 @@ def stp_inner(x, y):
     """
     x, y, kind = _vectors(x, y)
     t = math.lcm(x.size, y.size)
-    raw = _stp_dot(x, y)
+    raw = vv_stp(x, y)
     if kind == "float":
         return float(raw) / t
     if raw % t == 0:

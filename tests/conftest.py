@@ -5,6 +5,7 @@ deliberately avoiding the library's stride arithmetic and gather paths,
 so equivalence tests check two genuinely different routes.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -114,6 +115,21 @@ def contract_oracle(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatr
             total += a.get(tuple(ia)) * b.get(tuple(ib))
         values.append(total)
     return Hypermatrix.from_flat(out_dims, values, a.kind)
+
+
+def kron_pad(a: np.ndarray, k: int) -> np.ndarray:
+    """``a kron I_k`` for a matrix, ``a kron ones_k`` for a vector, built densely."""
+    return np.kron(a, np.eye(k, dtype=a.dtype) if a.ndim == 2 else np.ones(k, dtype=a.dtype))
+
+
+def stp_oracle(a: np.ndarray, b: np.ndarray):
+    """The semi-tensor product from its definition: both factors padded to the lcm, then ``@``.
+
+    Matrix-matrix, matrix-vector or vector-vector, as the operands' ndims
+    say; a vector factor is ones-replicated, a matrix identity-padded.
+    """
+    t = math.lcm(a.shape[-1], b.shape[0])
+    return kron_pad(a, t // a.shape[-1]) @ kron_pad(b, t // b.shape[0])
 
 
 def basis_vec(n, i, dtype=np.int64):

@@ -3,8 +3,9 @@
 Int products run on int64 only when ``max|a| * max|b| * inner`` proves
 that no partial sum can pass 2**63 - 1, and on Python ints otherwise.
 Each case sits on one side of that bound; results are always ``==``
-their Python-int value and hold Python ints.  A spy on ``np.dot`` shows
-which path ran, so a kernel that always falls back cannot pass.
+their Python-int value and hold Python ints.  A spy on ``np.dot`` and
+``np.matmul`` shows which path ran, so a kernel that always falls back
+cannot pass.
 """
 
 import numpy as np
@@ -34,15 +35,18 @@ def ints(values):
 
 @pytest.fixture
 def dots(monkeypatch):
-    """The dtypes of the operands of every ``np.dot`` call."""
+    """The dtypes of the operands of every ``np.dot`` and ``np.matmul`` call."""
     seen = []
-    real = np.dot
 
-    def spy(a, b, *args):
-        seen.append((a.dtype, b.dtype))
-        return real(a, b, *args)
+    def spy(real):
+        def record(a, b, *args):
+            seen.append((a.dtype, b.dtype))
+            return real(a, b, *args)
 
-    monkeypatch.setattr(np, "dot", spy)
+        return record
+
+    monkeypatch.setattr(np, "dot", spy(np.dot))
+    monkeypatch.setattr(np, "matmul", spy(np.matmul))
     return seen
 
 
@@ -121,24 +125,6 @@ def test_every_product_reaches_np_dot_on_int64(rng, dots):
     want = contract_bruteforce(a, b, (2, 3), (1, 2))
     assert contract_via_expression(a, b, (2, 3), (1, 2)) == want
     assert contract(a, b, (2, 3), (1, 2), "stp") == want
-
-
-def test_lcm_padding_is_built_on_int64(monkeypatch):
-    kron_dtypes = []
-    real = np.kron
-
-    def spy(a, b):
-        kron_dtypes.append(a.dtype)
-        return real(a, b)
-
-    monkeypatch.setattr(np, "kron", spy)
-    a = ints(range(6)).reshape(2, 3)
-    out = mm_stp(a, ints(range(4)).reshape(2, 2))
-    assert kron_dtypes == [np.int64, np.int64]
-    want = np.kron(a.astype(np.int64), np.eye(2, dtype=np.int64)) @ np.kron(
-        np.arange(4).reshape(2, 2), np.eye(3, dtype=np.int64)
-    )
-    assert out.tolist() == want.tolist() and python_ints(out)
 
 
 def test_contraction_near_the_bound_is_exact_on_both_paths():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -348,3 +350,33 @@ def test_cli_fuzz_malformed_documents_exit_with_a_code(tmp_path_factory, doc, co
         "ybe": ["ybe", "--r", f],
     }[command]
     assert main(argv) in (1, 2)
+
+
+# Flag values: empty, small, zero, negative, huge and (by repetition) duplicate.
+HUGE = str(10 ** 20)
+_flag_values = st.lists(st.sampled_from(["1", "2", "3", "0", "-1", HUGE, "-" + HUGE]), max_size=4).map(",".join)
+
+
+@pytest.mark.filterwarnings("ignore:permutation matrix over dims with entries < 2")
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["permmat", "transpose", "mexpr", "contract"]), _flag_values, _flag_values, st.booleans())
+def test_cli_fuzz_flags_exit_with_a_code(tmp_path_factory, command, first, second, valid_sigma):
+    if valid_sigma:  # a permutation, so permmat's --dims reaches the size and budget checks
+        second = ",".join(str(k) for k in range(1, len(first.split(",")) + 1)) if first else ""
+    folder = tmp_path_factory.mktemp("flags")
+    a = write_doc(folder / "a.hm", [2, 3, 2], list(range(12)))
+    b = write_doc(folder / "b.hm", [3, 2], list(range(6)))
+    out = str(folder / "out.hm")
+    argv = {
+        "permmat": ["permmat", f"--dims={first}", f"--sigma={second}"],
+        "transpose": ["transpose", f"--sigma={first}", a, out],
+        "mexpr": ["mexpr", f"--rows={first}", a],
+        "contract": ["contract", "--a", a, "--b", b, f"--a-axes={first}", f"--b-axes={second}", out],
+    }[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+    if any(HUGE in arg for arg in argv):
+        assert code == 2  # refused by a size, range or permutation check

@@ -16,16 +16,21 @@ from hyperstp import (
     kary_apply,
     matrix_expression,
     matrix_form_to_vec,
+    mm_stp,
+    mv_stp,
     onto_contract,
     sigma_transpose,
     sigma_transpose_via_perm,
+    stp_inner,
     unary_apply,
+    vec_oplus,
     vec_to_matrix_form,
+    vv_stp,
     ybe_residual,
     ybe_sides,
 )
 
-from conftest import random_hm
+from conftest import kron_pad, random_hm, stp_oracle
 
 
 @pytest.fixture
@@ -85,3 +90,30 @@ def test_permutation_route_never_calls_np_transpose(rng, monkeypatch):
         assert sigma_transpose_via_perm(a, Permutation(p)) == t
     assert onto_contract(a, b, (1, 3), "stp") == onto
     assert contract(a, c, (3, 1), (1, 3), "stp") == general
+
+
+def test_semi_tensor_products_build_no_kronecker_padding(rng, monkeypatch):
+    def ints(*shape):
+        return np.array(rng.integers(-9, 10, shape).tolist(), dtype=object)
+
+    a, b, x, y = ints(3, 4), ints(6, 2), ints(6), ints(4)
+    products = {
+        mm_stp: ((a, b), stp_oracle(a, b)),
+        mv_stp: ((a, x), stp_oracle(a, x)),
+        vv_stp: ((y, x), stp_oracle(y, x)),
+        stp_inner: ((6 * y, 2 * x), stp_oracle(y, x)),  # t = 12 divides 12 * raw
+        vec_oplus: ((y, x), kron_pad(y, 3) + kron_pad(x, 2)),
+    }
+    c, d = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+    inst = YbeInstance(6, random_hm(rng, (6,) * 4, lo=-3, hi=3))
+    want = {side: ybe_sides(inst, side, "matrix") for side in ("lhs", "rhs")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron called by a semi-tensor product")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    for product, (args, expected) in products.items():
+        assert np.array_equal(product(*args), expected), product.__name__
+    assert contract(c, d, (2, 3), (1, 2), "stp") == contract(c, d, (2, 3), (1, 2), "expression")
+    for side, expected in want.items():
+        assert ybe_sides(inst, side, "stp") == expected

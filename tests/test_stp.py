@@ -23,7 +23,7 @@ from hyperstp import (
     vv_stp,
 )
 
-from conftest import basis_vec
+from conftest import basis_vec, kron_pad, stp_oracle
 
 
 def rand_int_mat(rng, m, n, lo=-6, hi=6):
@@ -106,18 +106,24 @@ def test_distributivity_identities(rng):
         assert vv_stp(z, x + y) == vv_stp(z, x) + vv_stp(z, y)
 
 
-# |v| <= 9, or |v| near 2**31.5: products of the large values fall on
-# both sides of the int64 kernel's bound, so its two paths meet here.
+# |v| <= 9, |v| near 2**31.5 or |v| past 2**63: products of the large
+# values fall on both sides of the int64 kernel's bound, so its two paths
+# meet here.
 NEAR_BOUND = 3037000499  # NEAR_BOUND**2 < 2**63 - 1 < (NEAR_BOUND + 1)**2
+
+
+def _signed(magnitudes):
+    return st.builds(lambda v, s: v * s, magnitudes, st.sampled_from([1, -1]))
 
 
 @st.composite
 def int_array(draw, shape):
     size = math.prod(shape)
-    if draw(st.booleans()):
-        values = st.integers(-9, 9)
-    else:
-        values = st.builds(lambda v, s: v * s, st.integers(NEAR_BOUND - 2, NEAR_BOUND + 2), st.sampled_from([1, -1]))
+    values = draw(st.sampled_from([
+        st.integers(-9, 9),
+        _signed(st.integers(NEAR_BOUND - 2, NEAR_BOUND + 2)),
+        _signed(st.integers(2 ** 63, 2 ** 63 + 9)),
+    ]))
     return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=object).reshape(shape)
 
 
@@ -139,6 +145,45 @@ def test_distributivity_across_the_int64_bound(data):
         left, right = np.ravel(np.array(left, dtype=object)), np.ravel(np.array(right, dtype=object))
         assert left.tolist() == right.tolist()
         assert all(type(v) is int for v in left)
+
+
+def assert_python_ints_equal(got, want):
+    got, want = np.ravel(np.array(got, dtype=object)), np.ravel(np.array(want, dtype=object))
+    assert got.tolist() == want.tolist()
+    assert all(type(v) is int for v in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_products_match_the_dense_kronecker_oracle(data):
+    m, n, p, q = (data.draw(st.integers(1, 8)) for _ in range(4))
+    shapes = {"a": (m, n), "b": (p, q), "x": (p,), "y": (n,)}
+    ints = {name: data.draw(int_array(shape)) for name, shape in shapes.items()}
+    floats = {name: v.astype(np.float64) / 7 for name, v in ints.items()}
+    t = math.lcm(n, p)
+
+    def close(got, want, scale):
+        # Within 1e-12 of the oracle, relative to the sum of |terms|.
+        assert np.all(np.abs(np.ravel(got) - np.ravel(want)) <= 1e-12 * np.ravel(scale))
+
+    for product, (u, v) in ((mm_stp, "ab"), (mv_stp, "ax"), (vv_stp, "yx")):
+        assert_python_ints_equal(product(ints[u], ints[v]), stp_oracle(ints[u], ints[v]))
+        fu, fv = floats[u], floats[v]
+        close(product(fu, fv), stp_oracle(fu, fv), stp_oracle(np.abs(fu), np.abs(fv)))
+    for sign in (1, -1):
+        y, x = ints["y"], ints["x"]
+        assert_python_ints_equal(vec_oplus(y, x, sign), kron_pad(y, t // n) + sign * kron_pad(x, t // p))
+        y, x = floats["y"], floats["x"]
+        assert vec_oplus(y, x, sign).tolist() == (kron_pad(y, t // n) + sign * kron_pad(x, t // p)).tolist()
+    y, x = ints["y"], ints["x"]
+    raw = stp_oracle(y, x)
+    if raw % t:
+        with pytest.raises(ValueError, match="not integral"):
+            stp_inner(y, x)
+    else:
+        assert_python_ints_equal(stp_inner(y, x), raw // t)
+    y, x = floats["y"], floats["x"]
+    close(stp_inner(y, x), stp_oracle(y, x) / t, stp_oracle(np.abs(y), np.abs(x)) / t)
 
 
 def test_mv_identity_multiple():
@@ -206,20 +251,24 @@ def test_inner_exact_backend_rejects_fractions():
         stp_inner([1, 0], [1, 1, 1])  # raw 2, t 6
 
 
-# -- padding budget ---------------------------------------------------------
+# -- entry budget -----------------------------------------------------------
 
 
 def test_padding_over_budget_is_refused_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("allocated past the padding budget")
+        raise AssertionError("allocated past the entry budget")
 
     row, col = np.ones((1, 10000), dtype=np.int64), np.ones((10001, 1), dtype=np.int64)
-    monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(np, "eye", refuse)
+    for name in ("kron", "eye", "zeros", "matmul", "repeat"):
+        monkeypatch.setattr(np, name, refuse)
     with pytest.raises(OverflowError, match="budget"):
         mm_stp(row, col)
     with pytest.raises(OverflowError, match="budget"):
         mv_stp(row, col.reshape(-1))
+    with pytest.raises(OverflowError, match="budget"):
+        vv_stp(row.reshape(-1), col.reshape(-1))
+    with pytest.raises(OverflowError, match="budget"):
+        vec_oplus(row.reshape(-1), col.reshape(-1))
     big = np.ones(4097, dtype=np.int64)
     with pytest.raises(OverflowError, match="budget"):
         kron_chain([big, big])
@@ -230,11 +279,18 @@ def test_padding_over_budget_is_refused_before_allocating(monkeypatch):
 
 
 def test_padding_budget_bounds_the_padded_entries(monkeypatch):
+    # The budget bounds each array the block kernel allocates: a with its
+    # columns repeated to t, b with its rows repeated to t, and the result.
     monkeypatch.setattr(stp_mod, "MAX_PAD_ENTRIES", 24)
-    a = np.arange(6).reshape(2, 3)
-    assert mm_stp(a, np.ones((6, 1), dtype=np.int64)).shape == (4, 1)
+    at_budget = {((2, 3), (12, 1)): (8, 1), ((1, 12), (3, 2)): (1, 8), ((4, 1), (1, 6)): (4, 6)}
+    for (sa, sb), shape in at_budget.items():
+        assert mm_stp(np.ones(sa, dtype=np.int64), np.ones(sb, dtype=np.int64)).shape == shape
+    for sa, sb in [((2, 3), (15, 1)), ((1, 15), (3, 2)), ((5, 1), (1, 5))]:
+        with pytest.raises(OverflowError, match="budget"):
+            mm_stp(np.ones(sa, dtype=np.int64), np.ones(sb, dtype=np.int64))
+    assert vec_oplus(np.ones(3), np.ones(8)).size == 24
     with pytest.raises(OverflowError, match="budget"):
-        mm_stp(a, np.ones((9, 1), dtype=np.int64))
+        vec_oplus(np.ones(5), np.ones(7))
     assert kron_chain([np.ones(4), np.ones(6)]).size == 24
     with pytest.raises(OverflowError, match="budget"):
         kron_chain([np.ones(5), np.ones(5)])
