@@ -3,7 +3,8 @@
 Subcommands: ``permmat``, ``transpose``, ``mexpr``, ``contract``,
 ``stp``, ``ybe``, ``verify-appendix``.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 verification failure.  All output is ASCII with
-``.`` as the decimal separator and is byte-stable across runs.
+``.`` as the decimal separator and is byte-stable across runs; a warning
+goes to stderr as ``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -214,6 +216,10 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, *_where):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -221,7 +227,12 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        # Warnings print as ``warning: <message>``, without the source path
+        # and line, so stderr does not depend on where the package lives.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -9,7 +9,9 @@ block-form semi-tensor product does the same multiply-adds.  Int products
 on both go through ``core.narrow``: int64 when ``max|a| * max|b| * K``
 proves no partial sum can wrap (K the paired size, or the lcm on the
 ``stp`` route), Python ints otherwise, and Python ints out; on exact
-data the three routes agree bit for bit.  ``contract`` is the one table
+data the three routes agree bit for bit.  An int64 product of the
+expression route keeps its int64 form, and the next expression-route
+product reads that form instead of scanning and re-casting ``data``.  ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation by
@@ -24,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, narrow, same_kind, widen
-from .expression import MatrixExpression, matrix_expression
+from .core import Hypermatrix, _from_int64, narrow, same_kind
+from .expression import MatrixExpression, _lay_out, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
@@ -116,13 +118,22 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
 
     Flattens ``a`` with its free axes as rows and the paired axes (in
     listed order) as columns, ``b`` the other way round, multiplies, and
-    reads the product off as the output's row-major data.
+    reads the product off as the output's row-major data.  An operand
+    that holds an int64 form is laid out from it; an int64 product is
+    kept as the result's int64 form.
     """
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
-    ma = matrix_expression(a, rows=a_free, cols=a_axes)
-    mb = matrix_expression(b, rows=b_axes, cols=b_free)
-    mat = np.dot(*narrow(ma.mat, mb.mat, ma.mat.shape[1]))
-    return Hypermatrix(out_dims, widen(mat), a.kind)
+    ma = _operand(a, a_free, a_axes)
+    mb = _operand(b, b_axes, b_free)
+    mat = np.dot(*narrow(ma, mb, ma.shape[1]))
+    if mat.dtype == np.int64:
+        return _from_int64(out_dims, mat)
+    return Hypermatrix(out_dims, mat, a.kind)
+
+
+def _operand(h: Hypermatrix, rows, cols) -> np.ndarray:
+    """The matrix of ``h`` split ``rows`` x ``cols``, from its int64 form when it has one."""
+    return _lay_out(h.data if h._int64 is None else h._int64, h.dims, rows, cols)
 
 
 def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:

@@ -18,7 +18,11 @@ instead of inspecting dtypes itself.  Int products multiply through the
 checked int64 kernel, ``narrow`` then ``widen``: int64 when
 ``max|a| * max|b| * inner <= 2**63 - 1`` proves that no partial sum can
 wrap, the object array otherwise, and Python ints out either way.  Sums
-of vectors stay on the object array.
+of vectors stay on the object array.  A hypermatrix built from an int64
+product (``_from_int64``) also keeps that product as its read-only int64
+form, which ``narrow`` takes without a scan or a cast, so a chain of
+products does not round-trip through Python ints; its ``data`` still
+holds Python ints.
 """
 
 from __future__ import annotations
@@ -185,23 +189,26 @@ def _checked_ints(arr: np.ndarray) -> np.ndarray:
 def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray]:
     """Both factors of a product as int64 when no partial sum can overflow.
 
-    For int (object) factors whose products sum ``inner`` terms at most:
-    when ``max|a| * max|b| * inner <= 2**63 - 1`` (in Python ints) both come
-    back as int64, otherwise as object arrays of Python ints.  The entries
-    are scanned once, so a float or a boolean raises ``TypeError`` instead
-    of truncating.  Float factors come back untouched.
+    For int factors whose products sum ``inner`` terms at most: when
+    ``max|a| * max|b| * inner <= 2**63 - 1`` (in Python ints) both come
+    back as int64, otherwise as object arrays of Python ints.  Object
+    entries are scanned once, so a float or a boolean raises ``TypeError``
+    instead of truncating; an int64 factor (a product's int64 form) is
+    taken without a scan or a cast but still counts toward the bound.
+    Float factors come back untouched.
     """
-    if a.dtype != object or b.dtype != object:
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
         return a, b
-    a, b = _checked_ints(a), _checked_ints(b)
+    a = a if a.dtype == np.int64 else _checked_ints(a)
+    b = b if b.dtype == np.int64 else _checked_ints(b)
     try:
-        a64, b64 = a.astype(np.int64), b.astype(np.int64)
+        a64, b64 = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     except OverflowError:
-        return a, b
+        return widen(a), widen(b)
     amax = max(int(a64.max(initial=0)), -int(a64.min(initial=0)))
     bmax = max(int(b64.max(initial=0)), -int(b64.min(initial=0)))
     if amax * bmax * inner > _INT64_MAX:
-        return a, b
+        return widen(a), widen(b)
     return a64, b64
 
 
@@ -223,10 +230,13 @@ class Hypermatrix:
     """Immutable order-d array with flat row-major storage.
 
     The flat ``data`` vector lists entries in ID order, i.e. entry
-    ``(i1, ..., id)`` sits at flat rank ``linearize(dims, idx)``.
+    ``(i1, ..., id)`` sits at flat rank ``linearize(dims, idx)``.  A
+    product of the int64 kernel also keeps its int64 form (``_int64``,
+    read-only, equal to ``data`` entry for entry) so that the next product
+    can skip the scan and the cast; every other hypermatrix holds None.
     """
 
-    __slots__ = ("dims", "data", "kind")
+    __slots__ = ("dims", "data", "kind", "_int64")
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
@@ -234,13 +244,20 @@ class Hypermatrix:
         flat = flat.reshape(-1)
         if flat.size != size_of(dims):
             raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", flat)
-        object.__setattr__(self, "kind", kind)
-        self.data.setflags(write=False)
+        self._fill(dims, flat, kind, None)
+
+    def _fill(self, dims, data, kind, int64):
+        for name, value in zip(self.__slots__, (dims, data, kind, int64)):
+            object.__setattr__(self, name, value)
+        data.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypermatrix is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the validating constructor;
+        # the int64 form is not carried.
+        return Hypermatrix, (self.dims, self.data, self.kind)
 
     # -- construction ------------------------------------------------
 
@@ -323,3 +340,16 @@ class Hypermatrix:
             return f"Hypermatrix(dims={self.dims}, data={list(self.data)}, kind={self.kind!r})"
         return f"Hypermatrix(dims={self.dims}, size={self.size}, kind={self.kind!r})"
 
+
+def _from_int64(dims: tuple[int, ...], out: np.ndarray) -> Hypermatrix:
+    """Trusted construction from an int64 kernel product of ``dims``' size.
+
+    The result's ``data`` is widened to Python ints here, so it is a plain
+    int hypermatrix to every reader; the product itself stays as the
+    read-only int64 form that ``narrow`` takes without a scan.
+    """
+    flat = out.reshape(-1)
+    flat.setflags(write=False)
+    h = object.__new__(Hypermatrix)
+    h._fill(dims, flat.astype(object), "int", flat)
+    return h

@@ -120,6 +120,10 @@ class MatrixExpression:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixExpression is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the validating constructor.
+        return MatrixExpression, (self.mat, self.row_axes, self.col_axes, self.dims, self.kind)
+
     def __repr__(self):
         return f"MatrixExpression(rows={self.row_axes}, cols={self.col_axes}, dims={self.dims}, shape={self.mat.shape})"
 
@@ -140,11 +144,15 @@ def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] |
     under the listed axis order, columns likewise.
     """
     rows, cols = _check_partition(a.order, rows, cols)
-    s = math.prod(a.dims[r - 1] for r in rows)
-    t = math.prod(a.dims[c - 1] for c in cols)
+    return _expression(_lay_out(a.data, a.dims, rows, cols), rows, cols, a.dims, a.kind)
+
+
+def _lay_out(flat: np.ndarray, dims, rows, cols) -> np.ndarray:
+    """Flat ID-order data as the matrix of a validated split ``rows`` x ``cols``."""
+    s = math.prod(dims[r - 1] for r in rows)
+    t = math.prod(dims[c - 1] for c in cols)
     axes = [ax - 1 for ax in rows + cols]
-    mat = np.ascontiguousarray(np.transpose(a.nd, axes)).reshape(s, t)
-    return _expression(mat, rows, cols, a.dims, a.kind)
+    return np.ascontiguousarray(np.transpose(flat.reshape(dims), axes)).reshape(s, t)
 
 
 def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:

@@ -1,9 +1,20 @@
+import copy
+import pickle
 from itertools import product
 
 import numpy as np
 import pytest
 
-from hyperstp import Hypermatrix, check_dims, delinearize, iter_indices, linearize, size_of
+from hyperstp import (
+    Hypermatrix,
+    check_dims,
+    contract_via_expression,
+    delinearize,
+    iter_indices,
+    linearize,
+    matrix_expression,
+    size_of,
+)
 
 from conftest import random_hm
 
@@ -135,6 +146,32 @@ def test_immutable():
         a.data[0] = 5
     with pytest.raises(ValueError):
         a.nd[0] = 9
+
+
+def _copies(value):
+    return [pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)]
+
+
+def test_hypermatrix_copies_and_pickles():
+    beyond_int64 = Hypermatrix.from_flat((2,), [3 ** 50, -(2 ** 70)])
+    a, b = Hypermatrix.from_flat((2, 2), [1, 2, 3, 4]), Hypermatrix.from_flat((2,), [5, 6])
+    with_int64_form = contract_via_expression(a, b, (2,), (1,))
+    assert with_int64_form._int64 is not None
+    floats = Hypermatrix.from_flat((3,), [0.1, -2.5, 1e300], "float")
+    for original in (beyond_int64, with_int64_form, floats):
+        for dup in _copies(original):
+            assert dup == original and dup.kind == original.kind
+            assert dup._int64 is None
+            assert not dup.data.flags.writeable
+            assert all(type(x) is type(y) for x, y in zip(dup.data, original.data))
+
+
+def test_matrix_expression_copies_and_pickles():
+    m = matrix_expression(Hypermatrix.from_flat((2, 3, 2), list(range(12))), rows=(3, 1))
+    for dup in _copies(m):
+        assert (dup.row_axes, dup.col_axes, dup.dims, dup.kind) == (m.row_axes, m.col_axes, m.dims, m.kind)
+        assert dup.mat.tolist() == m.mat.tolist()
+        assert not dup.mat.flags.writeable
 
 
 def test_dim_one_axes_allowed():

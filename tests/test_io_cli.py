@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperstp
 from hyperstp import (
     DocumentError,
     Hypermatrix,
@@ -135,6 +140,21 @@ def write_doc(path, shape, data, kind="int"):
 def test_cli_permmat_exact_output(capsys):
     assert main(["permmat", "--dims", "2,2,2", "--sigma", "2,3,1"]) == 0
     assert capsys.readouterr().out == "d8[1,3,5,7,2,4,6,8]\n"
+
+
+def test_cli_warning_prints_its_message_without_a_source_path(capsys):
+    assert main(["permmat", "--dims", "1,2", "--sigma", "2,1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "d2[1,2]\n"
+    assert err == "warning: permutation matrix over dims with entries < 2 degenerates\n"
+
+
+def test_python_m_hyperstp_runs_the_readme_example_with_a_clean_stderr():
+    src = str(Path(hyperstp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "hyperstp", "permmat", "--dims", "2,2,2", "--sigma", "2,3,1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "d8[1,3,5,7,2,4,6,8]\n", "")
 
 
 def test_cli_permmat_deterministic(capsys):
@@ -357,7 +377,6 @@ HUGE = str(10 ** 20)
 _flag_values = st.lists(st.sampled_from(["1", "2", "3", "0", "-1", HUGE, "-" + HUGE]), max_size=4).map(",".join)
 
 
-@pytest.mark.filterwarnings("ignore:permutation matrix over dims with entries < 2")
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["permmat", "transpose", "mexpr", "contract"]), _flag_values, _flag_values, st.booleans())
 def test_cli_fuzz_flags_exit_with_a_code(tmp_path_factory, command, first, second, valid_sigma):
