@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Hypermatrix, as_scalars_joint
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
-from .expression import MatrixExpression, matrix_expression, vc, vcs, vr
+from .expression import MatrixExpression, matrix_expression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import build_perm_matrix  # noqa: F401
@@ -65,29 +65,9 @@ def _structure_matrix(basis, vec_fn) -> np.ndarray:
     return mat
 
 
-def _gl2_basis_colstack():
-    """Basis whose column stackings are the standard basis vectors."""
-    out = []
-    for k in range(4):
-        b = np.zeros((2, 2), dtype=object)
-        b[k % 2, k // 2] = 1
-        out.append(b)
-    return out
-
-
-def _gl2_basis_rowstack():
-    """Basis whose row stackings are the standard basis vectors."""
-    out = []
-    for k in range(4):
-        b = np.zeros((2, 2), dtype=object)
-        b[k // 2, k % 2] = 1
-        out.append(b)
-    return out
-
-
 def gl2_structure_matrix() -> np.ndarray:
     """Bracket structure constants, column-stacking convention (4 x 16)."""
-    return _structure_matrix(_gl2_basis_colstack(), vc)
+    return _structure_matrix([vcs(e, 2) for e in np.eye(4, dtype=object)], vc)
 
 
 def gl2_bracket(x, y) -> np.ndarray:
@@ -143,7 +123,7 @@ def gl2_published_errata() -> list[dict]:
     basis label where the coefficient belongs, and two brackets with the
     corner element were dropped to zero.
     """
-    derived = _structure_matrix(_gl2_basis_rowstack(), vr)
+    derived = _structure_matrix([vrs(e, 2) for e in np.eye(4, dtype=object)], vr)
     published = gl2_published_matrix()
     errata = []
     for col in range(16):
@@ -229,4 +209,4 @@ def ybe_residual(inst: YbeInstance, method: str = "matrix"):
     """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``."""
     lhs = ybe_sides(inst, "lhs", method)
     rhs = ybe_sides(inst, "rhs", method)
-    return max(abs(a - b) for a, b in zip(lhs.data, rhs.data))
+    return np.abs(lhs.data - rhs.data).max()

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _from_int64, narrow, same_kind
+from .core import Hypermatrix, _result, check_dims, narrow, same_kind
 from .expression import MatrixExpression, _lay_out, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -125,10 +125,7 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
     ma = _operand(a, a_free, a_axes)
     mb = _operand(b, b_axes, b_free)
-    mat = np.dot(*narrow(ma, mb, ma.shape[1]))
-    if mat.dtype == np.int64:
-        return _from_int64(out_dims, mat)
-    return Hypermatrix(out_dims, mat, a.kind)
+    return _result(out_dims, np.dot(*narrow(ma, mb, ma.shape[1])), a.kind)
 
 
 def _operand(h: Hypermatrix, rows, cols) -> np.ndarray:
@@ -147,7 +144,7 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     k = math.prod(a.dims[x - 1] for x in a_axes)
     m_a = perm_gather(a.data, a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
     v_b = perm_gather(b.data, b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
-    return Hypermatrix(out_dims, mm_stp(m_a, v_b), a.kind)
+    return _result(out_dims, mm_stp(m_a, v_b), a.kind)
 
 
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:
@@ -187,8 +184,8 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     The flat data is the Kronecker chain of the factors, so the entry at
     (i_1, ..., i_d) is ``x_1[i_1] * ... * x_d[i_d]``.
     """
-    dims = tuple(np.asarray(f).size for f in factors)
-    return Hypermatrix(dims, kron_chain(factors), kind)
+    dims = check_dims(np.asarray(f).size for f in factors)
+    return _result(dims, kron_chain(factors), kind)
 
 
 def _fold(acc, xs, dims) -> np.ndarray:

@@ -18,11 +18,12 @@ instead of inspecting dtypes itself.  Int products multiply through the
 checked int64 kernel, ``narrow`` then ``widen``: int64 when
 ``max|a| * max|b| * inner <= 2**63 - 1`` proves that no partial sum can
 wrap, the object array otherwise, and Python ints out either way.  Sums
-of vectors stay on the object array.  A hypermatrix built from an int64
-product (``_from_int64``) also keeps that product as its read-only int64
-form, which ``narrow`` takes without a scan or a cast, so a chain of
-products does not round-trip through Python ints; its ``data`` still
-holds Python ints.
+of vectors stay on the object array.  The value types share one immutable
+base, ``_Frozen``; public constructors copy any array the caller still
+holds.  Library results come through one trusted path, ``_result``: the
+scalar policy, no validation, no copy, and an int64 product kept as the
+read-only int64 form that ``narrow`` takes without a scan or a cast, so a
+chain of products does not round-trip through Python ints.
 """
 
 from __future__ import annotations
@@ -226,7 +227,29 @@ def same_kind(*hms: "Hypermatrix") -> str:
     return hms[0].kind
 
 
-class Hypermatrix:
+class _Frozen:
+    """Immutable value; copies and pickles rebuild through the constructor from ``_args``."""
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
+
+    def _fill(self, *values):
+        """Write the slots in ``__slots__`` order; array values become read-only."""
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+
+class Hypermatrix(_Frozen):
     """Immutable order-d array with flat row-major storage.
 
     The flat ``data`` vector lists entries in ID order, i.e. entry
@@ -237,6 +260,7 @@ class Hypermatrix:
     """
 
     __slots__ = ("dims", "data", "kind", "_int64")
+    _args = ("dims", "data", "kind")
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
@@ -244,20 +268,10 @@ class Hypermatrix:
         flat = flat.reshape(-1)
         if flat.size != size_of(dims):
             raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
+        # A list never aliases; asking numpy would convert it first.
+        if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
+            flat = flat.copy()
         self._fill(dims, flat, kind, None)
-
-    def _fill(self, dims, data, kind, int64):
-        for name, value in zip(self.__slots__, (dims, data, kind, int64)):
-            object.__setattr__(self, name, value)
-        data.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypermatrix is immutable")
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through the validating constructor;
-        # the int64 form is not carried.
-        return Hypermatrix, (self.dims, self.data, self.kind)
 
     # -- construction ------------------------------------------------
 
@@ -318,7 +332,7 @@ class Hypermatrix:
         if self.dims != other.dims:
             raise ValueError(f"shape mismatch: {self.dims} vs {other.dims}")
         if same_kind(self, other) == "int":
-            return all(a == b for a, b in zip(self.data, other.data))
+            return self == other
         a, b = self.data, other.data
         bound = tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         return bool(np.all(np.abs(a - b) <= bound))
@@ -341,15 +355,16 @@ class Hypermatrix:
         return f"Hypermatrix(dims={self.dims}, size={self.size}, kind={self.kind!r})"
 
 
-def _from_int64(dims: tuple[int, ...], out: np.ndarray) -> Hypermatrix:
-    """Trusted construction from an int64 kernel product of ``dims``' size.
+def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None) -> Hypermatrix:
+    """A library result from a fresh array ``out`` of ``dims``' size, neither checked nor copied.
 
-    The result's ``data`` is widened to Python ints here, so it is a plain
-    int hypermatrix to every reader; the product itself stays as the
-    read-only int64 form that ``narrow`` takes without a scan.
+    The scalar policy applies (float results must be finite).  An int64
+    product stays as the read-only int64 form; ``data`` is widened.
     """
     flat = out.reshape(-1)
-    flat.setflags(write=False)
     h = object.__new__(Hypermatrix)
-    h._fill(dims, flat.astype(object), "int", flat)
+    if flat.dtype == np.int64 and kind == "int":
+        h._fill(dims, flat.astype(object), "int", flat)
+    else:
+        h._fill(dims, *as_scalars(flat, kind), None)
     return h

@@ -6,7 +6,12 @@ row-axis indices in ID order, columns the column-axis indices.  The empty
 row tuple gives the 1 x n vector expression.  Each conversion between
 expressions (and the vector form) is one row gather through one
 permutation matrix, for any axis order on either side; the conversions
-are verified against direct index-shuffle construction.
+are verified against direct index-shuffle construction.  That index
+shuffle is one helper, ``_lay_out``: ``matrix_expression``, the
+sigma-transpose, ``expression_to_hypermatrix`` and the expression
+contraction route all lay data out through it.  Results come through the
+trusted constructors (``core._result``, ``_expression``); the public
+``MatrixExpression`` constructor validates and copies its matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, as_scalars, check_dims, size_of
+from .core import Hypermatrix, _Frozen, _result, as_scalars, check_dims, size_of
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
@@ -68,10 +73,8 @@ def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
     sigma = (2, 1) this is the ordinary matrix transpose.
     """
     sigma = _as_perm(sigma, a.order)
-    axes = [sigma(k) - 1 for k in range(1, a.order + 1)]
-    nd = np.ascontiguousarray(np.transpose(a.nd, axes))
-    dims = tuple(a.dims[ax] for ax in axes)
-    return Hypermatrix(dims, nd.reshape(-1), a.kind)
+    dims = tuple(a.dims[ax - 1] for ax in sigma.image)
+    return _result(dims, _lay_out(a.data, a.dims, sigma.image, ()), a.kind)
 
 
 def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
@@ -82,7 +85,7 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
-    return Hypermatrix(dims, perm_gather(a.data, a.dims, sigma), a.kind)
+    return _result(dims, perm_gather(a.data, a.dims, sigma), a.kind)
 
 
 # -- matrix expressions ------------------------------------------------
@@ -97,32 +100,21 @@ def _check_partition(d: int, rows: Sequence[int], cols: Sequence[int] | None = N
     return rows, cols
 
 
-class MatrixExpression:
+class MatrixExpression(_Frozen):
     """A 2-D flattening of a hypermatrix, tagged with its axis split."""
 
     __slots__ = ("mat", "row_axes", "col_axes", "dims", "kind")
+    _args = __slots__
 
     def __init__(self, mat, row_axes, col_axes, dims, kind: str):
         dims = check_dims(dims)
         row_axes, col_axes = _check_partition(len(dims), row_axes, col_axes)
-        mat = np.asarray(mat)
+        mat = np.array(mat)
         s = math.prod(dims[r - 1] for r in row_axes)
         t = math.prod(dims[c - 1] for c in col_axes)
         if mat.shape != (s, t):
             raise ValueError(f"matrix of shape {mat.shape}, expected {(s, t)} for split {row_axes} x {col_axes}")
         self._fill(mat, row_axes, col_axes, dims, kind)
-
-    def _fill(self, mat, row_axes, col_axes, dims, kind):
-        for name, value in zip(self.__slots__, (mat, row_axes, col_axes, dims, kind)):
-            object.__setattr__(self, name, value)
-        mat.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixExpression is immutable")
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through the validating constructor.
-        return MatrixExpression, (self.mat, self.row_axes, self.col_axes, self.dims, self.kind)
 
     def __repr__(self):
         return f"MatrixExpression(rows={self.row_axes}, cols={self.col_axes}, dims={self.dims}, shape={self.mat.shape})"
@@ -156,12 +148,14 @@ def _lay_out(flat: np.ndarray, dims, rows, cols) -> np.ndarray:
 
 
 def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
-    """Reassemble the source hypermatrix from any of its expressions."""
-    axes = [ax - 1 for ax in m.row_axes + m.col_axes]
-    permuted_dims = tuple(m.dims[ax] for ax in axes)
-    inv = np.argsort(axes)
-    nd = np.ascontiguousarray(np.transpose(m.mat.reshape(permuted_dims), inv))
-    return Hypermatrix(m.dims, nd.reshape(-1), m.kind)
+    """Reassemble the source hypermatrix from any of its expressions.
+
+    The matrix is the data over the dims in ``row_axes + col_axes`` order;
+    laying it out with each natural axis's position there restores ID order.
+    """
+    order = m.row_axes + m.col_axes
+    back = tuple(order.index(k) + 1 for k in range(1, len(order) + 1))
+    return _result(m.dims, _lay_out(m.mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
 
 
 # -- conversions through permutation matrices --------------------------

@@ -23,26 +23,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import as_scalars, check_dims, size_of
+from .core import _Frozen, as_scalars, check_dims, size_of
 
 # Largest number of columns build_perm_matrix materialises.  The intp index
 # array takes 8 bytes per column on 64-bit hosts: 128 MiB at the cap.
 MAX_PERM_ENTRIES = 2 ** 24
 
 
-class Permutation:
+class Permutation(_Frozen):
     """Element of S_d as the 1-based image array (sigma(1), ..., sigma(d))."""
 
     __slots__ = ("image",)
+    _args = ("image",)
 
     def __init__(self, image: Iterable[int]):
         image = tuple(int(v) for v in image)
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"{image} is not a bijection of 1..{len(image)}")
         object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
@@ -102,10 +100,11 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(q(p(k)) for k in range(1, p.degree + 1))
 
 
-class LogicalMatrix:
+class LogicalMatrix(_Frozen):
     """m x n matrix of basis-vector columns, stored as 0-based row positions."""
 
     __slots__ = ("rows", "_idx")
+    _args = ("rows", "cols")
 
     def __init__(self, rows: int, cols: Iterable[int]):
         # Python ints first, so a value past the index type fails the range
@@ -129,9 +128,6 @@ class LogicalMatrix:
         idx.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_idx", idx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogicalMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "LogicalMatrix":

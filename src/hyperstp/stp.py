@@ -77,6 +77,8 @@ def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _checked_lcm(n: int, p: int) -> int:
+    if min(n, p) < 1:
+        raise ValueError(f"lengths {n} and {p}: a semi-tensor operand needs length >= 1")
     t = math.lcm(n, p)
     if t > MAX_SIZE:
         raise OverflowError(f"lcm({n}, {p}) exceeds the index type")
@@ -157,7 +159,7 @@ def stp_inner(x, y):
     raise otherwise; float inputs divide in binary64.
     """
     x, y, kind = _vectors(x, y)
-    t = math.lcm(x.size, y.size)
+    t = _checked_lcm(x.size, y.size)
     raw = vv_stp(x, y)
     if kind == "float":
         return float(raw) / t

@@ -251,6 +251,20 @@ def test_inner_exact_backend_rejects_fractions():
         stp_inner([1, 0], [1, 1, 1])  # raw 2, t 6
 
 
+@pytest.mark.parametrize(
+    "op, x, y",
+    [
+        (vv_stp, [], [1, 2]),
+        (mm_stp, np.zeros((2, 0)), np.zeros((3, 2))),
+        (vec_oplus, [], [1]),
+        (stp_inner, [], [1]),
+    ],
+)
+def test_empty_operands_raise_value_error(op, x, y):
+    with pytest.raises(ValueError, match="length >= 1"):
+        op(x, y)
+
+
 # -- entry budget -----------------------------------------------------------
 
 
