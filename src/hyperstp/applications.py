@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, as_scalars_joint
+from .core import _INT64_MAX, Hypermatrix, _magnitude, as_scalars_joint
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, matrix_expression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -198,15 +198,25 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatr
     side = side.lower()
     if side not in ("lhs", "rhs"):
         raise ValueError(f"side must be 'lhs' or 'rhs', got {side!r}")
-    r = inst.r
+    return _ybe_sides(inst.r, (side,), method)[0]
+
+
+def _ybe_sides(r: Hypermatrix, sides, method: str) -> list[Hypermatrix]:
+    """The named sides, sharing one ``t = r (4)x(1) r``."""
     t = contract(r, r, (4,), (1,), method)
-    if side == "lhs":
-        return contract(t, r, (2, 6), (3, 4), method)
-    return contract(r, t, (1, 2), (3, 4), method)
+    pairings = {"lhs": (t, r, (2, 6), (3, 4)), "rhs": (r, t, (1, 2), (3, 4))}
+    return [contract(*pairings[side], method) for side in sides]
 
 
 def ybe_residual(inst: YbeInstance, method: str = "matrix"):
-    """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``."""
-    lhs = ybe_sides(inst, "lhs", method)
-    rhs = ybe_sides(inst, "rhs", method)
+    """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``.
+
+    The sides share ``t``.  When both hold int64 forms whose difference
+    cannot wrap (``max|lhs| + max|rhs| <= 2**63 - 1``), it is taken in
+    int64 and returned as a Python int; otherwise over ``data``.
+    """
+    lhs, rhs = _ybe_sides(inst.r, ("lhs", "rhs"), method)
+    a, b = lhs._flat(), rhs._flat()
+    if a.dtype == b.dtype == np.int64 and _magnitude(a) + _magnitude(b) <= _INT64_MAX:
+        return int(np.abs(a - b).max())
     return np.abs(lhs.data - rhs.data).max()

@@ -6,12 +6,14 @@ the oracle and no production path calls it.  ``contract_via_expression``
 multiplies two matrix expressions through ``np.dot`` (float sums in
 BLAS's order).  The ``stp`` route is the paper's ``M_A |x V(B)``, whose
 block-form semi-tensor product does the same multiply-adds.  Int products
-on both go through ``core.narrow``: int64 when ``max|a| * max|b| * K``
-proves no partial sum can wrap (K the paired size, or the lcm on the
-``stp`` route), Python ints otherwise, and Python ints out; on exact
-data the three routes agree bit for bit.  An int64 product of the
-expression route keeps its int64 form, and the next expression-route
-product reads that form instead of scanning and re-casting ``data``.  ``contract`` is the one table
+on both go through ``core.checked_product``, on the tier that
+``core.narrow`` picks from ``max|a| * max|b| * K`` (K the paired size,
+or the lcm on the ``stp`` route): float64 BLAS up to 2**53, int64 up to
+2**63 - 1, Python ints past that; on exact data the three routes agree
+bit for bit.  An int64 product is kept as the result's int64 form
+alone, and the next product on either route reads that form instead of
+scanning and re-casting ``data``, which widens only when read.
+``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation by
@@ -26,12 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _result, check_dims, narrow, same_kind
+from .core import Hypermatrix, _result, check_dims, checked_product, same_kind
 from .expression import MatrixExpression, _lay_out, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
-from .stp import kron_chain, mm_stp
+from .stp import _stp_dot, kron_chain, mm_stp
 
 
 def _check_axes(label: str, order: int, axes: Sequence[int]) -> tuple[int, ...]:
@@ -123,14 +125,9 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     kept as the result's int64 form.
     """
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
-    ma = _operand(a, a_free, a_axes)
-    mb = _operand(b, b_axes, b_free)
-    return _result(out_dims, np.dot(*narrow(ma, mb, ma.shape[1])), a.kind)
-
-
-def _operand(h: Hypermatrix, rows, cols) -> np.ndarray:
-    """The matrix of ``h`` split ``rows`` x ``cols``, from its int64 form when it has one."""
-    return _lay_out(h.data if h._int64 is None else h._int64, h.dims, rows, cols)
+    ma = _lay_out(a._flat(), a.dims, a_free, a_axes)
+    mb = _lay_out(b._flat(), b.dims, b_axes, b_free)
+    return _result(out_dims, checked_product(np.dot, ma, mb, ma.shape[1]), a.kind)
 
 
 def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
@@ -138,13 +135,14 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
 
     ``M_A`` is a's data re-laid to ``a_free + a_axes`` with one row per
     free index, ``V(B)`` b's data re-laid to ``b_axes + b_free`` as one
-    column; their product is the output data, already in order.
+    column; their product is the output data, already in order.  Like
+    the expression route, it reads and keeps int64 forms.
     """
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
     k = math.prod(a.dims[x - 1] for x in a_axes)
-    m_a = perm_gather(a.data, a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
-    v_b = perm_gather(b.data, b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
-    return _result(out_dims, mm_stp(m_a, v_b), a.kind)
+    m_a = perm_gather(a._flat(), a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
+    v_b = perm_gather(b._flat(), b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
+    return _result(out_dims, _stp_dot(m_a, v_b), a.kind)
 
 
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:

@@ -14,16 +14,19 @@ Two scalar backends are supported:
 
 ``as_scalars`` is the one rule that decides which backend data lives on;
 every layer calls it (or ``as_scalars_joint`` for several raw operands)
-instead of inspecting dtypes itself.  Int products multiply through the
-checked int64 kernel, ``narrow`` then ``widen``: int64 when
-``max|a| * max|b| * inner <= 2**63 - 1`` proves that no partial sum can
-wrap, the object array otherwise, and Python ints out either way.  Sums
-of vectors stay on the object array.  The value types share one immutable
-base, ``_Frozen``; public constructors copy any array the caller still
-holds.  Library results come through one trusted path, ``_result``: the
-scalar policy, no validation, no copy, and an int64 product kept as the
-read-only int64 form that ``narrow`` takes without a scan or a cast, so a
-chain of products does not round-trip through Python ints.
+instead of inspecting dtypes itself.  Int products multiply through
+``checked_product``, on the tier that ``narrow`` picks from the bound
+``max|a| * max|b| * inner``: float64 BLAS up to 2**53, where every
+partial sum is an integer that binary64 holds exactly, with the product
+cast back to int64; int64 up to 2**63 - 1; the object array of Python
+ints past that.  Sums of vectors stay on the object array.  The value
+types share one immutable base, ``_Frozen``; public constructors copy
+any array the caller still holds.  Library results come through one
+trusted path, ``_result``: the scalar policy, no validation, no copy,
+and an int64 product kept as the read-only int64 form alone.  ``narrow``
+takes that form without a scan or a cast, comparisons read it in numpy,
+and ``Hypermatrix.data`` widens it to Python ints only when first read,
+so a chain of products never round-trips through Python ints.
 """
 
 from __future__ import annotations
@@ -171,6 +174,8 @@ def as_scalars_joint(*operands) -> tuple[list[np.ndarray], str]:
 
 
 _INT64_MAX = 2 ** 63 - 1
+# Integers of magnitude at most 2**53 are exact in binary64.
+_FLOAT64_EXACT = 2 ** 53
 
 
 def _checked_ints(arr: np.ndarray) -> np.ndarray:
@@ -187,16 +192,28 @@ def _checked_ints(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both factors of a product as int64 when no partial sum can overflow.
+def _magnitude(arr: np.ndarray) -> int:
+    """``max |v|`` over an int64 array as a Python int (0 when empty), so -2**63 cannot wrap."""
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
-    For int factors whose products sum ``inner`` terms at most: when
-    ``max|a| * max|b| * inner <= 2**63 - 1`` (in Python ints) both come
-    back as int64, otherwise as object arrays of Python ints.  Object
-    entries are scanned once, so a float or a boolean raises ``TypeError``
-    instead of truncating; an int64 factor (a product's int64 form) is
-    taken without a scan or a cast but still counts toward the bound.
-    Float factors come back untouched.
+
+def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both factors of a product on the narrowest tier that keeps it exact.
+
+    For int factors whose products sum ``inner`` terms at most, the bound
+    ``max|a| * max|b| * inner`` (in Python ints) picks the tier:
+
+    * at most 2**53: float64.  Every partial sum, in any order and with
+      or without FMA, is then an integer of magnitude at most 2**53,
+      which binary64 holds exactly;
+    * at most 2**63 - 1: int64;
+    * otherwise object arrays of Python ints.
+
+    This is the only place a tier is chosen.  Object entries are scanned
+    once, so a float or a boolean raises ``TypeError`` instead of
+    truncating; an int64 factor (a product's int64 form) is taken without
+    a scan or a cast but still counts toward the bound.  Float factors
+    come back untouched.
     """
     if a.dtype.kind == "f" or b.dtype.kind == "f":
         return a, b
@@ -206,11 +223,26 @@ def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.nda
         a64, b64 = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     except OverflowError:
         return widen(a), widen(b)
-    amax = max(int(a64.max(initial=0)), -int(a64.min(initial=0)))
-    bmax = max(int(b64.max(initial=0)), -int(b64.min(initial=0)))
-    if amax * bmax * inner > _INT64_MAX:
+    bound = _magnitude(a64) * _magnitude(b64) * inner
+    if bound > _INT64_MAX:
         return widen(a), widen(b)
-    return a64, b64
+    if bound > _FLOAT64_EXACT:
+        return a64, b64
+    return a64.astype(np.float64), b64.astype(np.float64)
+
+
+def checked_product(op, a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
+    """``op(a, b)`` on the tier ``narrow`` picks for sums of ``inner`` terms.
+
+    Int products come back int64 or as Python ints, not widened: a
+    float64-tier product holds integers of magnitude at most 2**53 and
+    is cast back to int64 exactly.  Float factors multiply as they are.
+    """
+    na, nb = narrow(a, b, inner)
+    out = op(na, nb)
+    if na.dtype == np.float64 and a.dtype.kind != "f":
+        return out.astype(np.int64)
+    return out
 
 
 def widen(out):
@@ -254,12 +286,14 @@ class Hypermatrix(_Frozen):
 
     The flat ``data`` vector lists entries in ID order, i.e. entry
     ``(i1, ..., id)`` sits at flat rank ``linearize(dims, idx)``.  A
-    product of the int64 kernel also keeps its int64 form (``_int64``,
-    read-only, equal to ``data`` entry for entry) so that the next product
-    can skip the scan and the cast; every other hypermatrix holds None.
+    product of the int kernel holds its int64 form (``_int64``,
+    read-only) instead, so that the next product and comparisons skip the
+    scan and the cast; ``data`` widens it on first read and keeps the
+    widened array.  Every other hypermatrix holds ``data`` and no int64
+    form.
     """
 
-    __slots__ = ("dims", "data", "kind", "_int64")
+    __slots__ = ("dims", "_data", "kind", "_int64")
     _args = ("dims", "data", "kind")
 
     def __init__(self, dims, data, kind: str | None = None):
@@ -273,6 +307,19 @@ class Hypermatrix(_Frozen):
             flat = flat.copy()
         self._fill(dims, flat, kind, None)
 
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only flat entries: Python ints on the int backend, binary64 on float."""
+        if self._data is None:
+            data = self._int64.astype(object)
+            data.setflags(write=False)
+            object.__setattr__(self, "_data", data)
+        return self._data
+
+    def _flat(self) -> np.ndarray:
+        """The int64 form when there is one, else ``data``: what products and comparisons read."""
+        return self.data if self._int64 is None else self._int64
+
     # -- construction ------------------------------------------------
 
     @classmethod
@@ -283,8 +330,11 @@ class Hypermatrix(_Frozen):
     @classmethod
     def from_nd(cls, array, kind: str | None = None) -> "Hypermatrix":
         """Hypermatrix from a (row-major) numpy array or nested lists."""
+        if isinstance(array, np.ndarray):
+            return cls(array.shape, array, kind)
+        # Nested lists become a fresh array that no caller holds: no second copy.
         arr, kind = as_scalars(array, kind)
-        return cls(arr.shape, arr, kind)
+        return _result(check_dims(arr.shape), arr, kind)
 
     @classmethod
     def zeros(cls, dims, kind: str = "int") -> "Hypermatrix":
@@ -298,7 +348,7 @@ class Hypermatrix(_Frozen):
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return size_of(self.dims)
 
     @property
     def nd(self) -> np.ndarray:
@@ -343,11 +393,19 @@ class Hypermatrix(_Frozen):
         return (
             self.dims == other.dims
             and self.kind == other.kind
-            and all(a == b for a, b in zip(self.data, other.data))
+            and np.array_equal(self._flat(), other._flat())
         )
 
     def __hash__(self):
-        return hash((self.dims, self.kind, tuple(self.data)))
+        # Equal int values hash alike whichever form holds them: as int64
+        # bytes when every entry fits int64, as Python ints otherwise.
+        flat = self._flat()
+        if self.kind == "int":
+            try:
+                return hash((self.dims, self.kind, flat.astype(np.int64, copy=False).tobytes()))
+            except OverflowError:
+                pass
+        return hash((self.dims, self.kind, tuple(flat.tolist())))
 
     def __repr__(self):
         if self.size <= 8:
@@ -359,12 +417,13 @@ def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None) -> Hyperma
     """A library result from a fresh array ``out`` of ``dims``' size, neither checked nor copied.
 
     The scalar policy applies (float results must be finite).  An int64
-    product stays as the read-only int64 form; ``data`` is widened.
+    product is kept as the read-only int64 form alone; ``data`` widens it
+    when first read.
     """
     flat = out.reshape(-1)
     h = object.__new__(Hypermatrix)
     if flat.dtype == np.int64 and kind == "int":
-        h._fill(dims, flat.astype(object), "int", flat)
+        h._fill(dims, None, "int", flat)
     else:
         h._fill(dims, *as_scalars(flat, kind), None)
     return h

@@ -74,7 +74,7 @@ def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[ax - 1] for ax in sigma.image)
-    return _result(dims, _lay_out(a.data, a.dims, sigma.image, ()), a.kind)
+    return _result(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind)
 
 
 def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
@@ -85,7 +85,7 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
-    return _result(dims, perm_gather(a.data, a.dims, sigma), a.kind)
+    return _result(dims, perm_gather(a._flat(), a.dims, sigma), a.kind)
 
 
 # -- matrix expressions ------------------------------------------------

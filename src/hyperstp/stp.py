@@ -9,11 +9,11 @@ these, vectors of different lengths can be added, compared and measured.
 Operands go through ``core.as_scalars_joint``: any float operand puts the
 whole product on binary64, and integer data stays exact.  Products run
 through ``np.matmul``, so float results follow its summation order; int
-factors are narrowed (``core.narrow``, with the lcm t as the inner
-length) and multiply on int64 when ``max|a| * max|b| * t`` stays below
-2**63, on Python ints otherwise, and come back as Python ints.
-``vec_oplus`` is a sum, which that bound does not cover, so it stays on
-Python ints.
+products go through ``core.checked_product`` with the lcm t as the inner
+length, so ``core.narrow`` picks the tier from ``max|a| * max|b| * t``:
+float64 BLAS up to 2**53, int64 up to 2**63 - 1, Python ints past that.
+The public products return Python ints.  ``vec_oplus`` is a sum, which
+that bound does not cover, so it stays on Python ints.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_SIZE, as_scalars, as_scalars_joint, narrow, widen
+from .core import MAX_SIZE, as_scalars, as_scalars_joint, checked_product, widen
 
 # Budget on the entries of any array a semi-tensor product or Kronecker
 # chain allocates; larger requests raise ``OverflowError`` before allocating.
@@ -61,19 +61,23 @@ def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     α and β are coprime, so inner index s feeds only block (s mod α, s mod β):
     ``a[:, s // α]`` and ``b[s // β]``, split by s mod αβ, give every block in
-    one batched product.  Inner length t also bounds the vector products' sums.
+    one batched product.  Inner length t also bounds the vector products' sums,
+    so an int product comes back as int64 or Python ints (``checked_product``).
     """
     (m, n), (p, q) = a.shape, b.shape
     t = _checked_lcm(n, p)
     al, be = t // n, t // p
     _check_budget(max(m * t, t * q, m * al * q * be), f"semi-tensor product of {a.shape} and {b.shape}")
-    a, b = narrow(a, b, t)
     k = al * be
-    ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
-    gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
-    out = np.zeros((m, al, q, be), dtype=a.dtype)
-    out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
-    return out.reshape(m * al, q * be)
+
+    def blocks(a, b):
+        ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
+        gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
+        out = np.zeros((m, al, q, be), dtype=a.dtype)
+        out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
+        return out.reshape(m * al, q * be)
+
+    return checked_product(blocks, a, b, t)
 
 
 def _checked_lcm(n: int, p: int) -> int:

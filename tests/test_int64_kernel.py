@@ -1,12 +1,15 @@
-"""The checked int64 product kernel (``core.narrow`` / ``core.widen``).
+"""The checked int product kernel (``core.narrow`` / ``core.checked_product``).
 
-Int products run on int64 only when ``max|a| * max|b| * inner`` proves
-that no partial sum can pass 2**63 - 1, and on Python ints otherwise.
-Each case sits on one side of that bound; results are always ``==``
-their Python-int value and hold Python ints.  A spy on ``np.dot`` and
-``np.matmul`` shows which path ran, so a kernel that always falls back
-cannot pass.  A contraction result keeps the kernel's int64 product as
-its int64 form, which the next product of a chain reads without a scan.
+``narrow`` picks a tier from ``max|a| * max|b| * inner``: float64 up to
+2**53 (every partial sum is then an integer binary64 holds exactly, and
+the product is cast back to int64), int64 up to 2**63 - 1, Python ints
+past that.  Each case sits on one side of a bound; results are always
+``==`` their Python-int value and ``data`` holds Python ints.  A spy on
+``np.dot`` and ``np.matmul`` shows which tier ran, so a kernel that
+always falls back cannot pass.  A contraction result keeps the kernel's
+int64 product as its int64 form alone, which the next product of a chain
+reads without a scan, comparisons read in numpy, and ``data`` widens on
+first read.
 """
 
 import math
@@ -24,6 +27,8 @@ from hyperstp import (
     contract_via_expression,
     mm_stp,
     mv_stp,
+    sigma_transpose,
+    sigma_transpose_via_perm,
     stp_inner,
     vv_stp,
     ybe_sides,
@@ -37,6 +42,10 @@ INT64_MAX = 2 ** 63 - 1
 # 2**63 - 1 = 7 * A * B, so a 1 x 7 row of A times a 7 x 1 column of B
 # has a bound of exactly 2**63 - 1.
 A, B = 7 * 73 * 127 * 337, 92737 * 649657
+# 2**53 + 1 = 321 * C, so a single product of 321 and C has a bound of 2**53 + 1.
+C = 28059810762433
+# NEAR**2 < 2**53 < (NEAR + 1)**2: sums of products near NEAR straddle the float64 tier's bound.
+NEAR = 94906265
 
 
 def ints(values):
@@ -116,7 +125,46 @@ def rand_ints(rng, *shape):
     return np.array(rng.integers(-9, 10, shape).tolist(), dtype=object)
 
 
-def test_every_product_reaches_np_dot_on_int64(rng, dots):
+@pytest.mark.parametrize(
+    "a, b, inner, tier",
+    [
+        ([2 ** 26], [2 ** 27], 1, np.float64),
+        ([2 ** 26] * 2, [2 ** 26] * 2, 2, np.float64),
+        ([321], [C], 1, np.int64),
+        ([NEAR] * 2, [NEAR] * 2, 2, np.int64),
+        ([2 ** 31] * 2, [2 ** 31] * 2, 2, object),
+    ],
+    ids=["2^53", "2^53 over two terms", "2^53 + 1", "2^53 < bound by inner only", "past 2^63 - 1"],
+)
+def test_each_bound_takes_its_tier(dots, a, b, inner, tier):
+    assert len(a) == inner
+    na, nb = narrow(ints(a), ints(b), inner)
+    assert na.dtype == nb.dtype == tier
+    want = sum(x * y for x, y in zip(a, b))
+    out = mm_stp(ints(a).reshape(1, -1), ints(b).reshape(-1, 1))
+    assert dots == [(tier, tier)]
+    assert out[0, 0] == want and python_ints(out)
+    dots.clear()
+    h = contract_via_expression(Hypermatrix.from_flat((inner,), a), Hypermatrix.from_flat((inner,), b), (1,), (1,))
+    assert dots == [(tier, tier)]
+    assert h.to_scalar() == want and python_ints(h.data)
+    assert (h._int64 is None) == (tier is object)
+
+
+def test_a_large_float64_tier_product_is_exact(rng, dots):
+    # m * n * k = 96 * 64 * 96 is past the size where a threaded BLAS splits
+    # the work; every sum lies within 2**52 of 0 (the bound is exactly 2**52),
+    # where binary64 still resolves every integer.
+    top = 2 ** 23
+    a = np.array(rng.integers(top - 2 ** 10, top + 1, (96, 64)).tolist(), dtype=object)
+    b = np.array((rng.integers(top - 2 ** 10, top + 1, (64, 96)) * rng.choice([1, -1], (64, 96))).tolist(), dtype=object)
+    a[0, 0], b[0, 0] = top, -top
+    out = contract_via_expression(Hypermatrix(a.shape, a), Hypermatrix(b.shape, b), (2,), (1,))
+    assert dots == [(np.float64, np.float64)]
+    assert out.data.tolist() == np.dot(a, b).reshape(-1).tolist()
+
+
+def test_every_product_reaches_the_float64_tier(rng, dots):
     a = Hypermatrix.from_flat((3, 4, 2), rand_ints(rng, 24).tolist())
     b = Hypermatrix.from_flat((4, 2, 5), rand_ints(rng, 40).tolist())
     cases = {
@@ -130,7 +178,7 @@ def test_every_product_reaches_np_dot_on_int64(rng, dots):
     for name, run in cases.items():
         dots.clear()
         out = run()
-        assert dots and all(d == (np.int64, np.int64) for d in dots), name
+        assert dots and all(d == (np.float64, np.float64) for d in dots), name
         assert python_ints(out), name
     want = contract_bruteforce(a, b, (2, 3), (1, 2))
     assert contract_via_expression(a, b, (2, 3), (1, 2)) == want
@@ -173,10 +221,11 @@ def test_int64_form_is_read_only_and_equals_data(rng):
 def test_int64_form_past_the_bound_falls_back_to_python_ints(dots):
     t = contract_via_expression(Hypermatrix.from_flat((2,), [BIG, BIG]), Hypermatrix.from_flat((1,), [1]), (), ())
     assert t._int64 is not None
-    dots.clear()
-    small = Hypermatrix.from_flat((2,), [1, -1])
-    assert contract_via_expression(t, small, (1,), (1,)).data.tolist() == [0]
-    assert dots == [(np.int64, np.int64)]
+    # One int64 form meets each tier: bound 2 * BIG, 2**22 * BIG, then 2 * BIG**2.
+    for small, tier in (([1, -1], np.float64), ([2 ** 21, -(2 ** 21)], np.int64)):
+        dots.clear()
+        assert contract_via_expression(t, Hypermatrix.from_flat((2,), small), (1,), (1,)).data.tolist() == [0]
+        assert dots == [(tier, tier)]
     dots.clear()
     c = Hypermatrix.from_flat((2,), [BIG, BIG])
     out = contract_via_expression(t, c, (1,), (1,))
@@ -185,14 +234,57 @@ def test_int64_form_past_the_bound_falls_back_to_python_ints(dots):
     assert out == contract_bruteforce(t, c, (1,), (1,)) and python_ints(out.data) and out._int64 is None
 
 
+def test_data_widens_on_first_read_to_read_only_python_ints(rng):
+    a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+    r = YbeInstance(3, random_hm(rng, (3,) * 4))
+    results = [
+        contract(a, b, (2, 3), (1, 2), "expression"),
+        contract(a, b, (2, 3), (1, 2), "stp"),
+        ybe_sides(r, "lhs"),
+        ybe_sides(r, "rhs", "stp"),
+    ]
+    results.append(sigma_transpose(results[2], (3, 1, 2, 6, 4, 5)))
+    results.append(sigma_transpose_via_perm(results[3], (2, 3, 1, 5, 6, 4)))
+    for h in results:
+        assert h._int64 is not None and h._data is None
+        data = h.data
+        assert data is h.data
+        assert data.dtype == object and not data.flags.writeable
+        assert all(type(v) is int for v in data) and data.tolist() == h._int64.tolist()
+        with pytest.raises(ValueError):
+            data[0] = 1
+
+
+def test_equal_values_hash_alike_whichever_form_they_hold(rng):
+    a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+    fast = contract(a, b, (2, 3), (1, 2), "expression")
+    stp = contract(a, b, (2, 3), (1, 2), "stp")
+    slow = contract_bruteforce(a, b, (2, 3), (1, 2))
+    rebuilt = Hypermatrix(fast.dims, fast._int64)
+    assert fast._int64 is not None and slow._int64 is None and rebuilt._int64 is None
+    assert fast == stp and fast.approx_equal(stp) and hash(fast) == hash(stp)
+    # Comparing and hashing two int64 forms reads them in numpy: neither widens.
+    assert fast._data is None and stp._data is None
+    assert fast == slow == rebuilt and hash(fast) == hash(slow) == hash(rebuilt)
+    assert len({fast, stp, slow, rebuilt}) == 1
+    other = contract(a, b, (2, 3), (1, 2), "expression")
+    bumped = Hypermatrix(slow.dims, [slow.data[0] + 1, *slow.data[1:]])
+    assert other != bumped and bumped != other
+    floats = Hypermatrix.from_flat((2,), [0.0, 1.5], "float"), Hypermatrix.from_flat((2,), [-0.0, 1.5], "float")
+    assert floats[0] == floats[1] and hash(floats[0]) == hash(floats[1])
+    past = [Hypermatrix.from_flat((2,), [2 ** 70, -1]) for _ in range(2)]
+    assert past[0] == past[1] and hash(past[0]) == hash(past[1])
+
+
 @st.composite
 def _operand(draw, dims):
-    """Values |v| <= 9, or all near 2**31.5 so a product with it may pass the bound."""
+    """Values |v| <= 9, or all near 2**26.5 or 2**31.5, so a product with it may take any of the three tiers."""
     size = math.prod(dims)
-    if draw(st.booleans()):
+    near = draw(st.sampled_from([None, NEAR, BIG]))
+    if near is None:
         values = st.integers(-9, 9)
     else:
-        values = st.builds(lambda v, sign: sign * v, st.integers(BIG - 9, BIG + 9), st.sampled_from([1, -1]))
+        values = st.builds(lambda v, sign: sign * v, st.integers(near - 9, near + 9), st.sampled_from([1, -1]))
     return Hypermatrix(dims, draw(st.lists(values, min_size=size, max_size=size)))
 
 

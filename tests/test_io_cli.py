@@ -84,7 +84,7 @@ def test_read_hm_rejects_non_utf8_bytes(tmp_path):
 
 def test_hm_rejects_non_finite_on_write():
     a = Hypermatrix.from_flat((1,), [1.0], "float")
-    object.__setattr__(a, "data", np.array([float("nan")]))
+    object.__setattr__(a, "_data", np.array([float("nan")]))
     with pytest.raises(DocumentError):
         dumps_hm(a)
 

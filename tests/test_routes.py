@@ -5,8 +5,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import hyperstp.applications as applications
 import hyperstp.contraction as contraction
 from hyperstp import (
+    Hypermatrix,
     Permutation,
     YbeInstance,
     binary_apply,
@@ -64,6 +66,35 @@ def test_ybe_residual_matches_the_brute_force_sides(rng, kind):
         want = max(abs(x - y) for x, y in zip(lhs.data, rhs.data))
         expected = pytest.approx(want, rel=1e-9, abs=1e-12) if kind == "float" else want
         assert ybe_residual(inst) == expected
+
+
+# |entry| = 2**20 - 1 keeps each n = 2 side inside int64 (8 * v**3 < 2**63),
+# but with these signs the two sides differ by more than 2**63 - 1.
+SIGNS = (-1, -1, 1, -1, -1, -1, -1, -1, -1, 1, 1, -1, 1, 1, -1, 1)
+
+
+def test_ybe_residual_is_exact_when_the_difference_passes_int64():
+    v = 2 ** 20 - 1
+    inst = YbeInstance(2, Hypermatrix.from_flat((2,) * 4, [s * v for s in SIGNS]))
+    lhs, rhs = ybe_sides(inst, "lhs"), ybe_sides(inst, "rhs")
+    assert lhs._int64 is not None and rhs._int64 is not None
+    want = max(abs(x - y) for x, y in zip(lhs.data, rhs.data))
+    assert want > 2 ** 63 - 1
+    for inst, want in ((inst, want), (YbeInstance(2, Hypermatrix.zeros((2,) * 4)), 0)):
+        got = ybe_residual(inst)
+        assert got == want and type(got) is int
+
+
+def test_ybe_residual_computes_t_once(rng, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2:4])
+        return contract(*args)
+
+    monkeypatch.setattr(applications, "contract", spy)
+    ybe_residual(YbeInstance(3, random_hm(rng, (3,) * 4)))
+    assert sorted(calls) == [((1, 2), (3, 4)), ((2, 6), (3, 4)), ((4,), (1,))]
 
 
 def test_permutation_route_never_calls_np_transpose(rng, monkeypatch):

@@ -106,9 +106,10 @@ def test_distributivity_identities(rng):
         assert vv_stp(z, x + y) == vv_stp(z, x) + vv_stp(z, y)
 
 
-# |v| <= 9, |v| near 2**31.5 or |v| past 2**63: products of the large
-# values fall on both sides of the int64 kernel's bound, so its two paths
-# meet here.
+# |v| <= 9, |v| near 2**26.5, near 2**31.5 or past 2**63: products of
+# the large values fall on both sides of the float64 tier's bound and of
+# the int64 tier's, so all three tiers of the kernel meet here.
+NEAR_FLOAT64 = 94906265  # NEAR_FLOAT64**2 < 2**53 < (NEAR_FLOAT64 + 1)**2
 NEAR_BOUND = 3037000499  # NEAR_BOUND**2 < 2**63 - 1 < (NEAR_BOUND + 1)**2
 
 
@@ -121,6 +122,7 @@ def int_array(draw, shape):
     size = math.prod(shape)
     values = draw(st.sampled_from([
         st.integers(-9, 9),
+        _signed(st.integers(NEAR_FLOAT64 - 2, NEAR_FLOAT64 + 2)),
         _signed(st.integers(NEAR_BOUND - 2, NEAR_BOUND + 2)),
         _signed(st.integers(2 ** 63, 2 ** 63 + 9)),
     ]))

@@ -29,6 +29,7 @@ from hyperstp import (
     sigma_transpose_via_perm,
     ybe_sides,
 )
+from hyperstp import core
 
 from conftest import random_hm
 
@@ -174,3 +175,20 @@ def test_trusted_results_keep_the_scalar_policy():
         hypervector_expand([[], [1]])
     with pytest.raises(TypeError):
         hypervector_expand([[1.5]], "int")
+
+
+@pytest.mark.parametrize("nested", [[[1, 2], [3, 4]], [[0.5, 2.0], [-1.0, 3.0]]])
+def test_from_nd_copies_nested_lists_once(nested, monkeypatch):
+    built = []
+    real = core.as_scalars
+
+    def spy(values, kind=None):
+        out = real(values, kind)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(core, "as_scalars", spy)
+    h = Hypermatrix.from_nd(nested)
+    # The one copy is the list read into an array; ``data`` is that array.
+    assert np.shares_memory(h.data, built[0])
+    assert h.data.tolist() == [v for row in nested for v in row] and not h.data.flags.writeable
