@@ -397,15 +397,9 @@ class Hypermatrix(_Frozen):
         )
 
     def __hash__(self):
-        # Equal int values hash alike whichever form holds them: as int64
-        # bytes when every entry fits int64, as Python ints otherwise.
-        flat = self._flat()
-        if self.kind == "int":
-            try:
-                return hash((self.dims, self.kind, flat.astype(np.int64, copy=False).tobytes()))
-            except OverflowError:
-                pass
-        return hash((self.dims, self.kind, tuple(flat.tolist())))
+        # tolist() of an int64 form yields the Python ints data holds, so
+        # equal values hash alike whichever form holds them.
+        return hash((self.dims, self.kind, tuple(self._flat().tolist())))
 
     def __repr__(self):
         if self.size <= 8:
