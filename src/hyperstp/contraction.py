@@ -10,8 +10,12 @@ on both go through ``core.checked_product``, on the tier that
 ``core.narrow`` picks from ``max|a| * max|b| * K`` (K the paired size,
 or the lcm on the ``stp`` route): float64 BLAS up to 2**53, int64 up to
 2**63 - 1, Python ints past that; on exact data the three routes agree
-bit for bit.  An int64 product is kept as the result's int64 form
-alone, and the next product on either route reads that form instead of
+bit for bit.  The tier is picked from the operands' int64 forms before
+the layout, which the expression route then copies straight into the
+tier's dtype; a float64 product is cast back to int64 in its own
+buffer.  An int64 product is kept as the result's int64 form alone, a
+constructor-built operand keeps the int64 form its first product scans
+once, and the next product on either route reads that form instead of
 scanning and re-casting ``data``, which widens only when read.
 ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
@@ -120,14 +124,18 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
 
     Flattens ``a`` with its free axes as rows and the paired axes (in
     listed order) as columns, ``b`` the other way round, multiplies, and
-    reads the product off as the output's row-major data.  An operand
-    that holds an int64 form is laid out from it; an int64 product is
+    reads the product off as the output's row-major data.  The tier is
+    picked from the operands' int64 forms (``Hypermatrix._factor``) and
+    each is laid out straight in the tier's dtype; an int64 product is
     kept as the result's int64 form.
     """
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
-    ma = _lay_out(a._flat(), a.dims, a_free, a_axes)
-    mb = _lay_out(b._flat(), b.dims, b_axes, b_free)
-    return _result(out_dims, checked_product(np.dot, ma, mb, ma.shape[1]), a.kind)
+
+    def dot(fa, fb, dtype):
+        return np.dot(_lay_out(fa, a.dims, a_free, a_axes, dtype), _lay_out(fb, b.dims, b_axes, b_free, dtype))
+
+    inner = math.prod(a.dims[x - 1] for x in a_axes)
+    return _result(out_dims, checked_product(dot, a._factor(), b._factor(), inner), a.kind)
 
 
 def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
@@ -140,8 +148,8 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     """
     a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
     k = math.prod(a.dims[x - 1] for x in a_axes)
-    m_a = perm_gather(a._flat(), a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
-    v_b = perm_gather(b._flat(), b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
+    m_a = perm_gather(a._factor(), a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
+    v_b = perm_gather(b._factor(), b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
     return _result(out_dims, _stp_dot(m_a, v_b), a.kind)
 
 

@@ -18,15 +18,20 @@ instead of inspecting dtypes itself.  Int products multiply through
 ``checked_product``, on the tier that ``narrow`` picks from the bound
 ``max|a| * max|b| * inner``: float64 BLAS up to 2**53, where every
 partial sum is an integer that binary64 holds exactly, with the product
-cast back to int64; int64 up to 2**63 - 1; the object array of Python
-ints past that.  Sums of vectors stay on the object array.  The value
-types share one immutable base, ``_Frozen``; public constructors copy
-any array the caller still holds.  Library results come through one
-trusted path, ``_result``: the scalar policy, no validation, no copy,
-and an int64 product kept as the read-only int64 form alone.  ``narrow``
-takes that form without a scan or a cast, comparisons read it in numpy,
-and ``Hypermatrix.data`` widens it to Python ints only when first read,
-so a chain of products never round-trips through Python ints.
+cast back to int64 inside the buffer BLAS returned; int64 up to
+2**63 - 1; the object array of Python ints past that.  ``narrow`` picks
+the tier before the factors are laid out, so the layout copies them
+straight into the tier's dtype.  Sums of vectors stay on the object
+array.  The value types share one immutable base, ``_Frozen``; public
+constructors copy any array the caller still holds.  Library results
+come through one trusted path, ``_result``: the scalar policy, no
+validation, no copy, and an int64 product kept as the read-only int64
+form alone.  A constructor-built int value gets the same form from its
+first product, which scans its entries once (``Hypermatrix._factor``);
+gathers, transposes and comparisons never scan.  ``narrow`` takes an
+int64 form without a scan or a cast, comparisons read it in numpy, and
+``Hypermatrix.data`` widens it to Python ints only when first read, so a
+chain of products never round-trips through Python ints.
 """
 
 from __future__ import annotations
@@ -197,8 +202,8 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
-def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both factors of a product on the narrowest tier that keeps it exact.
+def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray, type]:
+    """Both factors of a product, and the narrowest scalar type that keeps it exact.
 
     For int factors whose products sum ``inner`` terms at most, the bound
     ``max|a| * max|b| * inner`` (in Python ints) picks the tier:
@@ -211,37 +216,44 @@ def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.nda
 
     This is the only place a tier is chosen.  Object entries are scanned
     once, so a float or a boolean raises ``TypeError`` instead of
-    truncating; an int64 factor (a product's int64 form) is taken without
-    a scan or a cast but still counts toward the bound.  Float factors
-    come back untouched.
+    truncating; an int64 factor (a kept int64 form) is taken without a
+    scan but still counts toward the bound.  Int factors come back int64
+    or as Python ints, not yet in the tier's dtype: the caller lays them
+    out in that dtype, so the cast costs no pass of its own.  Float
+    factors come back untouched, with float64.
     """
     if a.dtype.kind == "f" or b.dtype.kind == "f":
-        return a, b
+        return a, b, np.float64
     a = a if a.dtype == np.int64 else _checked_ints(a)
     b = b if b.dtype == np.int64 else _checked_ints(b)
     try:
-        a64, b64 = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     except OverflowError:
-        return widen(a), widen(b)
-    bound = _magnitude(a64) * _magnitude(b64) * inner
+        return a, b, object
+    bound = _magnitude(a) * _magnitude(b) * inner
     if bound > _INT64_MAX:
-        return widen(a), widen(b)
-    if bound > _FLOAT64_EXACT:
-        return a64, b64
-    return a64.astype(np.float64), b64.astype(np.float64)
+        return a, b, object
+    return a, b, np.int64 if bound > _FLOAT64_EXACT else np.float64
 
 
 def checked_product(op, a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
-    """``op(a, b)`` on the tier ``narrow`` picks for sums of ``inner`` terms.
+    """``op(a, b, dtype)``, the product computed in the dtype ``narrow`` picks for sums of ``inner`` terms.
 
-    Int products come back int64 or as Python ints, not widened: a
+    ``op`` receives the factors as ``narrow`` returns them and must
+    multiply them in ``dtype`` into a fresh C-contiguous array.  Int
+    products come back int64 or as Python ints, not widened: a
     float64-tier product holds integers of magnitude at most 2**53 and
-    is cast back to int64 exactly.  Float factors multiply as they are.
+    is cast back to int64 exactly, inside the buffer ``op`` returned.
+    Float factors multiply as they are.
     """
-    na, nb = narrow(a, b, inner)
-    out = op(na, nb)
-    if na.dtype == np.float64 and a.dtype.kind != "f":
-        return out.astype(np.int64)
+    na, nb, dtype = narrow(a, b, inner)
+    out = op(na, nb, dtype)
+    if dtype is np.float64 and a.dtype.kind != "f":
+        flat = out.reshape(-1)
+        ints = flat.view(np.int64)
+        # A 1-D copy between equal itemsizes over the same memory runs in place.
+        np.copyto(ints, flat, casting="unsafe")
+        return ints.reshape(out.shape)
     return out
 
 
@@ -289,11 +301,12 @@ class Hypermatrix(_Frozen):
     product of the int kernel holds its int64 form (``_int64``,
     read-only) instead, so that the next product and comparisons skip the
     scan and the cast; ``data`` widens it on first read and keeps the
-    widened array.  Every other hypermatrix holds ``data`` and no int64
-    form.
+    widened array.  A constructor-built int value holds ``data`` until
+    its first product scans it once and keeps its int64 form beside it.
+    The hash is computed on first use and kept.
     """
 
-    __slots__ = ("dims", "_data", "kind", "_int64")
+    __slots__ = ("dims", "_data", "kind", "_int64", "_hash")
     _args = ("dims", "data", "kind")
 
     def __init__(self, dims, data, kind: str | None = None):
@@ -305,7 +318,7 @@ class Hypermatrix(_Frozen):
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
             flat = flat.copy()
-        self._fill(dims, flat, kind, None)
+        self._fill(dims, flat, kind, None, None)
 
     @property
     def data(self) -> np.ndarray:
@@ -317,8 +330,27 @@ class Hypermatrix(_Frozen):
         return self._data
 
     def _flat(self) -> np.ndarray:
-        """The int64 form when there is one, else ``data``: what products and comparisons read."""
+        """The int64 form when there is one, else ``data``: what gathers and comparisons read."""
         return self.data if self._int64 is None else self._int64
+
+    def _factor(self) -> np.ndarray:
+        """``_flat()`` as a product reads it: an int value's int64 form, made on first use.
+
+        The entries are cast to int64 and scanned once, and the form is
+        kept only after the scan passes: the cast alone would truncate a
+        float or a boolean, which the scan rejects with ``TypeError``, so
+        every later product raises too.  A value past int64 (or holding a
+        non-number) keeps nothing; ``narrow`` scans it for each product.
+        """
+        if self._int64 is None and self.kind == "int":
+            try:
+                form = self.data.astype(np.int64)
+            except (OverflowError, TypeError, ValueError):
+                return self.data
+            _checked_ints(self.data)
+            form.setflags(write=False)
+            object.__setattr__(self, "_int64", form)
+        return self._flat()
 
     # -- construction ------------------------------------------------
 
@@ -397,9 +429,11 @@ class Hypermatrix(_Frozen):
         )
 
     def __hash__(self):
-        # tolist() of an int64 form yields the Python ints data holds, so
-        # equal values hash alike whichever form holds them.
-        return hash((self.dims, self.kind, tuple(self._flat().tolist())))
+        if self._hash is None:
+            # tolist() of an int64 form yields the Python ints data holds, so
+            # equal values hash alike whichever form holds them.
+            object.__setattr__(self, "_hash", hash((self.dims, self.kind, tuple(self._flat().tolist()))))
+        return self._hash
 
     def __repr__(self):
         if self.size <= 8:
@@ -417,7 +451,7 @@ def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None) -> Hyperma
     flat = out.reshape(-1)
     h = object.__new__(Hypermatrix)
     if flat.dtype == np.int64 and kind == "int":
-        h._fill(dims, None, "int", flat)
+        h._fill(dims, None, "int", flat, None)
     else:
-        h._fill(dims, *as_scalars(flat, kind), None)
+        h._fill(dims, *as_scalars(flat, kind), None, None)
     return h

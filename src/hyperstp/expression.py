@@ -139,12 +139,15 @@ def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] |
     return _expression(_lay_out(a.data, a.dims, rows, cols), rows, cols, a.dims, a.kind)
 
 
-def _lay_out(flat: np.ndarray, dims, rows, cols) -> np.ndarray:
-    """Flat ID-order data as the matrix of a validated split ``rows`` x ``cols``."""
+def _lay_out(flat: np.ndarray, dims, rows, cols, dtype=None) -> np.ndarray:
+    """Flat ID-order data as the matrix of a validated split ``rows`` x ``cols``.
+
+    With ``dtype`` the entries are cast in the same copy.
+    """
     s = math.prod(dims[r - 1] for r in rows)
     t = math.prod(dims[c - 1] for c in cols)
     axes = [ax - 1 for ax in rows + cols]
-    return np.ascontiguousarray(np.transpose(flat.reshape(dims), axes)).reshape(s, t)
+    return np.ascontiguousarray(np.transpose(flat.reshape(dims), axes), dtype).reshape(s, t)
 
 
 def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:

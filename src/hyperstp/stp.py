@@ -11,8 +11,9 @@ whole product on binary64, and integer data stays exact.  Products run
 through ``np.matmul``, so float results follow its summation order; int
 products go through ``core.checked_product`` with the lcm t as the inner
 length, so ``core.narrow`` picks the tier from ``max|a| * max|b| * t``:
-float64 BLAS up to 2**53, int64 up to 2**63 - 1, Python ints past that.
-The public products return Python ints.  ``vec_oplus`` is a sum, which
+float64 BLAS up to 2**53 (the block result cast back to int64 in its own
+buffer), int64 up to 2**63 - 1, Python ints past that.  The public
+products return Python ints.  ``vec_oplus`` is a sum, which
 that bound does not cover, so it stays on Python ints.
 """
 
@@ -70,10 +71,10 @@ def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_budget(max(m * t, t * q, m * al * q * be), f"semi-tensor product of {a.shape} and {b.shape}")
     k = al * be
 
-    def blocks(a, b):
-        ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
-        gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
-        out = np.zeros((m, al, q, be), dtype=a.dtype)
+    def blocks(a, b, dtype):
+        ga = np.repeat(a.astype(dtype, copy=False), al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
+        gb = np.repeat(b.astype(dtype, copy=False), be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
+        out = np.zeros((m, al, q, be), dtype=dtype)
         out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
         return out.reshape(m * al, q * be)
 

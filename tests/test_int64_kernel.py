@@ -9,10 +9,13 @@ past that.  Each case sits on one side of a bound; results are always
 always falls back cannot pass.  A contraction result keeps the kernel's
 int64 product as its int64 form alone, which the next product of a chain
 reads without a scan, comparisons read in numpy, and ``data`` widens on
-first read.
+first read; a constructor-built input keeps the int64 form its first
+product scans.  A float64-tier product is cast back in its own buffer,
+and an n = 6 Yang-Baxter side holds three result-sized arrays at most.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +28,14 @@ from hyperstp import (
     contract,
     contract_bruteforce,
     contract_via_expression,
+    matrix_expression,
     mm_stp,
     mv_stp,
     sigma_transpose,
     sigma_transpose_via_perm,
     stp_inner,
     vv_stp,
+    ybe_residual,
     ybe_sides,
 )
 from hyperstp import core
@@ -77,16 +82,16 @@ def python_ints(values) -> bool:
 
 def test_bound_exactly_int64_max_takes_int64(dots):
     assert 7 * A * B == INT64_MAX
-    a, b = narrow(ints([A] * 7), ints([B] * 7), 7)
-    assert a.dtype == b.dtype == np.int64
+    *_, tier = narrow(ints([A] * 7), ints([B] * 7), 7)
+    assert tier == np.int64
     out = mm_stp(ints([A] * 7).reshape(1, 7), ints([B] * 7).reshape(7, 1))
     assert dots == [(np.int64, np.int64)]
     assert out[0, 0] == INT64_MAX and python_ints(out)
 
 
 def test_bound_reaching_2_63_stays_on_python_ints(dots):
-    a, b = narrow(ints([2 ** 31] * 2), ints([2 ** 31] * 2), 2)
-    assert a.dtype == b.dtype == object
+    *_, tier = narrow(ints([2 ** 31] * 2), ints([2 ** 31] * 2), 2)
+    assert tier == object
     out = vv_stp(ints([2 ** 31] * 2), ints([2 ** 31] * 2))
     assert dots == [(object, object)]
     assert out == 2 ** 63 and type(out) is int
@@ -100,16 +105,16 @@ def test_operand_beyond_int64_stays_on_python_ints(dots):
 
 def test_negative_extremes_count_toward_the_bound():
     # |min| of an int64 array is 2**63, beyond int64 itself.
-    a, b = narrow(ints([-(2 ** 63)]), ints([1]), 1)
-    assert a.dtype == object
-    a, b = narrow(ints([-(2 ** 62)]), ints([-1]), 1)
-    assert a.dtype == np.int64
+    *_, tier = narrow(ints([-(2 ** 63)]), ints([1]), 1)
+    assert tier == object
+    *_, tier = narrow(ints([-(2 ** 62)]), ints([-1]), 1)
+    assert tier == np.int64
 
 
 def test_float_factors_pass_through_untouched():
     a, b = np.ones((2, 3)), np.ones((3, 2))
-    na, nb = narrow(a, b, 3)
-    assert na is a and nb is b
+    na, nb, tier = narrow(a, b, 3)
+    assert na is a and nb is b and tier == np.float64
     out = np.dot(a, b)
     assert widen(out) is out
     assert widen(2 ** 70) == 2 ** 70
@@ -138,8 +143,8 @@ def rand_ints(rng, *shape):
 )
 def test_each_bound_takes_its_tier(dots, a, b, inner, tier):
     assert len(a) == inner
-    na, nb = narrow(ints(a), ints(b), inner)
-    assert na.dtype == nb.dtype == tier
+    *_, got = narrow(ints(a), ints(b), inner)
+    assert got == tier
     want = sum(x * y for x, y in zip(a, b))
     out = mm_stp(ints(a).reshape(1, -1), ints(b).reshape(-1, 1))
     assert dots == [(tier, tier)]
@@ -210,12 +215,15 @@ def test_int64_form_is_read_only_and_equals_data(rng):
     with pytest.raises(ValueError):
         form[0] = 1
     assert form.tolist() == list(out.data) and python_ints(out.data)
-    assert a._int64 is None and b._int64 is None
-    # Python-int and float products hold no int64 form.
+    # The product scanned each constructor-built input once and kept its int64 form.
+    for h in (a, b):
+        assert h._int64.dtype == np.int64 and not h._int64.flags.writeable
+        assert h._int64.tolist() == h.data.tolist() and python_ints(h.data)
+    # Python-int and float products hold no int64 form; float inputs keep none.
     big = Hypermatrix.from_flat((2,), [BIG, BIG])
     assert contract_via_expression(big, big, (1,), (1,))._int64 is None
     floats = Hypermatrix.from_flat((2,), [1.5, 2.0])
-    assert contract_via_expression(floats, floats, (1,), (1,))._int64 is None
+    assert contract_via_expression(floats, floats, (1,), (1,))._int64 is None and floats._int64 is None
 
 
 def test_int64_form_past_the_bound_falls_back_to_python_ints(dots):
@@ -274,6 +282,24 @@ def test_equal_values_hash_alike_whichever_form_they_hold(rng):
     assert floats[0] == floats[1] and hash(floats[0]) == hash(floats[1])
     past = [Hypermatrix.from_flat((2,), [2 ** 70, -1]) for _ in range(2)]
     assert past[0] == past[1] and hash(past[0]) == hash(past[1])
+
+
+def test_a_second_hash_reads_no_data(rng, monkeypatch):
+    a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+    values = [
+        contract(a, b, (2, 3), (1, 2)),
+        contract_bruteforce(a, b, (2, 3), (1, 2)),
+        Hypermatrix.from_flat((2,), [2 ** 70, -1]),
+        Hypermatrix.from_flat((2,), [0.5, 1.5], "float"),
+    ]
+    first = [hash(h) for h in values]
+
+    def unread(*_):
+        raise AssertionError("hash read the entries again")
+
+    monkeypatch.setattr(Hypermatrix, "_flat", unread)
+    monkeypatch.setattr(Hypermatrix, "data", property(unread))
+    assert [hash(h) for h in values] == first
 
 
 @st.composite
@@ -344,12 +370,95 @@ def scans(monkeypatch):
 
 
 def test_chained_products_scan_their_inputs_only(rng, scans):
-    r = random_hm(rng, (6,) * 4)
-    for side in ("lhs", "rhs"):
+    # r is scanned exactly once across the residual, and once across both sides.
+    for method in ("matrix", "stp"):
+        r = random_hm(rng, (6,) * 4)
         scans.clear()
-        ybe_sides(YbeInstance(6, r), side)
-        assert scans and set(scans) == {r.size}, side
+        ybe_residual(YbeInstance(6, r), method)
+        assert scans == [r.size], method
+        r = random_hm(rng, (6,) * 4)
+        scans.clear()
+        for side in ("lhs", "rhs"):
+            ybe_sides(YbeInstance(6, r), side, method)
+        assert scans == [r.size], method
     a, b, c = random_hm(rng, (3,) * 6), random_hm(rng, (3, 3)), random_hm(rng, (3, 3))
     scans.clear()
     binary_apply(a, b, c)
-    assert scans and set(scans) <= {a.size, b.size}
+    assert sorted(scans) == sorted([a.size, b.size, c.size])
+    # A value past int64 keeps nothing, so each product scans it once more.
+    past, small = Hypermatrix.from_flat((3,), [2 ** 63, 1, 1]), Hypermatrix.from_flat((2,), [1, 1])
+    scans.clear()
+    contract(past, small, (), ())
+    contract(past, small, (), ())
+    assert scans == [small.size, past.size, past.size]
+
+
+def test_gathers_transposes_and_equality_scan_nothing(rng, scans):
+    a = random_hm(rng, (2, 3, 4))
+    same = Hypermatrix(a.dims, list(a.data))
+    scans.clear()
+    sigma_transpose_via_perm(a, (3, 1, 2))
+    sigma_transpose(a, (2, 3, 1))
+    matrix_expression(a, rows=(3, 1))
+    assert a == same
+    assert scans == [] and a._int64 is None
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)], ids=["float", "bool", "np.float64"])
+def test_a_failed_scan_keeps_nothing_so_every_product_raises(bad):
+    a = Hypermatrix((3,), np.array([2, bad, 4], dtype=object))
+    assert a.kind == "int"  # taken unscanned at the boundary
+    b = Hypermatrix.from_flat((3,), [1, 1, 1])
+    for _ in range(2):
+        for method in ("expression", "stp"):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(TypeError, match="at position 2"):
+                    contract(x, y, (1,), (1,), method)
+        assert a._int64 is None
+
+
+def test_a_value_past_int64_keeps_nothing_and_stays_exact(dots):
+    past = Hypermatrix.from_flat((2,), [2 ** 63, -3])
+    small = Hypermatrix.from_flat((2,), [1, 2])
+    for _ in range(2):
+        for method in ("expression", "stp"):
+            dots.clear()
+            assert contract(past, small, (1,), (1,), method).to_scalar() == 2 ** 63 - 6
+            assert contract(small, past, (1,), (1,), method).to_scalar() == 2 ** 63 - 6
+            assert dots == [(object, object)] * 2
+        assert past._int64 is None and python_ints(past.data)
+    assert small._int64 is not None and small._int64.tolist() == [1, 2]
+
+
+def test_a_float64_tier_product_is_cast_back_in_its_own_buffer(rng, monkeypatch):
+    products = []
+
+    def spy(real):
+        def record(*args):
+            products.append(real(*args))
+            return products[-1]
+
+        return record
+
+    monkeypatch.setattr(np, "dot", spy(np.dot))
+    a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+    out = contract_via_expression(a, b, (2, 3), (1, 2))
+    assert [p.dtype for p in products] == [np.float64]
+    assert out._int64.dtype == np.int64 and np.shares_memory(out._int64, products[0])
+    assert out == contract_bruteforce(a, b, (2, 3), (1, 2))
+
+
+@pytest.mark.parametrize("side, budget", [("lhs", 3.25), ("rhs", 3.25), ("residual", 4.25)])
+def test_an_n6_yang_baxter_product_stays_within_its_allocation_budget(rng, side, budget):
+    # In results of 6**6 int64 entries: t, one operand laid out in the
+    # tier's dtype and the product cast back in its own buffer make three;
+    # the residual also holds the first side.
+    inst = YbeInstance(6, random_hm(rng, (6,) * 4))
+    run = (lambda: ybe_residual(inst)) if side == "residual" else (lambda: ybe_sides(inst, side))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget * 6 ** 6 * 8
