@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix, _magnitude, as_scalars_joint
+from .core import _INT64_MAX, Hypermatrix, as_scalars_joint
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, matrix_expression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -212,11 +212,12 @@ def ybe_residual(inst: YbeInstance, method: str = "matrix"):
     """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``.
 
     The sides share ``t``.  When both hold int64 forms whose difference
-    cannot wrap (``max|lhs| + max|rhs| <= 2**63 - 1``), it is taken in
-    int64 and returned as a Python int; otherwise over ``data``.
+    cannot wrap (``max|lhs| + max|rhs| <= 2**63 - 1``, read from their
+    kept magnitudes), it is taken in int64 and returned as a Python int;
+    otherwise over ``data``.
     """
     lhs, rhs = _ybe_sides(inst.r, ("lhs", "rhs"), method)
-    a, b = lhs._flat(), rhs._flat()
-    if a.dtype == b.dtype == np.int64 and _magnitude(a) + _magnitude(b) <= _INT64_MAX:
-        return int(np.abs(a - b).max())
+    ma, mb = lhs._max_abs(), rhs._max_abs()
+    if ma is not None and mb is not None and ma + mb <= _INT64_MAX:
+        return int(np.abs(lhs._int64 - rhs._int64).max())
     return np.abs(lhs.data - rhs.data).max()

@@ -16,8 +16,13 @@ tier's dtype; a float64 product is cast back to int64 in its own
 buffer.  An int64 product is kept as the result's int64 form alone, a
 constructor-built operand keeps the int64 form its first product scans
 once, and the next product on either route reads that form instead of
-scanning and re-casting ``data``, which widens only when read.
-``contract`` is the one table
+scanning and re-casting ``data``, which widens only when read; each
+value's ``max|v|`` is kept too, so no product measures it twice.  What a
+pairing fixes whatever the values (the checked axes, the output dims,
+the inner size and both operands' transpose orders and matrix shapes)
+is planned once per (dims, dims, axes, axes) key by ``_plan`` and kept
+in a bounded memo, so a small product pays for its arithmetic, not for
+re-deriving its layout.  ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation by
@@ -26,14 +31,15 @@ semi-tensor chains complete the module.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Hypermatrix, _result, check_dims, checked_product, same_kind
-from .expression import MatrixExpression, _lay_out, matrix_expression
+from .expression import MatrixExpression, _laid_out, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
@@ -50,33 +56,70 @@ def _check_axes(label: str, order: int, axes: Sequence[int]) -> tuple[int, ...]:
     return axes
 
 
-def check_contraction_spec(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes):
-    """Validate a pairing of axes of ``a`` against axes of ``b``."""
-    a_axes = _check_axes("first", a.order, a_axes)
-    b_axes = _check_axes("second", b.order, b_axes)
+class _Plan(NamedTuple):
+    """What a pairing fixes whatever the values: the checked axes, the output, both layouts.
+
+    ``a_order``/``b_order`` are the 0-based transpose orders that put a's
+    free axes before its paired ones and b's paired axes before its free
+    ones; ``a_shape``/``b_shape`` are the matrices they lay out as.
+    """
+
+    a_axes: tuple[int, ...]
+    b_axes: tuple[int, ...]
+    a_free: tuple[int, ...]
+    b_free: tuple[int, ...]
+    out_dims: tuple[int, ...]
+    inner: int
+    a_order: tuple[int, ...]
+    a_shape: tuple[int, int]
+    b_order: tuple[int, ...]
+    b_shape: tuple[int, int]
+
+
+@functools.lru_cache(maxsize=512)
+def _plan(a_dims: tuple[int, ...], b_dims: tuple[int, ...], a_axes: tuple, b_axes: tuple) -> _Plan:
+    """The checked plan of pairing ``a_axes`` of ``a_dims`` with ``b_axes`` of ``b_dims``.
+
+    Built once per key and kept (at most 512 keys); an invalid pairing
+    raises on every call and is never kept.
+    """
+    a_axes = _check_axes("first", len(a_dims), a_axes)
+    b_axes = _check_axes("second", len(b_dims), b_axes)
     if len(a_axes) != len(b_axes):
         raise ValueError(f"{len(a_axes)} axes paired with {len(b_axes)}")
     for t, (ax, bx) in enumerate(zip(a_axes, b_axes), start=1):
-        if a.dims[ax - 1] != b.dims[bx - 1]:
+        if a_dims[ax - 1] != b_dims[bx - 1]:
             raise ValueError(
-                f"pair {t} contracts axis {ax} (dim {a.dims[ax - 1]}) with axis {bx} (dim {b.dims[bx - 1]})"
+                f"pair {t} contracts axis {ax} (dim {a_dims[ax - 1]}) with axis {bx} (dim {b_dims[bx - 1]})"
             )
+    a_free = _free_axes(len(a_dims), a_axes)
+    b_free = _free_axes(len(b_dims), b_axes)
+    rows = tuple(a_dims[x - 1] for x in a_free)
+    cols = tuple(b_dims[x - 1] for x in b_free)
+    inner = math.prod(a_dims[x - 1] for x in a_axes)
+    return _Plan(
+        a_axes, b_axes, a_free, b_free, rows + cols, inner,
+        tuple(x - 1 for x in a_free + a_axes), (math.prod(rows), inner),
+        tuple(x - 1 for x in b_axes + b_free), (inner, math.prod(cols)),
+    )
+
+
+def _layout(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> _Plan:
+    """The plan of a pairing of ``a``'s axes with ``b``'s; then the scalar kinds must match."""
+    plan = _plan(a.dims, b.dims, tuple(a_axes), tuple(b_axes))
     same_kind(a, b)
-    return a_axes, b_axes
+    return plan
+
+
+def check_contraction_spec(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes):
+    """Validate a pairing of axes of ``a`` against axes of ``b``."""
+    plan = _layout(a, b, a_axes, b_axes)
+    return plan.a_axes, plan.b_axes
 
 
 def _free_axes(order: int, axes: Sequence[int]) -> tuple[int, ...]:
     taken = set(axes)
     return tuple(k for k in range(1, order + 1) if k not in taken)
-
-
-def _layout(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes):
-    """Checked pairing, both free-axis tuples, and the output dims (a's free, then b's)."""
-    a_axes, b_axes = check_contraction_spec(a, b, a_axes, b_axes)
-    a_free = _free_axes(a.order, a_axes)
-    b_free = _free_axes(b.order, b_axes)
-    out_dims = tuple(a.dims[x - 1] for x in a_free) + tuple(b.dims[x - 1] for x in b_free)
-    return a_axes, b_axes, a_free, b_free, out_dims
 
 
 def _strides(dims: tuple[int, ...]) -> list[int]:
@@ -94,13 +137,14 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
     ID order.  No paired axes gives the outer product; pairing all axes
     of both gives an order-0 scalar.
     """
-    a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
+    plan = _layout(a, b, a_axes, b_axes)
+    a_free, b_free = plan.a_free, plan.b_free
     sa, sb = _strides(a.dims), _strides(b.dims)
     af_str = [sa[x - 1] for x in a_free]
     bf_str = [sb[x - 1] for x in b_free]
-    ac_str = [sa[x - 1] for x in a_axes]
-    bc_str = [sb[x - 1] for x in b_axes]
-    ell = [a.dims[x - 1] for x in a_axes]
+    ac_str = [sa[x - 1] for x in plan.a_axes]
+    bc_str = [sb[x - 1] for x in plan.b_axes]
+    ell = [a.dims[x - 1] for x in plan.a_axes]
     con = [
         (sum(k * s for k, s in zip(ks, ac_str)), sum(k * s for k, s in zip(ks, bc_str)))
         for ks in product(*(range(n) for n in ell))
@@ -116,7 +160,7 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
         for oa, ob in con:
             acc += da[a_base + oa] * db[b_base + ob]
         out.append(acc)
-    return Hypermatrix(out_dims, out, a.kind)
+    return Hypermatrix(plan.out_dims, out, a.kind)
 
 
 def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
@@ -124,18 +168,20 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
 
     Flattens ``a`` with its free axes as rows and the paired axes (in
     listed order) as columns, ``b`` the other way round, multiplies, and
-    reads the product off as the output's row-major data.  The tier is
-    picked from the operands' int64 forms (``Hypermatrix._factor``) and
-    each is laid out straight in the tier's dtype; an int64 product is
-    kept as the result's int64 form.
+    reads the product off as the output's row-major data.  The pairing's
+    plan (``_plan``) gives both layouts; the tier is picked from the
+    operands' int64 forms and kept magnitudes (``Hypermatrix._factor``,
+    ``Hypermatrix._max_abs``) and each is laid out straight in the tier's
+    dtype; an int64 product is kept as the result's int64 form.
     """
-    a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
+    p = _layout(a, b, a_axes, b_axes)
 
     def dot(fa, fb, dtype):
-        return np.dot(_lay_out(fa, a.dims, a_free, a_axes, dtype), _lay_out(fb, b.dims, b_axes, b_free, dtype))
+        fa = _laid_out(fa, a.dims, p.a_order, p.a_shape, dtype)
+        return np.dot(fa, _laid_out(fb, b.dims, p.b_order, p.b_shape, dtype))
 
-    inner = math.prod(a.dims[x - 1] for x in a_axes)
-    return _result(out_dims, checked_product(dot, a._factor(), b._factor(), inner), a.kind)
+    out = checked_product(dot, a._factor(), b._factor(), p.inner, a._max_abs(), b._max_abs())
+    return _result(p.out_dims, out, a.kind)
 
 
 def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
@@ -144,13 +190,13 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     ``M_A`` is a's data re-laid to ``a_free + a_axes`` with one row per
     free index, ``V(B)`` b's data re-laid to ``b_axes + b_free`` as one
     column; their product is the output data, already in order.  Like
-    the expression route, it reads and keeps int64 forms.
+    the expression route, it reads and keeps int64 forms, and the gathers
+    keep their sources' magnitudes.
     """
-    a_axes, b_axes, a_free, b_free, out_dims = _layout(a, b, a_axes, b_axes)
-    k = math.prod(a.dims[x - 1] for x in a_axes)
-    m_a = perm_gather(a._factor(), a.dims, Permutation(a_free + a_axes)).reshape(-1, k)
-    v_b = perm_gather(b._factor(), b.dims, Permutation(b_axes + b_free)).reshape(-1, 1)
-    return _result(out_dims, _stp_dot(m_a, v_b), a.kind)
+    p = _layout(a, b, a_axes, b_axes)
+    m_a = perm_gather(a._factor(), a.dims, Permutation(p.a_free + p.a_axes)).reshape(p.a_shape)
+    v_b = perm_gather(b._factor(), b.dims, Permutation(p.b_axes + p.b_free)).reshape(-1, 1)
+    return _result(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
 
 
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:

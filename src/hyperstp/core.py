@@ -28,7 +28,11 @@ come through one trusted path, ``_result``: the scalar policy, no
 validation, no copy, and an int64 product kept as the read-only int64
 form alone.  A constructor-built int value gets the same form from its
 first product, which scans its entries once (``Hypermatrix._factor``);
-gathers, transposes and comparisons never scan.  ``narrow`` takes an
+gathers, transposes and comparisons never scan.  A value with an int64
+form also keeps ``max|v|`` of it from its first product
+(``Hypermatrix._max_abs``), which ``checked_product`` hands to
+``narrow``, so a value is measured once however many products read it;
+a gather passes its source's on.  ``narrow`` takes an
 int64 form without a scan or a cast, comparisons read it in numpy, and
 ``Hypermatrix.data`` widens it to Python ints only when first read, so a
 chain of products never round-trips through Python ints.
@@ -202,7 +206,9 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
-def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray, type]:
+def narrow(
+    a: np.ndarray, b: np.ndarray, inner: int, ma: int | None = None, mb: int | None = None
+) -> tuple[np.ndarray, np.ndarray, type]:
     """Both factors of a product, and the narrowest scalar type that keeps it exact.
 
     For int factors whose products sum ``inner`` terms at most, the bound
@@ -217,10 +223,12 @@ def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.nda
     This is the only place a tier is chosen.  Object entries are scanned
     once, so a float or a boolean raises ``TypeError`` instead of
     truncating; an int64 factor (a kept int64 form) is taken without a
-    scan but still counts toward the bound.  Int factors come back int64
-    or as Python ints, not yet in the tier's dtype: the caller lays them
-    out in that dtype, so the cast costs no pass of its own.  Float
-    factors come back untouched, with float64.
+    scan but still counts toward the bound.  ``ma`` and ``mb`` are
+    ``max|a|`` and ``max|b|`` of int64 factors whose value keeps them
+    (``Hypermatrix._max_abs``); a factor without one is measured here.
+    Int factors come back int64 or as Python ints, not yet in the tier's
+    dtype: the caller lays them out in that dtype, so the cast costs no
+    pass of its own.  Float factors come back untouched, with float64.
     """
     if a.dtype.kind == "f" or b.dtype.kind == "f":
         return a, b, np.float64
@@ -230,13 +238,15 @@ def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.nda
         a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     except OverflowError:
         return a, b, object
-    bound = _magnitude(a) * _magnitude(b) * inner
+    bound = (_magnitude(a) if ma is None else ma) * (_magnitude(b) if mb is None else mb) * inner
     if bound > _INT64_MAX:
         return a, b, object
     return a, b, np.int64 if bound > _FLOAT64_EXACT else np.float64
 
 
-def checked_product(op, a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
+def checked_product(
+    op, a: np.ndarray, b: np.ndarray, inner: int, ma: int | None = None, mb: int | None = None
+) -> np.ndarray:
     """``op(a, b, dtype)``, the product computed in the dtype ``narrow`` picks for sums of ``inner`` terms.
 
     ``op`` receives the factors as ``narrow`` returns them and must
@@ -244,9 +254,10 @@ def checked_product(op, a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
     products come back int64 or as Python ints, not widened: a
     float64-tier product holds integers of magnitude at most 2**53 and
     is cast back to int64 exactly, inside the buffer ``op`` returned.
-    Float factors multiply as they are.
+    Float factors multiply as they are.  ``ma`` and ``mb`` are the
+    factors' kept magnitudes, if any, handed to ``narrow``.
     """
-    na, nb, dtype = narrow(a, b, inner)
+    na, nb, dtype = narrow(a, b, inner, ma, mb)
     out = op(na, nb, dtype)
     if dtype is np.float64 and a.dtype.kind != "f":
         flat = out.reshape(-1)
@@ -277,12 +288,17 @@ class _Frozen:
     __slots__ = ()
     _args: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The slots' own setters, so that a write looks up no name.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _fill(self, *values):
         """Write the slots in ``__slots__`` order; array values become read-only."""
-        for name, value in zip(self.__slots__, values):
+        for put, value in zip(self._setters, values):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            put(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -303,10 +319,11 @@ class Hypermatrix(_Frozen):
     scan and the cast; ``data`` widens it on first read and keeps the
     widened array.  A constructor-built int value holds ``data`` until
     its first product scans it once and keeps its int64 form beside it.
-    The hash is computed on first use and kept.
+    ``max |v|`` of the int64 form (``_max``) and the hash are computed on
+    first use and kept.
     """
 
-    __slots__ = ("dims", "_data", "kind", "_int64", "_hash")
+    __slots__ = ("dims", "_data", "kind", "_int64", "_max", "_hash")
     _args = ("dims", "data", "kind")
 
     def __init__(self, dims, data, kind: str | None = None):
@@ -318,7 +335,7 @@ class Hypermatrix(_Frozen):
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
             flat = flat.copy()
-        self._fill(dims, flat, kind, None, None)
+        self._fill(dims, flat, kind, None, None, None)
 
     @property
     def data(self) -> np.ndarray:
@@ -351,6 +368,16 @@ class Hypermatrix(_Frozen):
             form.setflags(write=False)
             object.__setattr__(self, "_int64", form)
         return self._flat()
+
+    def _max_abs(self) -> int | None:
+        """``max |v|`` of the int64 form, kept on first use; None without one.
+
+        Every product of the value hands it to ``narrow``, so the value is
+        measured once, however many products read it.
+        """
+        if self._max is None and self._int64 is not None:
+            object.__setattr__(self, "_max", _magnitude(self._int64))
+        return self._max
 
     # -- construction ------------------------------------------------
 
@@ -441,17 +468,18 @@ class Hypermatrix(_Frozen):
         return f"Hypermatrix(dims={self.dims}, size={self.size}, kind={self.kind!r})"
 
 
-def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None) -> Hypermatrix:
+def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None, max_abs: int | None = None) -> Hypermatrix:
     """A library result from a fresh array ``out`` of ``dims``' size, neither checked nor copied.
 
     The scalar policy applies (float results must be finite).  An int64
     product is kept as the read-only int64 form alone; ``data`` widens it
-    when first read.
+    when first read.  A gather passes its source's kept ``max_abs``,
+    which holds for the gathered entries too.
     """
     flat = out.reshape(-1)
     h = object.__new__(Hypermatrix)
     if flat.dtype == np.int64 and kind == "int":
-        h._fill(dims, None, "int", flat, None)
+        h._fill(dims, None, "int", flat, max_abs, None)
     else:
-        h._fill(dims, *as_scalars(flat, kind), None, None)
+        h._fill(dims, *as_scalars(flat, kind), None, None, None)
     return h

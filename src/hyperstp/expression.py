@@ -74,7 +74,7 @@ def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[ax - 1] for ax in sigma.image)
-    return _result(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind)
+    return _result(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind, a._max)
 
 
 def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
@@ -85,7 +85,7 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
-    return _result(dims, perm_gather(a._flat(), a.dims, sigma), a.kind)
+    return _result(dims, perm_gather(a._flat(), a.dims, sigma), a.kind, a._max)
 
 
 # -- matrix expressions ------------------------------------------------
@@ -146,8 +146,12 @@ def _lay_out(flat: np.ndarray, dims, rows, cols, dtype=None) -> np.ndarray:
     """
     s = math.prod(dims[r - 1] for r in rows)
     t = math.prod(dims[c - 1] for c in cols)
-    axes = [ax - 1 for ax in rows + cols]
-    return np.ascontiguousarray(np.transpose(flat.reshape(dims), axes), dtype).reshape(s, t)
+    return _laid_out(flat, dims, [ax - 1 for ax in rows + cols], (s, t), dtype)
+
+
+def _laid_out(flat: np.ndarray, dims, axes, shape, dtype=None) -> np.ndarray:
+    """``_lay_out`` with the split given as 0-based transpose ``axes`` and the matrix ``shape``."""
+    return np.ascontiguousarray(flat.reshape(dims).transpose(axes), dtype).reshape(shape)
 
 
 def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:

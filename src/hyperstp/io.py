@@ -23,6 +23,8 @@ class DocumentError(ValueError):
 
 
 _HM_FIELDS = {"shape", "data", "scalar_kind"}
+# JSON numbers parse to exactly these types, so a set of types decides a data list.
+_DATA_TYPES = {"int": {int}, "float": {int, float}}
 
 
 def dumps_hm(a: Hypermatrix) -> str:
@@ -61,13 +63,15 @@ def loads_hm(text: str) -> Hypermatrix:
     data = doc["data"]
     if not isinstance(data, list):
         raise DocumentError("field 'data' must be a list")
-    for pos, v in enumerate(data, start=1):
-        if isinstance(v, bool):
-            raise DocumentError(f"field 'data' position {pos}: booleans are not scalars")
-        if kind == "int" and not isinstance(v, int):
-            raise DocumentError(f"field 'data' position {pos}: {v!r} is not an integer")
-        if kind == "float" and not isinstance(v, (int, float)):
-            raise DocumentError(f"field 'data' position {pos}: {v!r} is not a number")
+    # One pass over the types; only a bad type runs the loop that names the first bad value.
+    if not set(map(type, data)) <= _DATA_TYPES[kind]:
+        for pos, v in enumerate(data, start=1):
+            if isinstance(v, bool):
+                raise DocumentError(f"field 'data' position {pos}: booleans are not scalars")
+            if kind == "int" and not isinstance(v, int):
+                raise DocumentError(f"field 'data' position {pos}: {v!r} is not an integer")
+            if kind == "float" and not isinstance(v, (int, float)):
+                raise DocumentError(f"field 'data' position {pos}: {v!r} is not a number")
     try:
         return Hypermatrix(shape, data, kind)
     except (ValueError, OverflowError) as exc:

@@ -12,9 +12,12 @@ through ``np.matmul``, so float results follow its summation order; int
 products go through ``core.checked_product`` with the lcm t as the inner
 length, so ``core.narrow`` picks the tier from ``max|a| * max|b| * t``:
 float64 BLAS up to 2**53 (the block result cast back to int64 in its own
-buffer), int64 up to 2**63 - 1, Python ints past that.  The public
-products return Python ints.  ``vec_oplus`` is a sum, which
-that bound does not cover, so it stays on Python ints.
+buffer), int64 up to 2**63 - 1, Python ints past that.  When the right
+factor needs no identity padding (n divides p), every block multiplies
+the left factor itself and the product is one matrix product, with
+nothing repeated.  The public products return Python ints.
+``vec_oplus`` is a sum, which that bound does not cover, so it stays on
+Python ints.
 """
 
 from __future__ import annotations
@@ -57,13 +60,16 @@ def _check_budget(entries: int, what: str) -> None:
         raise OverflowError(f"{what} has {entries} entries, above the budget of {MAX_PAD_ENTRIES}")
 
 
-def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None = None) -> np.ndarray:
     """``(a kron I_α) @ (b kron I_β)``, not widened; t = lcm(n, p), α = t/n, β = t/p.
 
     α and β are coprime, so inner index s feeds only block (s mod α, s mod β):
     ``a[:, s // α]`` and ``b[s // β]``, split by s mod αβ, give every block in
-    one batched product.  Inner length t also bounds the vector products' sums,
-    so an int product comes back as int64 or Python ints (``checked_product``).
+    one batched product.  With β = 1 every block multiplies ``a`` itself, by
+    b's rows s ≡ u (mod α) for block u, so the product is one ``a @ b`` with b
+    read as n × (α q), no repeat built.  Inner length t also bounds the vector
+    products' sums, so an int product comes back as int64 or Python ints
+    (``checked_product``, with the kept magnitudes ``ma`` and ``mb``).
     """
     (m, n), (p, q) = a.shape, b.shape
     t = _checked_lcm(n, p)
@@ -72,13 +78,16 @@ def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = al * be
 
     def blocks(a, b, dtype):
-        ga = np.repeat(a.astype(dtype, copy=False), al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
-        gb = np.repeat(b.astype(dtype, copy=False), be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        if be == 1:
+            return np.matmul(a, b.reshape(n, al * q)).reshape(m * al, q)
+        ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
+        gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
         out = np.zeros((m, al, q, be), dtype=dtype)
         out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
         return out.reshape(m * al, q * be)
 
-    return checked_product(blocks, a, b, t)
+    return checked_product(blocks, a, b, t, ma, mb)
 
 
 def _checked_lcm(n: int, p: int) -> int:

@@ -1,9 +1,11 @@
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hyperstp.contraction as contraction
 from hyperstp import (
     Hypermatrix,
     binary_apply,
@@ -182,6 +184,89 @@ def test_every_route_matches_the_oracle_on_float(case):
     brute = contract_bruteforce(a, b, a_axes, b_axes)
     for method in ("expression", "stp"):
         assert contract(a, b, a_axes, b_axes, method).approx_equal(brute, 1e-9)
+
+
+# -- one plan per (dims, axes) key --------------------------------------------
+
+# Axes as callers pass them; the plan's memo must key them all alike.
+AXES_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "np.int64 entries": lambda axes: [np.int64(x) for x in axes],
+    "np.int64 array": lambda axes: np.array(axes, dtype=np.int64),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairings(), st.sampled_from(sorted(AXES_FORMS)))
+def test_a_cold_then_a_warm_plan_equals_the_oracle(case, form):
+    a, b, a_axes, b_axes = case
+    brute = contract_bruteforce(a, b, a_axes, b_axes)
+    as_form = AXES_FORMS[form]
+    contraction._plan.cache_clear()
+    for memo in ("cold", "warm"):
+        for method in ("expression", "stp"):
+            assert contract(a, b, as_form(a_axes), as_form(b_axes), method) == brute, (memo, method)
+
+
+def test_plans_tell_apart_the_second_operand_and_the_axis_order(rng):
+    # Each case shares a's dims and a key part with the one before it.
+    a = random_hm(rng, (2, 3, 2))
+    cases = [
+        (random_hm(rng, (3, 4)), (2,), (1,)),
+        (random_hm(rng, (3, 5)), (2,), (1,)),
+        (random_hm(rng, (2, 2, 5)), (1, 3), (1, 2)),
+        (random_hm(rng, (2, 2, 5)), (3, 1), (1, 2)),
+        (random_hm(rng, (2, 2, 5)), (1, 3), (2, 1)),
+    ]
+    contraction._plan.cache_clear()
+    for _ in range(2):
+        for b, a_axes, b_axes in cases:
+            for method in ("expression", "stp"):
+                assert contract(a, b, a_axes, b_axes, method) == contract_oracle(a, b, a_axes, b_axes)
+    with pytest.raises(ValueError, match="pair 1"):
+        contract(a, random_hm(rng, (4, 5)), (2,), (1,))
+
+
+@pytest.mark.parametrize(
+    "a_axes, b_axes, message",
+    [
+        ((1,), (1,), "pair 1 contracts axis 1 (dim 2) with axis 1 (dim 3)"),
+        ((1, 1), (2, 1), "duplicate axis in first axes (1, 1)"),
+        ((3,), (1,), "first axis 3 out of range 1..2"),
+        ((2,), (0,), "second axis 0 out of range 1..2"),
+        ((1,), (2, 1), "1 axes paired with 2"),
+    ],
+)
+def test_an_invalid_pairing_raises_alike_every_time_and_is_never_kept(rng, a_axes, b_axes, message):
+    a, b = random_hm(rng, (2, 3)), random_hm(rng, (3, 2))
+    contraction._plan.cache_clear()
+    for _ in range(2):
+        for method in ("expression", "stp", "bruteforce"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                contract(a, b, a_axes, b_axes, method)
+        assert contraction._plan.cache_info().currsize == 0
+
+
+def test_a_bad_axis_is_reported_before_a_kind_mismatch(rng):
+    a, b = random_hm(rng, (2, 3)), random_hm(rng, (3, 2))
+    other = random_hm(rng, (3, 2), kind="float")
+    with pytest.raises(ValueError, match="first axis 3 out of range"):
+        contract(a, other, (3,), (1,))
+    # A kept plan still leaves the kinds to be checked on every call.
+    contract(a, b, (2,), (1,))
+    for method in ("expression", "stp", "bruteforce"):
+        with pytest.raises(ValueError, match="scalar kind mismatch: int vs float"):
+            contract(a, other, (2,), (1,), method)
+
+
+def test_the_plan_memo_stays_bounded():
+    contraction._plan.cache_clear()
+    for n in range(1, 601):
+        x = Hypermatrix.zeros((n,))
+        assert contract(x, x, (1,), (1,)).to_scalar() == 0
+    info = contraction._plan.cache_info()
+    assert info.maxsize == 512 and info.currsize == 512
 
 
 # -- onto contraction ---------------------------------------------------------

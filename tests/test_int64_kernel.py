@@ -11,7 +11,9 @@ int64 product as its int64 form alone, which the next product of a chain
 reads without a scan, comparisons read in numpy, and ``data`` widens on
 first read; a constructor-built input keeps the int64 form its first
 product scans.  A float64-tier product is cast back in its own buffer,
-and an n = 6 Yang-Baxter side holds three result-sized arrays at most.
+and an n = 6 Yang-Baxter side holds three result-sized arrays at most
+(four on the ``stp`` route).  Each value's ``max|v|`` is measured once
+and kept, counting negative entries, and a gather passes it on.
 """
 
 import math
@@ -462,3 +464,56 @@ def test_an_n6_yang_baxter_product_stays_within_its_allocation_budget(rng, side,
     finally:
         tracemalloc.stop()
     assert peak <= budget * 6 ** 6 * 8
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_an_n6_stp_route_side_stays_within_its_allocation_budget(rng, side):
+    # In results of 6**6 int64 entries: t, its gather into M_A, that gather
+    # in float64 and the product make four; no factor is repeated.
+    inst = YbeInstance(6, random_hm(rng, (6,) * 4))
+    tracemalloc.start()
+    try:
+        ybe_sides(inst, side, "stp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 6 ** 6 * 8
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """The sizes of the arrays ``core._magnitude`` measures."""
+    seen = []
+    real = core._magnitude
+
+    def spy(arr):
+        seen.append(arr.size)
+        return real(arr)
+
+    monkeypatch.setattr(core, "_magnitude", spy)
+    return seen
+
+
+def test_each_value_is_measured_once_across_a_residual(rng, measured):
+    # r, t and the two sides, each once, on either route.
+    for method in ("matrix", "stp"):
+        r = random_hm(rng, (3,) * 4)
+        measured.clear()
+        ybe_residual(YbeInstance(3, r), method)
+        assert sorted(measured) == [r.size] + [3 ** 6] * 3, method
+
+
+def test_a_kept_magnitude_counts_negative_entries(dots):
+    # C * 321 = 2**53 + 1, so a's magnitude C puts this product on int64;
+    # measured by its largest entry (1) it would take the float64 tier, which rounds.
+    a = Hypermatrix.from_flat((2, 2), [-C, 1, 0, 1])
+    b = Hypermatrix.from_flat((2,), [321, 0])
+    for method in ("expression", "stp"):
+        dots.clear()
+        assert contract(a, b, (1,), (1,), method).data.tolist() == [-(2 ** 53 + 1), 321]
+        assert dots == [(np.int64, np.int64)], method
+    assert a._max == C and b._max == 321
+    # A gather keeps its source's magnitude; an unmeasured value passes none on.
+    for gather in (sigma_transpose, sigma_transpose_via_perm):
+        assert gather(a, (2, 1))._max == C
+        assert gather(Hypermatrix.from_flat((2, 2), [-C, 1, 0, 1]), (2, 1))._max is None

@@ -159,6 +159,9 @@ def assert_python_ints_equal(got, want):
 @given(st.data())
 def test_products_match_the_dense_kronecker_oracle(data):
     m, n, p, q = (data.draw(st.integers(1, 8)) for _ in range(4))
+    if data.draw(st.booleans()):
+        # n divides p with alpha = p / n > 1 and beta = 1: the one-product branch.
+        p = n * data.draw(st.integers(2, 4))
     shapes = {"a": (m, n), "b": (p, q), "x": (p,), "y": (n,)}
     ints = {name: data.draw(int_array(shape)) for name, shape in shapes.items()}
     floats = {name: v.astype(np.float64) / 7 for name, v in ints.items()}
