@@ -329,9 +329,7 @@ class Hypermatrix(_Frozen):
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
         flat, kind = as_scalars(data, kind)
-        flat = flat.reshape(-1)
-        if flat.size != size_of(dims):
-            raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
+        flat = _sized(flat, dims)
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
             flat = flat.copy()
@@ -466,6 +464,28 @@ class Hypermatrix(_Frozen):
         if self.size <= 8:
             return f"Hypermatrix(dims={self.dims}, data={list(self.data)}, kind={self.kind!r})"
         return f"Hypermatrix(dims={self.dims}, size={self.size}, kind={self.kind!r})"
+
+
+def _sized(flat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``flat`` as a 1-D array, which must hold exactly ``dims``' entries."""
+    flat = flat.reshape(-1)
+    if flat.size != size_of(dims):
+        raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
+    return flat
+
+
+def _owned(dims, values: list, kind: str) -> Hypermatrix:
+    """A value from a flat list whose entries the caller has type-checked for ``kind``.
+
+    The constructor's checks in its order (dims, the float conversion and
+    finiteness, the length), without its type pass over the entries and
+    without its copy: the array built here is held by no caller.
+    """
+    dims = check_dims(dims)
+    flat, kind = as_scalars(np.array(values, dtype=DTYPE[kind]), kind)
+    h = object.__new__(Hypermatrix)
+    h._fill(dims, _sized(flat, dims), kind, None, None, None)
+    return h
 
 
 def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None, max_abs: int | None = None) -> Hypermatrix:

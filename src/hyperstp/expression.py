@@ -4,14 +4,16 @@ An order-d hypermatrix has a 2-D "matrix expression" for every split of
 its axes into an ordered row tuple and column tuple: rows enumerate the
 row-axis indices in ID order, columns the column-axis indices.  The empty
 row tuple gives the 1 x n vector expression.  Each conversion between
-expressions (and the vector form) is one row gather through one
-permutation matrix, for any axis order on either side; the conversions
-are verified against direct index-shuffle construction.  That index
-shuffle is one helper, ``_lay_out``: ``matrix_expression``, the
-sigma-transpose, ``expression_to_hypermatrix`` and the expression
-contraction route all lay data out through it.  Results come through the
-trusted constructors (``core._result``, ``_expression``); the public
-``MatrixExpression`` constructor validates and copies its matrix.
+expressions (and the vector form), and ``sigma_transpose_via_perm``, is
+one ``perm_gather``: a row gather through the index of one permutation
+matrix, for any axis order on either side, with no ``LogicalMatrix``
+built.  The conversions are verified against direct index-shuffle
+construction.  That index shuffle is one helper, ``_lay_out``:
+``matrix_expression``, the sigma-transpose, ``expression_to_hypermatrix``
+and the expression contraction route all lay data out through it.
+Results come through the trusted constructors (``core._result``,
+``_expression``); the public ``MatrixExpression`` constructor validates
+and copies its matrix.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """Same transpose computed through the permutation matrix.
 
     The flat vector of the result is ``W^sigma`` applied to the flat
-    vector of ``a``, computed by ``perm_gather``.
+    vector of ``a``, computed by ``perm_gather`` as one gather through
+    the index of ``W^{sigma^-1}`` over the result's dims.
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
@@ -171,8 +174,9 @@ def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
 def _relayout(data, dims, src, dst) -> np.ndarray:
     """Re-lay flat data from axis order ``src`` to axis order ``dst``.
 
-    One gather through the permutation matrix of the relative permutation
-    ``tau(k) = position of dst[k] in src``, over the dims in ``src`` order.
+    One ``perm_gather`` through the index of the permutation matrix of the
+    relative permutation ``tau(k) = position of dst[k] in src``, over the
+    dims in ``src`` order.
     """
     tau = Permutation(src.index(ax) + 1 for ax in dst)
     return perm_gather(data, [dims[ax - 1] for ax in src], tau)

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .core import Hypermatrix
+from .core import Hypermatrix, _owned
 from .permutation import MAX_PERM_ENTRIES, LogicalMatrix
 
 
@@ -73,7 +73,8 @@ def loads_hm(text: str) -> Hypermatrix:
             if kind == "float" and not isinstance(v, (int, float)):
                 raise DocumentError(f"field 'data' position {pos}: {v!r} is not a number")
     try:
-        return Hypermatrix(shape, data, kind)
+        # The types are checked above, so the value is built with no second type pass.
+        return _owned(shape, data, kind)
     except (ValueError, OverflowError) as exc:
         raise DocumentError(str(exc)) from None
 

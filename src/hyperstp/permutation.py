@@ -10,8 +10,16 @@ view gives them back as a 1-based tuple of Python ints.  All matrix
 actions (apply, gather, compose, transpose) are index operations on that
 array, never dense multiplies.
 
-``build_perm_matrix`` computes every column at once by mixed-radix
-stride arithmetic over broadcast index grids.  It never calls
+One index rule, ``_perm_index``, computes every column of ``W^sigma`` at
+once by mixed-radix stride arithmetic, suffix first: each axis is
+prepended to the index of the axes after it, so every add runs its inner
+loop over a long contiguous suffix (the layout that keeps a transposition
+bandwidth-bound; Springer, Su and Bientinesi, *HPTT*, 2017).
+``build_perm_matrix`` is its checks, that rule and a ``LogicalMatrix``.
+``perm_gather``, the re-layout that the other modules' permutation-matrix
+routes call, makes the same checks once and gathers through the rule's
+index directly, with no ``Permutation`` or ``LogicalMatrix`` object
+built.  Neither calls
 ``np.transpose``: the permutation-matrix route stays independent of the
 index-shuffle route it is tested against.
 """
@@ -100,6 +108,13 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(q(p(k)) for k in range(1, p.degree + 1))
 
 
+def _check_rows(rows: int, idx: np.ndarray) -> None:
+    """Every 0-based row position in ``idx`` lies in ``[0, rows)``."""
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
+        raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")
+
+
 class LogicalMatrix(_Frozen):
     """m x n matrix of basis-vector columns, stored as 0-based row positions."""
 
@@ -121,9 +136,7 @@ class LogicalMatrix(_Frozen):
     def _init(self, rows: int, idx: np.ndarray) -> None:
         if rows < 1:
             raise ValueError("a logical matrix needs at least one row")
-        if idx.size and (idx.min() < 0 or idx.max() >= rows):
-            j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
-            raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")
+        _check_rows(rows, idx)
         idx = idx.astype(np.intp, copy=False)
         idx.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -189,6 +202,35 @@ class LogicalMatrix(_Frozen):
         return LogicalMatrix._from_index(self.rows, inv)
 
 
+def _perm_index(dims: tuple[int, ...], image: Sequence[int]) -> np.ndarray:
+    """0-based row of every column of ``W^sigma`` over checked ``dims``; sigma given by its image.
+
+    Column c is the multi-index ``m`` of rank c over ``dims``, and its row
+    is ``sum_a (m_a - 1) * weight[a]``, where ``weight[sigma(k) - 1]`` is
+    the stride of position k over the permuted dims.  The sum is built
+    suffix first: each axis, last to first, is prepended to the index of
+    the axes after it, so every add's inner loop runs over that whole
+    suffix, not over one small dim.
+    """
+    weight = [0] * len(dims)
+    stride = 1
+    for s in reversed(image):
+        weight[s - 1] = stride
+        stride *= dims[s - 1]
+    idx = np.zeros(1, dtype=np.intp)
+    for size, w in zip(reversed(dims), reversed(weight)):
+        idx = np.add.outer(np.arange(0, size * w, w, dtype=np.intp), idx).reshape(-1)
+    return idx
+
+
+def _check_budget(dims: tuple[int, ...]) -> int:
+    """The column count of a permutation matrix over ``dims``, within ``MAX_PERM_ENTRIES``."""
+    n = size_of(dims)
+    if n > MAX_PERM_ENTRIES:
+        raise OverflowError(f"permutation matrix over {dims} has {n} columns, above the budget of {MAX_PERM_ENTRIES}")
+    return n
+
+
 def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerate: bool = True) -> LogicalMatrix:
     """Permutation matrix reordering a Kronecker chain of d vectors.
 
@@ -201,9 +243,7 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
     ``delta^{j_1} kron ... kron delta^{j_d}`` with ``j_k = m[sigma(k)]``
     over the permuted dims, i.e. the single 1 sits at row
     ``linearize((j_1, ..., j_d))`` over ``(dims[sigma(1)], ..., dims[sigma(d)])``.
-    That 0-based row is ``sum_a (m_a - 1) * weight[a]``, where
-    ``weight[sigma(k) - 1]`` is the stride of position k over the permuted
-    dims; all columns are summed at once over broadcast index grids.
+    ``_perm_index`` computes all those rows at once by that stride rule.
 
     Shapes above ``MAX_PERM_ENTRIES`` columns raise ``OverflowError``
     before anything is allocated.  Dimensions below 2 degenerate
@@ -215,20 +255,10 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
         sigma = Permutation(sigma)
     if sigma.degree != len(dims):
         raise ValueError(f"permutation of degree {sigma.degree} for shape of order {len(dims)}")
-    n = size_of(dims)
-    if n > MAX_PERM_ENTRIES:
-        raise OverflowError(f"permutation matrix over {dims} has {n} columns, above the budget of {MAX_PERM_ENTRIES}")
+    n = _check_budget(dims)
     if warn_degenerate and any(size < 2 for size in dims):
         warnings.warn("permutation matrix over dims with entries < 2 degenerates", stacklevel=2)
-    weight = [0] * len(dims)
-    stride = 1
-    for k in range(len(dims), 0, -1):
-        weight[sigma(k) - 1] = stride
-        stride *= dims[sigma(k) - 1]
-    rows = np.zeros((), dtype=np.intp)
-    for size, w in zip(dims, weight):
-        rows = np.add.outer(rows, np.arange(0, size * w, w, dtype=np.intp))
-    return LogicalMatrix._from_index(n, rows.reshape(-1))
+    return LogicalMatrix._from_index(n, _perm_index(dims, sigma.image))
 
 
 def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
@@ -236,11 +266,26 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
 
     For the flat data of a hypermatrix over ``dims`` this is the flat data
     of its sigma-transpose.  The transpose of ``W^sigma`` over ``dims`` is
-    ``W^{sigma^-1}`` over the permuted dims, so that matrix is built and
-    gathered through directly; callers stay on the permutation-matrix
-    route.  The identity builds nothing: its gather is a copy.
+    ``W^{sigma^-1}`` over the permuted dims, so ``flat`` is gathered
+    through that matrix's index directly: ``out[j] = flat[cols[j] - 1]``.
+    Callers stay on the permutation-matrix route, but no ``Permutation``
+    or ``LogicalMatrix`` object is built.  The checks are
+    ``build_perm_matrix``'s and ``LogicalMatrix.gather_row``'s, with the
+    same exception types and messages, made once: the permuted dims, the
+    budget, the length of ``flat`` and the index's range.  The identity
+    builds nothing: its gather is a copy.
     """
-    if sigma.image == tuple(range(1, len(dims) + 1)) and np.size(flat) == size_of(check_dims(dims)):
+    image = sigma.image
+    permuted = check_dims([dims[s - 1] for s in image])
+    if image == tuple(range(1, len(dims) + 1)) and np.size(flat) == size_of(permuted):
         return np.array(flat).reshape(-1)
-    permuted = [dims[s - 1] for s in sigma.image]
-    return build_perm_matrix(permuted, sigma.inverse(), warn_degenerate=False).gather_row(flat)
+    n = _check_budget(permuted)
+    flat = np.asarray(flat)
+    if flat.size != n:
+        raise ValueError(f"row vector of length {flat.size} against {n} rows")
+    inverse = [0] * len(image)
+    for k, s in enumerate(image, start=1):
+        inverse[s - 1] = k
+    idx = _perm_index(permuted, inverse)
+    _check_rows(n, idx)
+    return flat.reshape(-1)[idx]

@@ -14,8 +14,10 @@ length, so ``core.narrow`` picks the tier from ``max|a| * max|b| * t``:
 float64 BLAS up to 2**53 (the block result cast back to int64 in its own
 buffer), int64 up to 2**63 - 1, Python ints past that.  When the right
 factor needs no identity padding (n divides p), every block multiplies
-the left factor itself and the product is one matrix product, with
-nothing repeated.  The public products return Python ints.
+the left factor itself and the product is one matrix product; when p
+divides n, every block multiplies the right factor itself and the
+product is one batched product over the left factor's rows.  Neither
+repeats a factor.  The public products return Python ints.
 ``vec_oplus`` is a sum, which that bound does not cover, so it stays on
 Python ints.
 """
@@ -67,7 +69,10 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
     ``a[:, s // α]`` and ``b[s // β]``, split by s mod αβ, give every block in
     one batched product.  With β = 1 every block multiplies ``a`` itself, by
     b's rows s ≡ u (mod α) for block u, so the product is one ``a @ b`` with b
-    read as n × (α q), no repeat built.  Inner length t also bounds the vector
+    read as n × (α q), no repeat built.  With α = 1 every block multiplies b
+    itself: row r of the product, read as q × β, is ``b.T @`` row r of ``a``
+    read as p × β, one batched product over a's rows with b broadcast, no
+    repeat built either.  Inner length t also bounds the vector
     products' sums, so an int product comes back as int64 or Python ints
     (``checked_product``, with the kept magnitudes ``ma`` and ``mb``).
     """
@@ -81,6 +86,8 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
         a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
         if be == 1:
             return np.matmul(a, b.reshape(n, al * q)).reshape(m * al, q)
+        if al == 1:
+            return np.matmul(b.T, a.reshape(m, p, be)).reshape(m, q * be)
         ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
         gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
         out = np.zeros((m, al, q, be), dtype=dtype)

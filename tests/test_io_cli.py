@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -73,6 +74,39 @@ def test_hm_rejects_malformed():
         loads_hm("not json")
     with pytest.raises(DocumentError, match="scalar_kind"):
         loads_hm('{"shape":[1],"data":[1],"scalar_kind":"bool"}')
+
+
+@pytest.mark.parametrize("shape, data, kind", [
+    ([2, 0], "", "int"),
+    ([-1], "1", "float"),
+    ([1099511627776, 1099511627776], "1", "int"),
+    ([0], "1" + "0" * 400, "float"),
+    ([2], "1, 1" + "0" * 400, "float"),
+    ([3], "1.5, 1e400", "float"),
+    ([3], "1, 2", "int"),
+    ([2], "", "float"),
+])
+def test_loaded_documents_fail_as_the_constructor_does(shape, data, kind):
+    """The constructor's checks, in its order and with its messages, after the document's own type pass."""
+    with pytest.raises((ValueError, OverflowError)) as want:
+        Hypermatrix(shape, json.loads(f"[{data}]"), kind)
+    with pytest.raises(DocumentError) as got:
+        loads_hm(f'{{"shape": {shape}, "data": [{data}], "scalar_kind": "{kind}"}}')
+    assert str(got.value) == str(want.value)
+
+
+def test_a_loaded_document_skips_the_constructors_type_pass(monkeypatch):
+    import hyperstp.core as core
+
+    cases = [((2, 3), [1, -2, 3, 2 ** 70, 0, 5], "int"), ((2,), [1, 2.5], "float"), ((), [7], "int")]
+    built = [Hypermatrix(*case) for case in cases]
+    real, scans = core._scanned, []
+    monkeypatch.setattr(core, "_scanned", lambda arr: scans.append(arr.size) or real(arr))
+    for (shape, data, kind), want in zip(cases, built):
+        a = loads_hm(json.dumps({"shape": shape, "data": data, "scalar_kind": kind}))
+        assert a == want and a.data.tolist() == want.data.tolist()
+        assert all(type(v) is type(w) for v, w in zip(a.data.tolist(), want.data.tolist()))
+    assert scans == []
 
 
 def test_read_hm_rejects_non_utf8_bytes(tmp_path):
@@ -155,6 +189,22 @@ def test_python_m_hyperstp_runs_the_readme_example_with_a_clean_stderr():
     argv = [sys.executable, "-m", "hyperstp", "permmat", "--dims", "2,2,2", "--sigma", "2,3,1"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "d8[1,3,5,7,2,4,6,8]\n", "")
+
+
+def test_cli_verify_appendix_stdout_is_byte_stable(capsys):
+    assert main(["verify-appendix"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == "a7fa2a69da028189c3df766f78bcbd58"
+
+
+@pytest.mark.parametrize("dims, sigma, out", [
+    ("2,3,5", "3,1,2", "d30[1,7,13,19,25,2,8,14,20,26,3,9,15,21,27,4,10,16,22,28,5,11,17,23,29,6,12,18,24,30]"),
+    ("3,1,4,2", "4,2,1,3", "d24[1,13,2,14,3,15,4,16,5,17,6,18,7,19,8,20,9,21,10,22,11,23,12,24]"),
+    ("2,3,2,2", "4,3,1,2", "d24[1,13,7,19,2,14,8,20,3,15,9,21,4,16,10,22,5,17,11,23,6,18,12,24]"),
+    ("5,4", "2,1", "d20[1,6,11,16,2,7,12,17,3,8,13,18,4,9,14,19,5,10,15,20]"),
+])
+def test_cli_permmat_output_is_pinned(capsys, dims, sigma, out):
+    assert main(["permmat", "--dims", dims, "--sigma", sigma]) == 0
+    assert capsys.readouterr().out == out + "\n"
 
 
 def test_cli_permmat_deterministic(capsys):

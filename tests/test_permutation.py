@@ -1,3 +1,4 @@
+import math
 from itertools import permutations, product
 
 import numpy as np
@@ -228,15 +229,15 @@ def test_build_and_gather_never_call_np_transpose(monkeypatch):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The dims of every permutation matrix that ``perm_gather`` builds."""
+    """The dims of every permutation-matrix index that ``perm_gather`` builds."""
     seen = []
-    real = permutation_module.build_perm_matrix
+    real = permutation_module._perm_index
 
-    def spy(dims, sigma, **kwargs):
+    def spy(dims, image):
         seen.append(tuple(dims))
-        return real(dims, sigma, **kwargs)
+        return real(dims, image)
 
-    monkeypatch.setattr(permutation_module, "build_perm_matrix", spy)
+    monkeypatch.setattr(permutation_module, "_perm_index", spy)
     return seen
 
 
@@ -262,7 +263,73 @@ def test_onto_stp_on_trailing_axes_builds_no_permutation(builds):
     assert builds == [(5, 5, 4, 4)]
 
 
+# The errors of a re-layout, as the gather through a built ``LogicalMatrix`` raised them:
+# dims are checked in the permuted order, the budget before the length, and a
+# permutation shorter or longer than the shape fails on its length or its indexing.
+GATHER_ERRORS = [
+    ((np.arange(29), (2, 3, 5), (1, 3, 2)), ValueError, "row vector of length 29 against 30 rows"),
+    ((np.arange(24), (2, 3, 5), (1, 2, 3)), ValueError, "row vector of length 24 against 30 rows"),
+    ((list(range(31)), [2, 3, 5], (3, 1, 2)), ValueError, "row vector of length 31 against 30 rows"),
+    ((np.arange(6), (2, 3), (1,)), ValueError, "row vector of length 6 against 2 rows"),
+    ((np.arange(6), (2, 3), (1, 3, 2)), IndexError, "tuple index out of range"),
+    ((np.arange(6), [2, 3], (1, 3, 2)), IndexError, "list index out of range"),
+    ((np.arange(6), (2, 0, 3), (3, 1, 2)), ValueError, "dimension at axis 3 must be >= 1, got 0"),
+    ((np.arange(6), (2, 0, 3), (1, 2, 3)), ValueError, "dimension at axis 2 must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", GATHER_ERRORS)
+def test_gather_errors_keep_their_type_and_message(args, error, message):
+    flat, dims, image = args
+    with pytest.raises(error) as raised:
+        perm_gather(flat, dims, Permutation(image))
+    assert str(raised.value) == message
+
+
+def test_gather_and_build_budget_errors_keep_their_type_and_message(monkeypatch):
+    monkeypatch.setattr(permutation_module, "MAX_PERM_ENTRIES", 29)
+    for flat in (np.arange(30), np.arange(31)):
+        with pytest.raises(OverflowError) as raised:
+            perm_gather(flat, (2, 3, 5), Permutation((1, 3, 2)))
+        assert str(raised.value) == "permutation matrix over (2, 5, 3) has 30 columns, above the budget of 29"
+    # The identity is a copy and builds nothing, so no budget applies to it.
+    assert perm_gather(np.arange(30), (2, 3, 5), Permutation.identity(3)).tolist() == list(range(30))
+    with pytest.raises(OverflowError) as raised:
+        build_perm_matrix((2, 3, 5), Permutation((3, 1, 2)))
+    assert str(raised.value) == "permutation matrix over (2, 3, 5) has 30 columns, above the budget of 29"
+    with pytest.raises(ValueError) as raised:
+        build_perm_matrix((2, 2), Permutation((1, 2, 3)))
+    assert str(raised.value) == "permutation of degree 3 for shape of order 2"
+
+
 # -- properties over random shapes and permutations ------------------------------
+
+
+@st.composite
+def gather_cases(draw):
+    """Dims with size-1 axes and small trailing dims, a permutation and flat data of one dtype."""
+    lead = draw(st.lists(st.integers(1, 7), max_size=3))
+    trail = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    dims = tuple(lead + trail)
+    sigma = Permutation(draw(st.permutations(range(1, len(dims) + 1))))
+    n = math.prod(dims)
+    dtype = draw(st.sampled_from(["object", "int64", "float64"]))
+    flat = {
+        "object": lambda: np.array([2 ** 70 + k for k in range(n)], dtype=object),
+        "int64": lambda: np.arange(n, dtype=np.int64) * 3 - n,
+        "float64": lambda: np.arange(n) / 7 - n,
+    }[dtype]()
+    return flat, dims, sigma
+
+
+@given(gather_cases())
+def test_gather_equals_the_transpose_oracle(case):
+    flat, dims, sigma = case
+    out = perm_gather(flat, dims, sigma)
+    want = np.transpose(flat.reshape(dims), [s - 1 for s in sigma.image]).reshape(-1)
+    assert out.dtype == flat.dtype and out.shape == want.shape
+    assert out.tolist() == want.tolist()
+    assert not np.shares_memory(out, flat)
 
 
 @st.composite

@@ -159,9 +159,13 @@ def assert_python_ints_equal(got, want):
 @given(st.data())
 def test_products_match_the_dense_kronecker_oracle(data):
     m, n, p, q = (data.draw(st.integers(1, 8)) for _ in range(4))
-    if data.draw(st.booleans()):
-        # n divides p with alpha = p / n > 1 and beta = 1: the one-product branch.
+    split = data.draw(st.sampled_from(["any", "n | p", "p | n"]))
+    if split == "n | p":
+        # alpha = p / n > 1 and beta = 1: one product with b read as n x (alpha q).
         p = n * data.draw(st.integers(2, 4))
+    elif split == "p | n":
+        # alpha = 1 and beta = n / p > 1: one batched product over a's rows.
+        n = p * data.draw(st.integers(2, 4))
     shapes = {"a": (m, n), "b": (p, q), "x": (p,), "y": (n,)}
     ints = {name: data.draw(int_array(shape)) for name, shape in shapes.items()}
     floats = {name: v.astype(np.float64) / 7 for name, v in ints.items()}
