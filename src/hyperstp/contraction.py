@@ -14,8 +14,8 @@ bit for bit.  The tier is picked from the operands' int64 forms before
 the layout, which the expression route then copies straight into the
 tier's dtype; a float64 product is cast back to int64 in its own
 buffer.  An int64 product is kept as the result's int64 form alone, a
-constructor-built operand keeps the int64 form its first product scans
-once, and the next product on either route reads that form instead of
+constructor-built operand holds the int64 form its constructor made,
+and the next product on either route reads that form instead of
 scanning and re-casting ``data``, which widens only when read; each
 value's ``max|v|`` is kept too, so no product measures it twice.  What a
 pairing fixes whatever the values (the checked axes, the output dims,
@@ -111,12 +111,6 @@ def _layout(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> _Plan:
     return plan
 
 
-def check_contraction_spec(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes):
-    """Validate a pairing of axes of ``a`` against axes of ``b``."""
-    plan = _layout(a, b, a_axes, b_axes)
-    return plan.a_axes, plan.b_axes
-
-
 def _free_axes(order: int, axes: Sequence[int]) -> tuple[int, ...]:
     taken = set(axes)
     return tuple(k for k in range(1, order + 1) if k not in taken)
@@ -170,7 +164,7 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     listed order) as columns, ``b`` the other way round, multiplies, and
     reads the product off as the output's row-major data.  The pairing's
     plan (``_plan``) gives both layouts; the tier is picked from the
-    operands' int64 forms and kept magnitudes (``Hypermatrix._factor``,
+    operands' int64 forms and kept magnitudes (``Hypermatrix._flat``,
     ``Hypermatrix._max_abs``) and each is laid out straight in the tier's
     dtype; an int64 product is kept as the result's int64 form.
     """
@@ -180,7 +174,7 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
         fa = _laid_out(fa, a.dims, p.a_order, p.a_shape, dtype)
         return np.dot(fa, _laid_out(fb, b.dims, p.b_order, p.b_shape, dtype))
 
-    out = checked_product(dot, a._factor(), b._factor(), p.inner, a._max_abs(), b._max_abs())
+    out = checked_product(dot, a._flat(), b._flat(), p.inner, a._max_abs(), b._max_abs())
     return _result(p.out_dims, out, a.kind)
 
 
@@ -194,8 +188,8 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     keep their sources' magnitudes.
     """
     p = _layout(a, b, a_axes, b_axes)
-    m_a = perm_gather(a._factor(), a.dims, Permutation(p.a_free + p.a_axes)).reshape(p.a_shape)
-    v_b = perm_gather(b._factor(), b.dims, Permutation(p.b_axes + p.b_free)).reshape(-1, 1)
+    m_a = perm_gather(a._flat(), a.dims, Permutation(p.a_free + p.a_axes)).reshape(p.a_shape)
+    v_b = perm_gather(b._flat(), b.dims, Permutation(p.b_axes + p.b_free)).reshape(-1, 1)
     return _result(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
 
 

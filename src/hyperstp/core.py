@@ -23,19 +23,20 @@ cast back to int64 inside the buffer BLAS returned; int64 up to
 the tier before the factors are laid out, so the layout copies them
 straight into the tier's dtype.  Sums of vectors stay on the object
 array.  The value types share one immutable base, ``_Frozen``; public
-constructors copy any array the caller still holds.  Library results
-come through one trusted path, ``_result``: the scalar policy, no
-validation, no copy, and an int64 product kept as the read-only int64
-form alone.  A constructor-built int value gets the same form from its
-first product, which scans its entries once (``Hypermatrix._factor``);
-gathers, transposes and comparisons never scan.  A value with an int64
-form also keeps ``max|v|`` of it from its first product
+constructors copy any array the caller still holds.  A ``Hypermatrix``
+is checked once, when it is built: its int object data is scanned
+(``_checked_ints``), and an int value that fits int64 holds a
+read-only int64 form from then on (``Hypermatrix._own``).  Library
+results come through one trusted path, ``_result``: the scalar policy,
+no validation, no copy, and an int64 product kept as the form alone.
+A value keeps ``max|v|`` of its form from its first product
 (``Hypermatrix._max_abs``), which ``checked_product`` hands to
 ``narrow``, so a value is measured once however many products read it;
-a gather passes its source's on.  ``narrow`` takes an
-int64 form without a scan or a cast, comparisons read it in numpy, and
-``Hypermatrix.data`` widens it to Python ints only when first read, so a
-chain of products never round-trips through Python ints.
+a gather passes its source's on.  ``narrow`` takes an int64 form
+without a scan or a cast and scans any other int factor, comparisons
+read the form in numpy, and ``Hypermatrix.data`` widens it to Python
+ints only when first read, so a chain of products never round-trips
+through Python ints.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def iter_indices(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 DTYPE = {"int": object, "float": np.float64}
 
 # Array dtype kind -> scalar kind.  Object arrays are the int backend as they
-# stand: their entries are trusted here, and scanned only by ``narrow``.
+# stand: the ``Hypermatrix`` constructor and ``narrow`` scan their entries.
 _ARRAY_KINDS = {"O": "int", "i": "int", "u": "int", "f": "float"}
 
 
@@ -317,8 +318,8 @@ class Hypermatrix(_Frozen):
     product of the int kernel holds its int64 form (``_int64``,
     read-only) instead, so that the next product and comparisons skip the
     scan and the cast; ``data`` widens it on first read and keeps the
-    widened array.  A constructor-built int value holds ``data`` until
-    its first product scans it once and keeps its int64 form beside it.
+    widened array.  A constructor-built int value is scanned once and
+    holds its int64 form beside ``data`` when every entry fits int64.
     ``max |v|`` of the int64 form (``_max``) and the hash are computed on
     first use and kept.
     """
@@ -329,11 +330,29 @@ class Hypermatrix(_Frozen):
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
         flat, kind = as_scalars(data, kind)
-        flat = _sized(flat, dims)
+        if kind == "int" and flat is data:
+            # An object array as the caller built it: ``as_scalars`` took it unscanned.
+            flat = _checked_ints(flat)
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
             flat = flat.copy()
-        self._fill(dims, flat, kind, None, None, None)
+        self._own(dims, flat, kind)
+
+    def _own(self, dims: tuple[int, ...], flat: np.ndarray, kind: str) -> "Hypermatrix":
+        """Fill the slots from checked entries that no caller holds.
+
+        An int value whose entries all fit int64 keeps its int64 form;
+        past int64 it keeps none, and ``narrow`` scans it per product.
+        """
+        flat = _sized(flat, dims)
+        form = None
+        if kind == "int":
+            try:
+                form = flat.astype(np.int64)
+            except OverflowError:
+                pass
+        self._fill(dims, flat, kind, form, None, None)
+        return self
 
     @property
     def data(self) -> np.ndarray:
@@ -345,27 +364,8 @@ class Hypermatrix(_Frozen):
         return self._data
 
     def _flat(self) -> np.ndarray:
-        """The int64 form when there is one, else ``data``: what gathers and comparisons read."""
+        """The int64 form when there is one, else ``data``: what products, gathers and comparisons read."""
         return self.data if self._int64 is None else self._int64
-
-    def _factor(self) -> np.ndarray:
-        """``_flat()`` as a product reads it: an int value's int64 form, made on first use.
-
-        The entries are cast to int64 and scanned once, and the form is
-        kept only after the scan passes: the cast alone would truncate a
-        float or a boolean, which the scan rejects with ``TypeError``, so
-        every later product raises too.  A value past int64 (or holding a
-        non-number) keeps nothing; ``narrow`` scans it for each product.
-        """
-        if self._int64 is None and self.kind == "int":
-            try:
-                form = self.data.astype(np.int64)
-            except (OverflowError, TypeError, ValueError):
-                return self.data
-            _checked_ints(self.data)
-            form.setflags(write=False)
-            object.__setattr__(self, "_int64", form)
-        return self._flat()
 
     def _max_abs(self) -> int | None:
         """``max |v|`` of the int64 form, kept on first use; None without one.
@@ -391,7 +391,7 @@ class Hypermatrix(_Frozen):
             return cls(array.shape, array, kind)
         # Nested lists become a fresh array that no caller holds: no second copy.
         arr, kind = as_scalars(array, kind)
-        return _result(check_dims(arr.shape), arr, kind)
+        return object.__new__(cls)._own(check_dims(arr.shape), arr, kind)
 
     @classmethod
     def zeros(cls, dims, kind: str = "int") -> "Hypermatrix":
@@ -483,9 +483,7 @@ def _owned(dims, values: list, kind: str) -> Hypermatrix:
     """
     dims = check_dims(dims)
     flat, kind = as_scalars(np.array(values, dtype=DTYPE[kind]), kind)
-    h = object.__new__(Hypermatrix)
-    h._fill(dims, _sized(flat, dims), kind, None, None, None)
-    return h
+    return object.__new__(Hypermatrix)._own(dims, flat, kind)
 
 
 def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None, max_abs: int | None = None) -> Hypermatrix:

@@ -271,11 +271,13 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
     Callers stay on the permutation-matrix route, but no ``Permutation``
     or ``LogicalMatrix`` object is built.  The checks are
     ``build_perm_matrix``'s and ``LogicalMatrix.gather_row``'s, with the
-    same exception types and messages, made once: the permuted dims, the
-    budget, the length of ``flat`` and the index's range.  The identity
-    builds nothing: its gather is a copy.
+    same exception types and messages, made once: the degree, the
+    permuted dims, the budget, the length of ``flat`` and the index's
+    range.  The identity builds nothing: its gather is a copy.
     """
     image = sigma.image
+    if len(image) != len(dims):
+        raise ValueError(f"permutation of degree {len(image)} for shape of order {len(dims)}")
     permuted = check_dims([dims[s - 1] for s in image])
     if image == tuple(range(1, len(dims) + 1)) and np.size(flat) == size_of(permuted):
         return np.array(flat).reshape(-1)

@@ -9,10 +9,10 @@ past that.  Each case sits on one side of a bound; results are always
 always falls back cannot pass.  A contraction result keeps the kernel's
 int64 product as its int64 form alone, which the next product of a chain
 reads without a scan, comparisons read in numpy, and ``data`` widens on
-first read; a constructor-built input keeps the int64 form its first
-product scans.  A float64-tier product is cast back in its own buffer,
-and an n = 6 Yang-Baxter side holds three result-sized arrays at most
-(four on the ``stp`` route).  Each value's ``max|v|`` is measured once
+first read; a constructor-built input holds the int64 form its
+constructor made after scanning it once.  A float64-tier product is
+cast back in its own buffer, and an n = 6 Yang-Baxter side holds three
+result-sized arrays at most (four on the ``stp`` route).  Each value's ``max|v|`` is measured once
 and kept, counting negative entries, and a gather passes it on.
 """
 
@@ -217,7 +217,7 @@ def test_int64_form_is_read_only_and_equals_data(rng):
     with pytest.raises(ValueError):
         form[0] = 1
     assert form.tolist() == list(out.data) and python_ints(out.data)
-    # The product scanned each constructor-built input once and kept its int64 form.
+    # Each constructor-built input holds its int64 form from construction.
     for h in (a, b):
         assert h._int64.dtype == np.int64 and not h._int64.flags.writeable
         assert h._int64.tolist() == h.data.tolist() and python_ints(h.data)
@@ -270,8 +270,9 @@ def test_equal_values_hash_alike_whichever_form_they_hold(rng):
     fast = contract(a, b, (2, 3), (1, 2), "expression")
     stp = contract(a, b, (2, 3), (1, 2), "stp")
     slow = contract_bruteforce(a, b, (2, 3), (1, 2))
-    rebuilt = Hypermatrix(fast.dims, fast._int64)
-    assert fast._int64 is not None and slow._int64 is None and rebuilt._int64 is None
+    # A library result from an object array holds ``data`` alone.
+    rebuilt = core._result(fast.dims, np.array(slow.data), "int")
+    assert fast._int64 is not None and slow._int64 is not None and rebuilt._int64 is None
     assert fast == stp and fast.approx_equal(stp) and hash(fast) == hash(stp)
     # Comparing and hashing two int64 forms reads them in numpy: neither widens.
     assert fast._data is None and stp._data is None
@@ -357,66 +358,54 @@ def test_chained_contractions_equal_the_bruteforce_chain(chain):
         assert fast._int64 is None or fast._int64.tolist() == fast.data.tolist()
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """The sizes of the arrays ``core._scanned`` reads."""
+def watch_scans(monkeypatch) -> list:
+    """From now on, the sizes of the arrays ``core._scanned`` reads."""
     seen = []
     real = core._scanned
-
-    def spy(arr):
-        seen.append(arr.size)
-        return real(arr)
-
-    monkeypatch.setattr(core, "_scanned", spy)
+    monkeypatch.setattr(core, "_scanned", lambda arr: seen.append(arr.size) or real(arr))
     return seen
 
 
-def test_chained_products_scan_their_inputs_only(rng, scans):
-    # r is scanned exactly once across the residual, and once across both sides.
-    for method in ("matrix", "stp"):
-        r = random_hm(rng, (6,) * 4)
-        scans.clear()
-        ybe_residual(YbeInstance(6, r), method)
-        assert scans == [r.size], method
-        r = random_hm(rng, (6,) * 4)
-        scans.clear()
-        for side in ("lhs", "rhs"):
-            ybe_sides(YbeInstance(6, r), side, method)
-        assert scans == [r.size], method
+def test_products_of_built_values_scan_nothing(rng, monkeypatch):
+    insts = [YbeInstance(6, random_hm(rng, (6,) * 4)) for _ in range(2)]
     a, b, c = random_hm(rng, (3,) * 6), random_hm(rng, (3, 3)), random_hm(rng, (3, 3))
-    scans.clear()
-    binary_apply(a, b, c)
-    assert sorted(scans) == sorted([a.size, b.size, c.size])
-    # A value past int64 keeps nothing, so each product scans it once more.
     past, small = Hypermatrix.from_flat((3,), [2 ** 63, 1, 1]), Hypermatrix.from_flat((2,), [1, 1])
-    scans.clear()
-    contract(past, small, (), ())
-    contract(past, small, (), ())
-    assert scans == [small.size, past.size, past.size]
+    # The constructor scanned every input once; products scan nothing more.
+    scans = watch_scans(monkeypatch)
+    for method in ("matrix", "stp"):
+        ybe_residual(insts[0], method)
+        for side in ("lhs", "rhs"):
+            ybe_sides(insts[1], side, method)
+        contract(binary_apply(a, b, c), b, (1, 2), (1, 2), method)
+    assert scans == []
+    # A value past int64 keeps no form, so each product scans it once more.
+    for method in ("expression", "stp"):
+        contract(past, small, (), (), method)
+    assert scans == [past.size, past.size]
 
 
-def test_gathers_transposes_and_equality_scan_nothing(rng, scans):
+def test_gathers_transposes_and_equality_scan_nothing(rng, monkeypatch):
     a = random_hm(rng, (2, 3, 4))
     same = Hypermatrix(a.dims, list(a.data))
-    scans.clear()
-    sigma_transpose_via_perm(a, (3, 1, 2))
-    sigma_transpose(a, (2, 3, 1))
+    scans = watch_scans(monkeypatch)
+    gathered = [sigma_transpose_via_perm(a, (3, 1, 2)), sigma_transpose(a, (2, 3, 1))]
     matrix_expression(a, rows=(3, 1))
     assert a == same
-    assert scans == [] and a._int64 is None
+    assert scans == [] and a._int64.tolist() == same._int64.tolist() == a.data.tolist()
+    # A gather of an int64 form is an int64 form.
+    assert all(h._int64 is not None for h in gathered)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)], ids=["float", "bool", "np.float64"])
 def test_a_failed_scan_keeps_nothing_so_every_product_raises(bad):
-    a = Hypermatrix((3,), np.array([2, bad, 4], dtype=object))
-    assert a.kind == "int"  # taken unscanned at the boundary
-    b = Hypermatrix.from_flat((3,), [1, 1, 1])
-    for _ in range(2):
-        for method in ("expression", "stp"):
-            for x, y in ((a, b), (b, a)):
-                with pytest.raises(TypeError, match="at position 2"):
-                    contract(x, y, (1,), (1,), method)
-        assert a._int64 is None
+    # The constructor scans int object data, so no value, and no product, ever holds ``bad``.
+    data = np.array([2, bad, 4], dtype=object)
+    for build in (Hypermatrix, Hypermatrix.from_flat):
+        with pytest.raises(TypeError, match="at position 2"):
+            build((3,), data)
+    with pytest.raises(TypeError, match="at position 2"):
+        Hypermatrix.from_nd(data)
+    assert data[1] is bad
 
 
 def test_a_value_past_int64_keeps_nothing_and_stays_exact(dots):

@@ -270,11 +270,13 @@ GATHER_ERRORS = [
     ((np.arange(29), (2, 3, 5), (1, 3, 2)), ValueError, "row vector of length 29 against 30 rows"),
     ((np.arange(24), (2, 3, 5), (1, 2, 3)), ValueError, "row vector of length 24 against 30 rows"),
     ((list(range(31)), [2, 3, 5], (3, 1, 2)), ValueError, "row vector of length 31 against 30 rows"),
-    ((np.arange(6), (2, 3), (1,)), ValueError, "row vector of length 6 against 2 rows"),
-    ((np.arange(6), (2, 3), (1, 3, 2)), IndexError, "tuple index out of range"),
-    ((np.arange(6), [2, 3], (1, 3, 2)), IndexError, "list index out of range"),
+    ((np.arange(6), (2, 3), (1,)), ValueError, "permutation of degree 1 for shape of order 2"),
+    ((np.arange(6), (2, 3), (1, 3, 2)), ValueError, "permutation of degree 3 for shape of order 2"),
+    ((np.arange(6), [2, 3], (1, 3, 2)), ValueError, "permutation of degree 3 for shape of order 2"),
     ((np.arange(6), (2, 0, 3), (3, 1, 2)), ValueError, "dimension at axis 3 must be >= 1, got 0"),
     ((np.arange(6), (2, 0, 3), (1, 2, 3)), ValueError, "dimension at axis 2 must be >= 1, got 0"),
+    # Once returned a gather: the axis left out has size 1.
+    ((np.arange(3), (3, 1), (1,)), ValueError, "permutation of degree 1 for shape of order 2"),
 ]
 
 

@@ -6,6 +6,9 @@ are never scalars, float data never becomes int and must be finite.
 Raw-array operands promote together; declared hypermatrix kinds must match.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from hyperstp import (
     hypervector_expand,
     kron,
     kron_chain,
+    loads_hm,
     mm_stp,
     mv_stp,
     stp_inner,
@@ -76,16 +80,15 @@ def test_booleans_are_not_scalars():
         mm_stp(np.array([[True, False]]), ints([1, 2]).reshape(2, 1))
 
 
-# -- object arrays on the int backend: products scan them, never truncate ------
+# -- object arrays on the int backend: scanned, never truncated ------------------
 
 
 @pytest.mark.parametrize("method", ["expression", "stp"])
 def test_contract_refuses_a_float_inside_int_data(method):
-    a = Hypermatrix((3,), np.array([2, 1.5, 4], dtype=object))
-    assert a.kind == "int"  # taken unscanned at the boundary
+    # The operand's constructor scans its object data, so the product is never reached.
     b = Hypermatrix.from_flat((3,), [1, 1, 1])
     with pytest.raises(TypeError, match=r"1\.5 at position 2"):
-        contract(a, b, (1,), (1,), method)
+        contract(Hypermatrix((3,), np.array([2, 1.5, 4], dtype=object)), b, (1,), (1,), method)
 
 
 def test_mm_stp_refuses_a_float_inside_object_ints():
@@ -102,6 +105,48 @@ def test_a_boolean_inside_object_ints_is_refused_by_products():
         mm_stp(a.reshape(1, 2), ints([1, 1]).reshape(2, 1))
     with pytest.raises(TypeError, match="True at position 2"):
         contract_via_expression(Hypermatrix((2,), a), Hypermatrix.from_flat((2,), [1, 1]), (1,), (1,))
+
+
+_INT64_EDGES = [-(2 ** 63) - 1, -(2 ** 63), 2 ** 63 - 1, 2 ** 63]
+_OBJECT_ENTRIES = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from(_INT64_EDGES),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.booleans(),
+)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OBJECT_ENTRIES, min_size=1, max_size=6))
+def test_the_constructor_scans_int_object_data_once(values):
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = values
+    if not all(map(_is_int, values)):
+        with pytest.raises(TypeError, match=r"at position \d+") as err:
+            Hypermatrix((len(values),), arr)
+        pos = int(re.search(r"at position (\d+)", str(err.value)).group(1))
+        assert not _is_int(values[pos - 1])
+        return
+    want = [int(v) for v in values]
+    fits = all(-(2 ** 63) <= v < 2 ** 63 for v in want)
+    doc = json.dumps({"shape": [len(want)], "data": want, "scalar_kind": "int"})
+    for h in (
+        Hypermatrix((len(values),), arr),
+        Hypermatrix.from_flat((len(values),), arr),
+        Hypermatrix.from_nd(arr),
+        Hypermatrix.from_nd(list(values)),
+        loads_hm(doc),
+    ):
+        assert h.kind == "int" and (h._int64 is not None) == fits
+        if fits:
+            assert h._int64.tolist() == h.data.tolist() and not h._int64.flags.writeable
+        assert h.data.tolist() == want and all(type(v) is int for v in h.data)
 
 
 def test_numpy_integers_inside_object_arrays_give_python_ints():
