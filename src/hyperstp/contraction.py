@@ -13,10 +13,9 @@ or the lcm on the ``stp`` route): float64 BLAS up to 2**53, int64 up to
 bit for bit.  The tier is picked from the operands' int64 forms before
 the layout, which the expression route then copies straight into the
 tier's dtype; a float64 product is cast back to int64 in its own
-buffer.  An int64 product is kept as the result's int64 form alone, a
-constructor-built operand holds the int64 form its constructor made,
-and the next product on either route reads that form instead of
-scanning and re-casting ``data``, which widens only when read; each
+buffer.  Every int value that fits int64 holds only its int64 form,
+and the next product on either route reads it instead of scanning and
+re-casting ``data``; each
 value's ``max|v|`` is kept too, so no product measures it twice.  What a
 pairing fixes whatever the values (the checked axes, the output dims,
 the inner size and both operands' transpose orders and matrix shapes)
@@ -38,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _result, check_dims, checked_product, same_kind
+from .core import Hypermatrix, _stored, check_dims, checked_product, same_kind
 from .expression import MatrixExpression, _laid_out, matrix_expression
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -175,7 +174,7 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
         return np.dot(fa, _laid_out(fb, b.dims, p.b_order, p.b_shape, dtype))
 
     out = checked_product(dot, a._flat(), b._flat(), p.inner, a._max_abs(), b._max_abs())
-    return _result(p.out_dims, out, a.kind)
+    return _stored(p.out_dims, out, a.kind)
 
 
 def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
@@ -190,7 +189,7 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     p = _layout(a, b, a_axes, b_axes)
     m_a = perm_gather(a._flat(), a.dims, Permutation(p.a_free + p.a_axes)).reshape(p.a_shape)
     v_b = perm_gather(b._flat(), b.dims, Permutation(p.b_axes + p.b_free)).reshape(-1, 1)
-    return _result(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
+    return _stored(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
 
 
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:
@@ -205,6 +204,25 @@ def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expr
     if method in ("bruteforce", "brute"):
         return contract_bruteforce(a, b, a_axes, b_axes)
     raise ValueError(f"unknown contraction method {method!r}")
+
+
+def _agreement_bound(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> np.ndarray:
+    """Entrywise bound on how far two routes' float results of one pairing may differ.
+
+    An entry sums K products, K the paired size.  In any order, with or
+    without FMA and with no underflow, it is computed within
+    ``γ_K·Σ|a_k b_k|`` of the exact sum, ``γ_K = K·u / (1 − K·u)``,
+    ``u = 2**-53`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §3.1).  So two routes differ by at most
+    ``2·γ_K·(|a| ⋆ |b|)·(1 + γ_K)``, the last factor for computing the
+    contraction of absolute values ``|a| ⋆ |b|`` itself; inf on overflow.
+    """
+    p = _layout(a, b, a_axes, b_axes)
+    gamma = p.inner * 2.0 ** -53 / (1 - p.inner * 2.0 ** -53)
+    fa = _laid_out(np.abs(a.data), a.dims, p.a_order, p.a_shape)
+    fb = _laid_out(np.abs(b.data), b.dims, p.b_order, p.b_shape)
+    with np.errstate(over="ignore"):
+        return 2 * gamma * (1 + gamma) * np.dot(fa, fb).reshape(-1)
 
 
 def onto_contract(a: Hypermatrix, b: Hypermatrix, rs, method: str = "expression") -> Hypermatrix:
@@ -231,7 +249,7 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     (i_1, ..., i_d) is ``x_1[i_1] * ... * x_d[i_d]``.
     """
     dims = check_dims(np.asarray(f).size for f in factors)
-    return _result(dims, kron_chain(factors), kind)
+    return _stored(dims, kron_chain(factors), kind)
 
 
 def _fold(acc, xs, dims) -> np.ndarray:

@@ -7,8 +7,8 @@ last index varies fastest (row-major).  All public indices are 1-based;
 
 Two scalar backends are supported:
 
-* ``"int"``  -- exact arbitrary-precision integers (numpy object array of
-  Python ints), so golden comparisons are bit-exact and sums can never
+* ``"int"``  -- exact arbitrary-precision integers (``data`` reads them
+  as Python ints), so golden comparisons are bit-exact and sums can never
   silently wrap;
 * ``"float"`` -- IEEE binary64, finite values only (NaN and inf raise).
 
@@ -24,23 +24,20 @@ the tier before the factors are laid out, so the layout copies them
 straight into the tier's dtype.  Sums of vectors stay on the object
 array.  The value types share one immutable base, ``_Frozen``; public
 constructors copy any array the caller still holds.  A ``Hypermatrix``
-is checked once, when it is built: its int object data is scanned
-(``_checked_ints``), and an int value that fits int64 holds a
-read-only int64 form from then on (``Hypermatrix._own``).  Library
-results come through one trusted path, ``_result``: the scalar policy,
-no validation, no copy, and an int64 product kept as the form alone.
-A value keeps ``max|v|`` of its form from its first product
-(``Hypermatrix._max_abs``), which ``checked_product`` hands to
-``narrow``, so a value is measured once however many products read it;
-a gather passes its source's on.  ``narrow`` takes an int64 form
-without a scan or a cast and scans any other int factor, comparisons
-read the form in numpy, and ``Hypermatrix.data`` widens it to Python
-ints only when first read, so a chain of products never round-trips
-through Python ints.
+is checked once, when it is built (int object data is scanned by
+``_checked_ints``), and every value, built or a library result, is
+filled by one step, ``Hypermatrix._filled``: an int value holds one
+store, its read-only int64 form when every entry fits int64, else its
+object array of Python ints.  Products, gathers and comparisons read
+the store in numpy; ``Hypermatrix.data`` widens an int64 form only when
+first read.  A value keeps ``max|v|`` of its form from its first
+product (``Hypermatrix._max_abs``), which ``checked_product`` hands to
+``narrow``, so a value is measured once however many products read it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Iterable, Iterator
 
@@ -295,11 +292,12 @@ class _Frozen:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _fill(self, *values):
-        """Write the slots in ``__slots__`` order; array values become read-only."""
+        """Write the slots in ``__slots__`` order and return the value; array values become read-only."""
         for put, value in zip(self._setters, values):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             put(self, value)
+        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -314,14 +312,12 @@ class Hypermatrix(_Frozen):
     """Immutable order-d array with flat row-major storage.
 
     The flat ``data`` vector lists entries in ID order, i.e. entry
-    ``(i1, ..., id)`` sits at flat rank ``linearize(dims, idx)``.  A
-    product of the int kernel holds its int64 form (``_int64``,
-    read-only) instead, so that the next product and comparisons skip the
-    scan and the cast; ``data`` widens it on first read and keeps the
-    widened array.  A constructor-built int value is scanned once and
-    holds its int64 form beside ``data`` when every entry fits int64.
-    ``max |v|`` of the int64 form (``_max``) and the hash are computed on
-    first use and kept.
+    ``(i1, ..., id)`` sits at flat rank ``linearize(dims, idx)``.  An int
+    value holds one store (``_flat``): its read-only int64 form
+    (``_int64``) when every entry fits int64, else the object array of
+    Python ints (``_data``).  Over an int64 form, ``data`` is a cache,
+    widened on first read.  ``max |v|`` of the int64 form (``_max``) and
+    the hash are computed on first use and kept.
     """
 
     __slots__ = ("dims", "_data", "kind", "_int64", "_max", "_hash")
@@ -329,30 +325,36 @@ class Hypermatrix(_Frozen):
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
-        flat, kind = as_scalars(data, kind)
-        if kind == "int" and flat is data:
-            # An object array as the caller built it: ``as_scalars`` took it unscanned.
+        # An array goes to the fill step as it is, so an int array is never widened to Python ints.
+        flat = data if isinstance(data, np.ndarray) else as_scalars(data, kind)[0]
+        if flat is data and flat.dtype == object and kind in (None, "int"):
             flat = _checked_ints(flat)
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
             flat = flat.copy()
-        self._own(dims, flat, kind)
+        self._filled(dims, flat, kind)
 
-    def _own(self, dims: tuple[int, ...], flat: np.ndarray, kind: str) -> "Hypermatrix":
-        """Fill the slots from checked entries that no caller holds.
+    def _filled(self, dims: tuple[int, ...], flat: np.ndarray, kind: str | None, max_abs: int | None = None):
+        """The one fill step: the slots from an array of ``dims``' entries that no caller holds.
 
-        An int value whose entries all fit int64 keeps its int64 form;
-        past int64 it keeps none, and ``narrow`` scans it per product.
+        Int entries (object ones must be Python ints) go to one store;
+        other data takes the scalar policy.  ``astype`` wraps a uint64 entry
+        past 2**63 - 1 silently, so an unsigned maximum is read first.  A
+        gather passes its source's ``max|v|`` as ``max_abs``.
         """
-        flat = _sized(flat, dims)
-        form = None
-        if kind == "int":
+        if flat.dtype.kind not in "iuO" or kind not in (None, "int"):
+            flat, kind = as_scalars(flat, kind)
+        flat = flat.reshape(-1)
+        if flat.size != size_of(dims):
+            raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
+        if kind != "float":
+            if flat.dtype.kind == "u" and flat.max(initial=0) > _INT64_MAX:
+                flat = flat.astype(object)
             try:
-                form = flat.astype(np.int64)
+                return self._fill(dims, None, "int", flat.astype(np.int64, copy=False), max_abs, None)
             except OverflowError:
-                pass
-        self._fill(dims, flat, kind, form, None, None)
-        return self
+                kind = "int"
+        return self._fill(dims, flat, kind, None, None, None)
 
     @property
     def data(self) -> np.ndarray:
@@ -364,7 +366,7 @@ class Hypermatrix(_Frozen):
         return self._data
 
     def _flat(self) -> np.ndarray:
-        """The int64 form when there is one, else ``data``: what products, gathers and comparisons read."""
+        """The store: what products, gathers and comparisons read, never widened."""
         return self.data if self._int64 is None else self._int64
 
     def _max_abs(self) -> int | None:
@@ -391,7 +393,7 @@ class Hypermatrix(_Frozen):
             return cls(array.shape, array, kind)
         # Nested lists become a fresh array that no caller holds: no second copy.
         arr, kind = as_scalars(array, kind)
-        return object.__new__(cls)._own(check_dims(arr.shape), arr, kind)
+        return object.__new__(cls)._filled(check_dims(arr.shape), arr, kind)
 
     @classmethod
     def zeros(cls, dims, kind: str = "int") -> "Hypermatrix":
@@ -455,8 +457,7 @@ class Hypermatrix(_Frozen):
 
     def __hash__(self):
         if self._hash is None:
-            # tolist() of an int64 form yields the Python ints data holds, so
-            # equal values hash alike whichever form holds them.
+            # tolist() of an int64 form yields the Python ints ``data`` holds.
             object.__setattr__(self, "_hash", hash((self.dims, self.kind, tuple(self._flat().tolist()))))
         return self._hash
 
@@ -466,38 +467,20 @@ class Hypermatrix(_Frozen):
         return f"Hypermatrix(dims={self.dims}, size={self.size}, kind={self.kind!r})"
 
 
-def _sized(flat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """``flat`` as a 1-D array, which must hold exactly ``dims``' entries."""
-    flat = flat.reshape(-1)
-    if flat.size != size_of(dims):
-        raise ValueError(f"data length {flat.size} does not match shape {dims} (expected {size_of(dims)})")
-    return flat
-
-
 def _owned(dims, values: list, kind: str) -> Hypermatrix:
     """A value from a flat list whose entries the caller has type-checked for ``kind``.
 
     The constructor's checks in its order (dims, the float conversion and
     finiteness, the length), without its type pass over the entries and
-    without its copy: the array built here is held by no caller.
+    without its copy: int entries go straight to int64 when they fit.
     """
     dims = check_dims(dims)
-    flat, kind = as_scalars(np.array(values, dtype=DTYPE[kind]), kind)
-    return object.__new__(Hypermatrix)._own(dims, flat, kind)
+    if kind == "int":
+        with contextlib.suppress(OverflowError):
+            return _stored(dims, np.array(values, dtype=np.int64), kind)
+    return _stored(dims, np.array(values, dtype=DTYPE[kind]), kind)
 
 
-def _result(dims: tuple[int, ...], out: np.ndarray, kind: str | None, max_abs: int | None = None) -> Hypermatrix:
-    """A library result from a fresh array ``out`` of ``dims``' size, neither checked nor copied.
-
-    The scalar policy applies (float results must be finite).  An int64
-    product is kept as the read-only int64 form alone; ``data`` widens it
-    when first read.  A gather passes its source's kept ``max_abs``,
-    which holds for the gathered entries too.
-    """
-    flat = out.reshape(-1)
-    h = object.__new__(Hypermatrix)
-    if flat.dtype == np.int64 and kind == "int":
-        h._fill(dims, None, "int", flat, max_abs, None)
-    else:
-        h._fill(dims, *as_scalars(flat, kind), None, None, None)
-    return h
+def _stored(dims: tuple[int, ...], out: np.ndarray, kind: str | None, max_abs: int | None = None) -> Hypermatrix:
+    """A library result from a fresh array ``out``, through the fill step unscanned and uncopied."""
+    return object.__new__(Hypermatrix)._filled(dims, out, kind, max_abs)

@@ -11,7 +11,7 @@ built.  The conversions are verified against direct index-shuffle
 construction.  That index shuffle is one helper, ``_lay_out``:
 ``matrix_expression``, the sigma-transpose, ``expression_to_hypermatrix``
 and the expression contraction route all lay data out through it.
-Results come through the trusted constructors (``core._result``,
+Results come through the trusted constructors (``core._stored``,
 ``_expression``); the public ``MatrixExpression`` constructor validates
 and copies its matrix.
 """
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _Frozen, _result, as_scalars, check_dims, size_of
+from .core import _INT64_MAX, Hypermatrix, _Frozen, _stored, as_scalars, check_dims, size_of
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
@@ -76,7 +76,7 @@ def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[ax - 1] for ax in sigma.image)
-    return _result(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind, a._max)
+    return _stored(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind, a._max)
 
 
 def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
@@ -88,7 +88,7 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _as_perm(sigma, a.order)
     dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
-    return _result(dims, perm_gather(a._flat(), a.dims, sigma), a.kind, a._max)
+    return _stored(dims, perm_gather(a._flat(), a.dims, sigma), a.kind, a._max)
 
 
 # -- matrix expressions ------------------------------------------------
@@ -125,9 +125,7 @@ class MatrixExpression(_Frozen):
 
 def _expression(mat, row_axes, col_axes, dims, kind) -> MatrixExpression:
     """Trusted construction from parts the caller has already validated."""
-    m = object.__new__(MatrixExpression)
-    m._fill(mat, row_axes, col_axes, dims, kind)
-    return m
+    return object.__new__(MatrixExpression)._fill(mat, row_axes, col_axes, dims, kind)
 
 
 def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] | None = None) -> MatrixExpression:
@@ -165,7 +163,7 @@ def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
     """
     order = m.row_axes + m.col_axes
     back = tuple(order.index(k) + 1 for k in range(1, len(order) + 1))
-    return _result(m.dims, _lay_out(m.mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
+    return _stored(m.dims, _lay_out(m.mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
 
 
 # -- conversions through permutation matrices --------------------------
@@ -254,8 +252,8 @@ def is_symmetric(a: Hypermatrix) -> bool:
 def is_skew_symmetric(a: Hypermatrix) -> bool:
     """True when every axis permutation scales the hypermatrix by its sign."""
     _require_hypercubic(a)
-    for tau in _adjacent_transpositions(a.order):
-        flipped = sigma_transpose(a, tau)
-        if not all(x == -y for x, y in zip(flipped.data, a.data)):
-            return False
-    return True
+    # Negating -2**63 wraps in int64, so a value that holds it compares Python ints.
+    exact = (a._max_abs() or 0) > _INT64_MAX
+    neg = -(a.data if exact else a._flat())
+    flips = (sigma_transpose(a, tau) for tau in _adjacent_transpositions(a.order))
+    return all(np.array_equal(f.data if exact else f._flat(), neg) for f in flips)

@@ -29,13 +29,12 @@ _DATA_TYPES = {"int": {int}, "float": {int, float}}
 
 def dumps_hm(a: Hypermatrix) -> str:
     """Serialise a hypermatrix; integers exactly, floats shortest round-trip."""
+    # tolist() gives Python floats, and Python ints whether or not the store is int64.
+    data = a._flat().tolist()
     if a.kind == "float":
-        data = [float(v) for v in a.data]
         for pos, v in enumerate(data, start=1):
             if not math.isfinite(v):
                 raise DocumentError(f"non-finite float {v!r} at data position {pos}")
-    else:
-        data = [int(v) for v in a.data]
     doc = {"shape": list(a.dims), "data": data, "scalar_kind": a.kind}
     return json.dumps(doc, allow_nan=False)
 

@@ -90,7 +90,8 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
             return np.matmul(b.T, a.reshape(m, p, be)).reshape(m, q * be)
         ga = np.repeat(a, al, axis=1).reshape(m, t // k, k).transpose(2, 0, 1)
         gb = np.repeat(b, be, axis=0).reshape(t // k, k, q).transpose(1, 0, 2)
-        out = np.zeros((m, al, q, be), dtype=dtype)
+        # α and β are coprime, so by the CRT the αβ blocks write every output block.
+        out = np.empty((m, al, q, be), dtype=dtype)
         out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
         return out.reshape(m * al, q * be)
 

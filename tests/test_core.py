@@ -104,6 +104,9 @@ def test_approx_equal_int_exact():
     assert a.approx_equal(b)
     assert not a.approx_equal(c)
     assert a == b and a != c
+    # The int64 form and a float64 array of the same entries compare equal in numpy: the kinds differ.
+    floats = Hypermatrix((2,), [1.0, 2.0])
+    assert a != floats and floats != a
 
 
 def test_approx_equal_float_tolerance():

@@ -358,6 +358,10 @@ def test_skew_symmetric_d2():
     skew = Hypermatrix.from_flat((2, 2), [0, 3, -3, 0])
     assert is_skew_symmetric(skew)
     assert not is_skew_symmetric(Hypermatrix.from_flat((2, 2), [0, 3, 3, 0]))
+    # -(-2**63) is 2**63, which int64 negation would wrap back to -2**63.
+    for data in ([-(2 ** 63), 0, 0, 0], [0, -(2 ** 63), -(2 ** 63), 0]):
+        assert not is_skew_symmetric(Hypermatrix.from_flat((2, 2), data))
+    assert is_skew_symmetric(Hypermatrix.from_flat((2, 2), [0, -(2 ** 63) + 1, 2 ** 63 - 1, 0]))
 
 
 def test_symmetric_d3_constructed(rng):

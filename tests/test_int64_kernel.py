@@ -16,6 +16,7 @@ result-sized arrays at most (four on the ``stp`` route).  Each value's ``max|v|`
 and kept, counting negative entries, and a gather passes it on.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -30,6 +31,8 @@ from hyperstp import (
     contract,
     contract_bruteforce,
     contract_via_expression,
+    iter_indices,
+    loads_hm,
     matrix_expression,
     mm_stp,
     mv_stp,
@@ -265,14 +268,50 @@ def test_data_widens_on_first_read_to_read_only_python_ints(rng):
             data[0] = 1
 
 
+_BUILT = [3, -1, 0, 2 ** 62, -(2 ** 63), 2 ** 63 - 1]
+
+
+def _built_values(shape, flat):
+    """``flat`` built by every public constructor and by ``loads_hm``."""
+    nested = np.array(flat, dtype=object).reshape(shape).tolist()
+    return [
+        Hypermatrix(shape, flat),
+        Hypermatrix.from_flat(shape, np.array(flat, dtype=object)),
+        Hypermatrix.from_nd(nested),
+        Hypermatrix.from_nd(np.array(flat).reshape(shape)),
+        loads_hm(json.dumps({"shape": list(shape), "data": flat, "scalar_kind": "int"})),
+    ]
+
+
+_READERS = {
+    "data": lambda h: list(h.data),
+    "nd": lambda h: list(h.nd.reshape(-1)),
+    "get": lambda h: [h.get(idx) for idx in iter_indices(h.dims)],
+    "items": lambda h: [v for _, v in h.items()],
+    "mat": lambda h: list(matrix_expression(h, rows=(2, 1)).mat.reshape(-1)),
+    "to_scalar": lambda h: [h.to_scalar()],
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_a_built_value_holds_only_its_form_until_data_is_read(reader):
+    shape, flat = ((), _BUILT[4:5]) if reader == "to_scalar" else ((2, 3), _BUILT)
+    for h in _built_values(shape, flat):
+        assert h._int64.tolist() == flat and h._data is None
+        got = _READERS[reader](h)
+        assert all(type(v) is int for v in got) and sorted(got) == sorted(flat)
+
+
 def test_equal_values_hash_alike_whichever_form_they_hold(rng):
     a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
     fast = contract(a, b, (2, 3), (1, 2), "expression")
     stp = contract(a, b, (2, 3), (1, 2), "stp")
     slow = contract_bruteforce(a, b, (2, 3), (1, 2))
-    # A library result from an object array holds ``data`` alone.
-    rebuilt = core._result(fast.dims, np.array(slow.data), "int")
-    assert fast._int64 is not None and slow._int64 is not None and rebuilt._int64 is None
+    # Every value that fits int64 holds its int64 form alone, a library
+    # result built from an object array of Python ints too.
+    rebuilt = core._stored(fast.dims, np.array(slow.data), "int")
+    assert rebuilt._data is None
+    assert all(h._int64 is not None for h in (fast, stp, slow, rebuilt))
     assert fast == stp and fast.approx_equal(stp) and hash(fast) == hash(stp)
     # Comparing and hashing two int64 forms reads them in numpy: neither widens.
     assert fast._data is None and stp._data is None

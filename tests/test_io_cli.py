@@ -24,7 +24,9 @@ from hyperstp import (
     read_hm,
     write_hm,
 )
+from hyperstp import cli
 from hyperstp.cli import _parser, main
+from hyperstp.contraction import _agreement_bound
 from hyperstp.permutation import MAX_PERM_ENTRIES
 
 from conftest import random_dims, random_hm
@@ -298,6 +300,67 @@ def test_cli_contract_methods_and_agreement(tmp_path, capsys):
     expr = read_hm(out)
     assert both == brute == expr
     assert brute.nd.tolist() == (np.array([[1, 2, 3], [4, 5, 6]]) @ np.array([[7, 8], [9, 10], [11, 12]])).tolist()
+
+
+def _cancelling_docs(tmp_path, seed):
+    """A 1 x 64 row at scale 1e8 and a 64 x 1 column whose contraction cancels to about 0."""
+    rng = np.random.default_rng(seed)
+    row, col = rng.uniform(-1, 1, 64) * 1e8, rng.uniform(-1, 1, 64)
+    row[-1] = -np.dot(row[:-1], col[:-1]) / col[-1]
+    return (
+        write_doc(tmp_path / "a.hm", [1, 64], row.tolist(), "float"),
+        write_doc(tmp_path / "b.hm", [64, 1], col.tolist(), "float"),
+    )
+
+
+def _contract_argv(a, b, out):
+    return ["contract", "--a", a, "--b", b, "--a-axes", "2", "--b-axes", "1", str(out)]
+
+
+def test_cli_contract_accepts_correct_cancelling_float_results(tmp_path):
+    # Both routes are within 2·γ_K·(|a| ⋆ |b|) of the exact sum, yet their
+    # results, near 0, differ by far more than 1e-9 of themselves.
+    apart = []
+    for seed in range(1, 6):
+        a, b = _cancelling_docs(tmp_path, seed)
+        assert main(_contract_argv(a, b, tmp_path / "c.hm")) == 0
+        x, y = read_hm(a), read_hm(b)
+        brute, expr = (hyperstp.contract(x, y, (2,), (1,), m) for m in ("brute", "expr"))
+        assert read_hm(tmp_path / "c.hm") == brute
+        apart.append(not brute.approx_equal(expr, 1e-9))
+    assert any(apart)
+
+
+def test_cli_contract_rejects_a_float_result_past_the_bound(tmp_path, monkeypatch, capsys):
+    a, b = _cancelling_docs(tmp_path, 1)
+    bound = _agreement_bound(read_hm(a), read_hm(b), (2,), (1,))
+    real = cli.contract
+
+    def off(x, y, x_axes, y_axes, method):
+        out = real(x, y, x_axes, y_axes, method)
+        # Routes within the bound of each other land at least twice it apart.
+        return Hypermatrix(out.dims, out.data + 3 * bound, "float") if method == "expr" else out
+
+    monkeypatch.setattr(cli, "contract", off)
+    assert main(_contract_argv(a, b, tmp_path / "c.hm")) == 3
+    assert "contraction methods disagree" in capsys.readouterr().err
+    assert not (tmp_path / "c.hm").exists()
+
+
+def test_cli_stp_mm_scans_no_operand_and_no_result(tmp_path, monkeypatch, capsys):
+    import hyperstp.core as core
+
+    rng = np.random.default_rng(7)
+    a_np, b_np = rng.integers(-9, 10, (6, 4)), rng.integers(-9, 10, (6, 6))
+    a = write_doc(tmp_path / "a.hm", [6, 4], a_np.reshape(-1).tolist())
+    b = write_doc(tmp_path / "b.hm", [6, 6], b_np.reshape(-1).tolist())
+    want = hyperstp.mm_stp(a_np, b_np)
+    real, scans = core._scanned, []
+    monkeypatch.setattr(core, "_scanned", lambda arr: scans.append(arr.size) or real(arr))
+    assert main(["stp", "--op", "mm", a, b]) == 0
+    assert scans == []
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["shape"] == list(want.shape) and doc["data"] == want.reshape(-1).tolist()
 
 
 def test_cli_stp_vv(tmp_path, capsys):

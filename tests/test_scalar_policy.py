@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperstp import (
     Hypermatrix,
@@ -146,6 +146,27 @@ def test_the_constructor_scans_int_object_data_once(values):
         assert h.kind == "int" and (h._int64 is not None) == fits
         if fits:
             assert h._int64.tolist() == h.data.tolist() and not h._int64.flags.writeable
+        assert h.data.tolist() == want and all(type(v) is int for v in h.data)
+
+
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_INT_DTYPES).flatmap(
+        lambda dt: st.tuples(st.just(dt), st.lists(st.integers(int(np.iinfo(dt).min), int(np.iinfo(dt).max)), min_size=1, max_size=6))
+    )
+)
+@example((np.uint64, [2 ** 64 - 1, 2 ** 63, 0]))
+def test_int_arrays_go_to_one_store_with_their_exact_values(case):
+    dtype, want = case
+    arr = np.array(want, dtype=dtype)
+    fits = max(want) < 2 ** 63
+    for h in (Hypermatrix(arr.shape, arr), Hypermatrix.from_flat(arr.shape, arr), Hypermatrix.from_nd(arr)):
+        # Fits int64: the form alone.  Past it (uint64 only): Python ints, never wrapped.
+        assert h.kind == "int" and (h._int64 is not None) == fits and (h._data is None) == fits
+        assert not np.shares_memory(h._flat(), arr)
         assert h.data.tolist() == want and all(type(v) is int for v in h.data)
 
 

@@ -74,6 +74,8 @@ def test_every_value_type_copies_and_pickles(name):
         assert all(not arr.flags.writeable for arr in _arrays(dup))
         if isinstance(dup, Hypermatrix):
             assert dup.kind == original.kind and (dup._int64 is None) == (name != "int64 form")
+            # One store: a copy with an int64 form has widened nothing.
+            assert dup._int64 is None or dup._data is None
             assert all(type(x) is type(y) for x, y in zip(dup.data, original.data))
 
 
@@ -189,6 +191,10 @@ def test_from_nd_copies_nested_lists_once(nested, monkeypatch):
 
     monkeypatch.setattr(core, "as_scalars", spy)
     h = Hypermatrix.from_nd(nested)
-    # The one copy is the list read into an array; ``data`` is that array.
-    assert np.shares_memory(h.data, built[0])
+    # The one copy is the list read into an array.  A float value stores that
+    # array; an int value stores its int64 cast alone, and ``data`` is a cache.
+    if h.kind == "float":
+        assert np.shares_memory(h._flat(), built[0])
+    else:
+        assert h._data is None and h._int64.tolist() == built[0].reshape(-1).tolist()
     assert h.data.tolist() == [v for row in nested for v in row] and not h.data.flags.writeable
