@@ -24,8 +24,10 @@ in a bounded memo, so a small product pays for its arithmetic, not for
 re-deriving its layout.  ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
-expression route.  Rank-one hypervectors and multilinear evaluation by
-semi-tensor chains complete the module.
+expression route.  Rank-one hypervectors and multilinear evaluation
+complete the module: a semi-tensor chain (``_fold``) runs on the
+evaluated value's store, checks each raw argument once, keeps each int
+product in its tier between steps and widens once, at the end.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _stored, check_dims, checked_product, same_kind
-from .expression import MatrixExpression, _laid_out, matrix_expression
+from .core import Hypermatrix, _stored, as_scalars, as_scalars_joint, check_dims, checked_product, same_kind, widen
+from .expression import MatrixExpression, _laid_out, _lay_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
-from .stp import _stp_dot, kron_chain, mm_stp
+from .stp import _stp_dot, kron_chain
 
 
 def _check_axes(label: str, order: int, axes: Sequence[int]) -> tuple[int, ...]:
@@ -252,20 +254,34 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     return _stored(dims, kron_chain(factors), kind)
 
 
-def _fold(acc, xs, dims) -> np.ndarray:
-    """Semi-tensor chain of ``acc`` with argument columns, one per dim.
+def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.ndarray:
+    """Semi-tensor chain ``rows ⋉ acc ⋉ x_1 ⋉ ... ⋉ x_d`` on the store ``acc``, widened once.
 
-    Argument k must have length ``dims[k]``; each factor peels one axis.
+    Argument column k must have length ``dims[k]``; each peels one axis.
+    The raw factors (the row factors ``rows`` and the arguments) are
+    checked once, by ``as_scalars_joint``, which also decides the chain's
+    kind from theirs and the store's ``kind``; ``acc`` converts only when
+    a float factor puts an int chain on binary64.  Each step is one
+    ``_stp_dot`` whose ``narrow`` picks the tier (the first from ``acc``'s
+    kept magnitude ``m_acc``), and an int product stays int64, or Python
+    ints past it, until the chain ends.
     """
-    xs = list(xs)
+    xs = [np.asarray(x) for x in xs]
     if len(xs) != len(dims):
         raise ValueError(f"{len(xs)} arguments for {len(dims)} axes")
     for k, (n, x) in enumerate(zip(dims, xs), start=1):
-        x = np.asarray(x)
         if x.size != n:
             raise ValueError(f"argument {k} has length {x.size}, expected {n}")
-        acc = mm_stp(acc, x.reshape(-1, 1))
-    return acc.reshape(-1)
+    raw, chain = as_scalars_joint(*rows, *xs, kind=kind)
+    if chain != kind:
+        acc = as_scalars(acc, chain)[0]
+    s = len(rows)
+    factors = [w.reshape(1, -1) for w in raw[:s]] + [acc] + [x.reshape(-1, 1) for x in raw[s:]]
+    mags = [None] * s + [m_acc] + [None] * len(xs)
+    acc, m_acc = factors[0], mags[0]
+    for f, m in zip(factors[1:], mags[1:]):
+        acc, m_acc = _stp_dot(acc, f, m_acc, m), None
+    return widen(acc.reshape(-1))
 
 
 def eval_multilinear_scalar(pi: Hypermatrix, xs) -> object:
@@ -275,7 +291,7 @@ def eval_multilinear_scalar(pi: Hypermatrix, xs) -> object:
     columns peels one axis per factor; with basis arguments it reads the
     coefficient entries straight off.
     """
-    return _fold(pi.data.reshape(1, -1), xs, pi.dims)[0]
+    return _fold(pi._flat().reshape(1, -1), pi.kind, xs, pi.dims, pi._max_abs())[0]
 
 
 def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
@@ -286,7 +302,7 @@ def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
     """
     if len(m.row_axes) != 1:
         raise ValueError(f"expression has row axes {m.row_axes}; need exactly one")
-    return _fold(m.mat, xs, [m.dims[ax - 1] for ax in m.col_axes])
+    return _fold(*as_scalars(m.mat), xs, [m.dims[ax - 1] for ax in m.col_axes])
 
 
 def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
@@ -295,8 +311,8 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
     ``omega`` has order r+s over one dimension n, with the first r axes
     fed by column vectors and the last s by row covectors.  The covector
     chain is folded right to left (a row semi-tensor chain reverses the
-    Kronecker order), the expression sits in the middle, and the vectors
-    fold in on the right.
+    Kronecker order), the expression of ``omega``'s store sits in the
+    middle, and the vectors fold in on the right.
     """
     covectors = [np.asarray(w).reshape(-1) for w in covectors]
     vectors = [np.asarray(x).reshape(-1) for x in vectors]
@@ -309,13 +325,8 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
     for w in covectors:
         if w.size != n:
             raise ValueError(f"argument of length {w.size}, expected {n}")
-    m = matrix_expression(omega, rows=tuple(range(r + 1, r + s + 1)), cols=tuple(range(1, r + 1)))
-    acc = None
-    for j in range(1, s + 1):
-        w = covectors[s - j].reshape(1, -1)
-        acc = w if acc is None else mm_stp(acc, w)
-    acc = m.mat if acc is None else mm_stp(acc, m.mat)
-    return _fold(acc, vectors, (n,) * r)[0]
+    mat = _lay_out(omega._flat(), omega.dims, tuple(range(r + 1, r + s + 1)), tuple(range(1, r + 1)))
+    return _fold(mat, omega.kind, vectors, (n,) * r, omega._max_abs(), covectors[::-1])[0]
 
 
 # -- block operators -----------------------------------------------------

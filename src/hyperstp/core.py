@@ -173,10 +173,11 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
     return arr, kind
 
 
-def as_scalars_joint(*operands) -> tuple[list[np.ndarray], str]:
-    """Several raw operands on one backend: float when any of them is float."""
+def as_scalars_joint(*operands, kind: str = "int") -> tuple[list[np.ndarray], str]:
+    """Several raw operands on one backend: float when ``kind`` (a store they meet) or any of them is."""
     pairs = [as_scalars(x) for x in operands]
-    kind = "float" if any(k == "float" for _, k in pairs) else "int"
+    if any(k == "float" for _, k in pairs):
+        kind = "float"
     return [x if k == kind else as_scalars(x, kind)[0] for x, k in pairs], kind
 
 
@@ -321,7 +322,6 @@ class Hypermatrix(_Frozen):
     """
 
     __slots__ = ("dims", "_data", "kind", "_int64", "_max", "_hash")
-    _args = ("dims", "data", "kind")
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
@@ -366,8 +366,11 @@ class Hypermatrix(_Frozen):
         return self._data
 
     def _flat(self) -> np.ndarray:
-        """The store: what products, gathers and comparisons read, never widened."""
+        """The store: what products, gathers, comparisons and pickles read, never widened."""
         return self.data if self._int64 is None else self._int64
+
+    def __reduce__(self):
+        return type(self), (self.dims, self._flat(), self.kind)
 
     def _max_abs(self) -> int | None:
         """``max |v|`` of the int64 form, kept on first use; None without one.

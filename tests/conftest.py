@@ -5,6 +5,7 @@ deliberately avoiding the library's stride arithmetic and gather paths,
 so equivalence tests check two genuinely different routes.
 """
 
+import functools
 import math
 from itertools import product
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hyperstp import Hypermatrix, Permutation, delinearize, iter_indices, linearize, size_of
+from hyperstp import Hypermatrix, Permutation, delinearize, iter_indices, linearize, mm_stp, size_of
 
 
 @pytest.fixture
@@ -130,6 +131,25 @@ def stp_oracle(a: np.ndarray, b: np.ndarray):
     """
     t = math.lcm(a.shape[-1], b.shape[0])
     return kron_pad(a, t // a.shape[-1]) @ kron_pad(b, t // b.shape[0])
+
+
+def stp_chain(factors) -> np.ndarray:
+    """A semi-tensor chain as a fold of the public ``mm_stp``, which widens every step to Python ints."""
+    return functools.reduce(mm_stp, factors).reshape(-1)
+
+
+def assert_same_result(got, ref, kind):
+    """Python ints equal to ``ref``'s on the int backend; binary64 with ``ref``'s bits on float."""
+    if isinstance(got, np.ndarray):
+        assert got.dtype == (object if kind == "int" else np.float64)
+        got, ref = list(got.reshape(-1)), list(np.asarray(ref).reshape(-1))
+    else:
+        assert type(got) is (int if kind == "int" else np.float64)
+        got, ref = [got], [ref]
+    if kind == "int":
+        assert all(type(v) is int for v in got) and got == ref
+    else:
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
 
 
 def basis_vec(n, i, dtype=np.int64):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hyperstp.core as core
 from hyperstp import (
     GamePayoff,
     Hypermatrix,
@@ -12,11 +13,14 @@ from hyperstp import (
     gl2_published_errata,
     gl2_published_matrix,
     gl2_structure_matrix,
+    matrix_expression,
+    vc,
+    vcs,
     ybe_residual,
     ybe_sides,
 )
 
-from conftest import basis_vec, random_hm
+from conftest import assert_same_result, basis_vec, random_hm, stp_chain
 
 
 def classical_cross(x, y):
@@ -143,6 +147,42 @@ def test_game_validation(rng):
     game = GamePayoff((2, 2), (random_hm(rng, (2, 2)),))
     with pytest.raises(ValueError):
         game_payoff(game, [basis_vec(2, 1)])
+
+
+def test_game_payoff_reads_each_payoff_store_unwidened(rng, monkeypatch):
+    counts = (4, 5, 3)
+    payoffs_np = [rng.integers(-9, 10, counts) for _ in range(2)]
+    game = GamePayoff(counts, tuple(Hypermatrix(counts, p) for p in payoffs_np))
+    xs = [np.array([int(v) for v in rng.integers(0, 5, n)], dtype=object) for n in counts]
+    seen = []
+    scanned = core._scanned
+    monkeypatch.setattr(core, "_scanned", lambda arr: (seen.append(arr.size), scanned(arr))[1])
+    got = game_payoff(game, xs)
+    monkeypatch.undo()
+    # Each player's chain scans the three strategies, and no payoff store is widened.
+    assert seen == [4, 5, 3] * 2
+    assert all(p._data is None for p in game.payoffs)
+    expected = [int(np.einsum("abc,a,b,c->", p, *(x.astype(np.int64) for x in xs))) for p in payoffs_np]
+    assert got == expected and all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_structure_chains_match_the_public_stp_fold(rng, kind):
+    def draw(shape):
+        if kind == "int":
+            return np.array([int(v) for v in rng.integers(-99, 100, shape).reshape(-1)], dtype=object).reshape(shape)
+        return rng.uniform(-99, 99, shape)
+
+    bracket = matrix_expression(Hypermatrix((4, 4, 4), gl2_structure_matrix().reshape(-1), "int"), rows=(1,))
+    for _ in range(10):
+        x, y = draw(3), draw(3)
+        got = cross_product(x, y)
+        assert_same_result(got, stp_chain([cross_product_expression(kind).mat, x.reshape(-1, 1), y.reshape(-1, 1)]), kind)
+        x, y = draw((2, 2)), draw((2, 2))
+        got = gl2_bracket(x, y)
+        ref = vcs(stp_chain([bracket.mat, vc(x).reshape(-1, 1), vc(y).reshape(-1, 1)]), 2)
+        assert got.shape == (2, 2)
+        assert_same_result(got, ref, kind)
 
 
 # -- Yang-Baxter -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hyperstp.contraction as contraction
+import hyperstp.core as core
 from hyperstp import (
     Hypermatrix,
     binary_apply,
@@ -23,7 +24,15 @@ from hyperstp import (
     unary_apply,
 )
 
-from conftest import basis_vec, contract_oracle, mixed_dims, random_dims, random_hm
+from conftest import (
+    assert_same_result,
+    basis_vec,
+    contract_oracle,
+    mixed_dims,
+    random_dims,
+    random_hm,
+    stp_chain,
+)
 
 
 def random_spec(rng, a, b, max_pairs=None):
@@ -440,6 +449,109 @@ def test_eval_tensor_matches_bruteforce(rng):
             term *= w[j - 1]
         expected += term
     assert eval_tensor(omega, covs, vecs) == expected
+
+
+# -- multilinear chains on the store ---------------------------------------------
+
+
+def _ints(rng, size, lo=-9, hi=9):
+    return np.array([int(v) for v in rng.integers(lo, hi + 1, size)], dtype=object)
+
+
+def test_scalar_eval_scans_only_the_raw_arguments(rng, monkeypatch):
+    dims = (10, 10, 13)
+    pi = Hypermatrix(dims, _ints(rng, 1300))
+    xs = [_ints(rng, n) for n in dims]
+    seen = []
+    scanned = core._scanned
+    monkeypatch.setattr(core, "_scanned", lambda arr: (seen.append(arr.size), scanned(arr))[1])
+    got = eval_multilinear_scalar(pi, xs)
+    monkeypatch.undo()
+    assert seen == [10, 10, 13]
+    assert pi._data is None
+    assert type(got) is int
+    assert got == stp_chain([pi.data.reshape(1, -1)] + [x.reshape(-1, 1) for x in xs])[0]
+
+
+@st.composite
+def chain_cases(draw):
+    """A backend, a seed, an entry scale, and an order-1..4 shape of dims 1..6 (hypercubic for ``eval_tensor``)."""
+    kind = draw(st.sampled_from(["int", "float"]))
+    order = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dims = (draw(st.integers(1, 6)),) * order
+    else:
+        dims = tuple(draw(st.integers(1, 6)) for _ in range(order))
+    return kind, dims, draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([4, 20, 40]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain_cases())
+def test_chains_match_the_public_stp_fold(case):
+    kind, dims, seed, bits = case
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        if kind == "int":
+            return _ints(rng, size, -(2 ** bits), 2 ** bits)
+        return rng.uniform(-(2.0 ** bits), 2.0 ** bits, size)
+
+    pi = Hypermatrix(dims, draw(size_of(dims)), kind)
+    xs = [draw(n) for n in dims]
+    cols = [x.reshape(-1, 1) for x in xs]
+    got = eval_multilinear_scalar(pi, [list(x) for x in xs])
+    assert_same_result(got, stp_chain([pi.data.reshape(1, -1)] + cols)[0], kind)
+    m = matrix_expression(pi, rows=(1,))
+    assert_same_result(eval_multilinear_vector(m, xs[1:]), stp_chain([m.mat] + cols[1:]), kind)
+    if len(set(dims)) == 1:
+        # The first r axes take vectors, the rest covectors, folded in right to left.
+        r = int(rng.integers(0, len(dims) + 1))
+        m = matrix_expression(pi, rows=tuple(range(r + 1, len(dims) + 1)), cols=tuple(range(1, r + 1)))
+        rows = [w.reshape(1, -1) for w in xs[r:][::-1]]
+        assert_same_result(eval_tensor(pi, xs[r:], xs[:r]), stp_chain(rows + [m.mat] + cols[:r])[0], kind)
+
+
+def test_int_chain_crosses_every_tier(monkeypatch):
+    values = [2 ** 20, -(2 ** 20) + 3, 2 ** 20 - 1, 7, 2 ** 20, 5, -3, 2 ** 20 - 5]
+    pi = Hypermatrix((2, 2, 2), values)
+    xs = [[2 ** 20, 2 ** 20 - 1], [2 ** 18, -(2 ** 18) + 1], [2 ** 10, 3]]
+    tiers = []
+    narrow = core.narrow
+    monkeypatch.setattr(core, "narrow", lambda *args: (out := narrow(*args), tiers.append(out[2]))[0])
+    got = eval_multilinear_scalar(pi, xs)
+    assert tiers == [np.float64, np.int64, object]
+    expected = sum(
+        v * xs[0][i] * xs[1][j] * xs[2][k] for (i, j, k), v in zip(product(range(2), repeat=3), values)
+    )
+    assert type(got) is int and got == expected and got > 2 ** 63
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ([np.array([True, False]), [1, 2, 3]], TypeError, "arrays of dtype bool do not hold scalars"),
+        ([np.array([1, True], dtype=object), [1, 2, 3]], TypeError, "True at position 2 is not a scalar"),
+        ([[1, 2], [1.0, float("nan"), 3.0]], ValueError, "non-finite value nan at position 2"),
+        ([[1, 2], [1, 2]], ValueError, "argument 2 has length 2, expected 3"),
+        ([[1, 2]], ValueError, "1 arguments for 2 axes"),
+    ],
+)
+def test_chain_errors_are_unchanged(args, error, message):
+    pi = Hypermatrix((2, 3), [1, 2, 3, 4, 5, 6])
+    with pytest.raises(error, match=re.escape(message)):
+        eval_multilinear_scalar(pi, args)
+    with pytest.raises(error, match=re.escape(message)):
+        eval_multilinear_vector(matrix_expression(Hypermatrix((1, 2, 3), list(range(6))), rows=(1,)), args)
+
+
+def test_int_store_with_float_arguments_gives_float():
+    pi = Hypermatrix((2, 3), [1, -2, 3, 4, 5, -6])
+    xs = [np.array([0.5, -1.25]), np.array([1.0, 0.0, 2.0])]
+    got = eval_multilinear_scalar(pi, xs)
+    assert_same_result(got, stp_chain([pi.data.reshape(1, -1)] + [x.reshape(-1, 1) for x in xs])[0], "float")
+    # sum of omega[i, j] * x[i] * w[j]
+    omega = Hypermatrix((2, 2), [1, 2, 3, 4])
+    assert_same_result(eval_tensor(omega, [[0.5, 2.0]], [[1, 3]]), np.float64(33.0), "float")
 
 
 # -- block operators ------------------------------------------------------------

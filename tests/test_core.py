@@ -170,6 +170,33 @@ def test_hypermatrix_copies_and_pickles():
             assert all(type(x) is type(y) for x, y in zip(dup.data, original.data))
 
 
+def test_copies_and_pickles_carry_the_store_unwidened():
+    a = Hypermatrix.from_flat((3,), [1, -2, 2 ** 62])
+    payload = pickle.dumps(a)
+    assert a._data is None
+    for dup in [pickle.loads(payload), copy.copy(a), copy.deepcopy(a)]:
+        assert a._data is None and dup._data is None
+        assert dup == a and dup._int64 is not None
+    assert a.__reduce__()[1][1] is a._int64
+
+
+class _ParentPickle:
+    """Reduces as a value was pickled before pickles carried the store: dims, ``data`` and kind."""
+
+    def __init__(self, dims, data, kind):
+        self.args = (dims, np.array(data, dtype=object if kind == "int" else np.float64), kind)
+
+    def __reduce__(self):
+        return Hypermatrix, self.args
+
+
+def test_pickles_that_carry_data_still_load():
+    for dims, data, kind in [((2,), [3, -4], "int"), ((2,), [3 ** 50, -1], "int"), ((1, 2), [0.5, -2.0], "float")]:
+        h = pickle.loads(pickle.dumps(_ParentPickle(dims, data, kind)))
+        assert h == Hypermatrix.from_flat(dims, data, kind)
+        assert (h._int64 is not None) == (kind == "int" and max(map(abs, data)) < 2 ** 63)
+
+
 def test_matrix_expression_copies_and_pickles():
     m = matrix_expression(Hypermatrix.from_flat((2, 3, 2), list(range(12))), rows=(3, 1))
     for dup in _copies(m):

@@ -1,8 +1,10 @@
-"""Every module-level function and class in ``src/hyperstp`` has a user.
+"""Every module-level function and class in ``src/hyperstp`` has a user, and every import a reader.
 
 A definition counts as used when ``hyperstp/__init__`` imports it or any
 module of the package names it outside its own body.  Code that only
-tests call is dead to the library, and this test names it.
+tests call is dead to the library, and this test names it.  An import
+that its module never reads is named too, except in ``__init__`` (which
+re-exports) and on lines marked ``# noqa: F401``.
 """
 
 import ast
@@ -32,5 +34,30 @@ def test_every_module_level_definition_is_exported_or_used():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and refs[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert unused == []
+
+
+def _unused_imports(tree: ast.Module, lines: list[str]):
+    """Names a module imports and never reads; ``__future__`` and ``# noqa: F401`` lines are exempt."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                yield f"{node.lineno} {bound}"
+
+
+def test_every_import_is_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    unused = [
+        f"{module}:{entry}"
+        for module, text in sources.items()
+        if module != "__init__.py"
+        for entry in _unused_imports(ast.parse(text), text.splitlines())
     ]
     assert unused == []
