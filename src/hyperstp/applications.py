@@ -8,6 +8,7 @@ game payoffs, and both sides of the Yang-Baxter constraint as nested
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,12 +45,16 @@ def cross_product_expression(kind: str = "int") -> MatrixExpression:
     return matrix_expression(hm, rows=(1,), cols=(2, 3))
 
 
+# Read-only and built from constants alone, so every call can share it.
+_cross_expression = functools.cache(cross_product_expression)
+
+
 def cross_product(x, y) -> np.ndarray:
     """Cross product on R^3 evaluated through the multilinear machinery."""
     (x, y), kind = as_scalars_joint(x, y)
     if x.size != 3 or y.size != 3:
         raise ValueError("cross product takes two length-3 vectors")
-    return eval_multilinear_vector(cross_product_expression(kind), [x, y])
+    return eval_multilinear_vector(_cross_expression(kind), [x, y])
 
 
 # -- commutator bracket on 2x2 matrices ----------------------------------
@@ -81,10 +86,14 @@ def gl2_bracket(x, y) -> np.ndarray:
     y = np.asarray(y)
     if x.shape != (2, 2) or y.shape != (2, 2):
         raise ValueError("bracket takes two 2x2 matrices")
-    m = gl2_structure_matrix()
-    hm = Hypermatrix((4, 4, 4), m.reshape(-1), "int")
-    out = eval_multilinear_vector(matrix_expression(hm, rows=(1,), cols=(2, 3)), [vc(x), vc(y)])
-    return vcs(out, 2)
+    return vcs(eval_multilinear_vector(_gl2_expression(), [vc(x), vc(y)]), 2)
+
+
+@functools.cache
+def _gl2_expression() -> MatrixExpression:
+    """The read-only 4 x 16 expression of the bracket, built once from its own structure matrix."""
+    hm = Hypermatrix((4, 4, 4), gl2_structure_matrix().reshape(-1), "int")
+    return matrix_expression(hm, rows=(1,), cols=(2, 3))
 
 
 # The published bracket table, column by column, exactly as printed

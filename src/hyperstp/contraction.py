@@ -144,7 +144,8 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
         (sum(k * s for k, s in zip(ks, ac_str)), sum(k * s for k, s in zip(ks, bc_str)))
         for ks in product(*(range(n) for n in ell))
     ]
-    da, db = a.data, b.data
+    # Python lists of the stores: no widened copy is kept, and a Python float rounds as np.float64 does.
+    da, db = a._flat().tolist(), b._flat().tolist()
     zero = 0 if a.kind == "int" else 0.0
     out = []
     nf = len(a_free)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 
@@ -92,9 +94,21 @@ def read_hm(path) -> Hypermatrix:
 
 
 def write_hm(a: Hypermatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_hm(a))
-        fh.write("\n")
+    """Write ``a`` as a .hm document, rewriting an existing file in place.
+
+    The document is serialised before the target is opened, so a value that
+    cannot be written leaves the target as it was.  The target is opened
+    without truncation and cut at the written length afterwards: ext4 and
+    XFS flush a file's data on close once it was truncated on open.  Only a
+    regular file is cut; a pipe, FIFO, tty or ``/dev/null`` is written as it
+    comes.  A rewrite keeps the file's inode, hard links and mode, and a
+    symlink stays a link; a new file gets ``0o666 & ~umask``.
+    """
+    doc = (dumps_hm(a) + "\n").encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(doc)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(doc))
 
 
 # -- delta-notation ------------------------------------------------------

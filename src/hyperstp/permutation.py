@@ -108,13 +108,6 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(q(p(k)) for k in range(1, p.degree + 1))
 
 
-def _check_rows(rows: int, idx: np.ndarray) -> None:
-    """Every 0-based row position in ``idx`` lies in ``[0, rows)``."""
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
-        raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")
-
-
 class LogicalMatrix(_Frozen):
     """m x n matrix of basis-vector columns, stored as 0-based row positions."""
 
@@ -136,7 +129,9 @@ class LogicalMatrix(_Frozen):
     def _init(self, rows: int, idx: np.ndarray) -> None:
         if rows < 1:
             raise ValueError("a logical matrix needs at least one row")
-        _check_rows(rows, idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
+            raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")
         idx = idx.astype(np.intp, copy=False)
         idx.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -272,8 +267,15 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
     or ``LogicalMatrix`` object is built.  The checks are
     ``build_perm_matrix``'s and ``LogicalMatrix.gather_row``'s, with the
     same exception types and messages, made once: the degree, the
-    permuted dims, the budget, the length of ``flat`` and the index's
-    range.  The identity builds nothing: its gather is a copy.
+    permuted dims, the budget and the length of ``flat``.  The identity
+    builds nothing: its gather is a copy.
+
+    The index needs no range check, because ``_perm_index`` is a bijection
+    onto ``range(n)``: ``_perm_index(d, image)`` ranks each multi-index
+    over ``d``, its axes reordered by ``image``, over the reordered dims.
+    Reordering axes maps the multi-indices over ``d`` one to one onto those
+    over the reordered dims, and ranking maps those one to one onto
+    ``range(n)``.
     """
     image = sigma.image
     if len(image) != len(dims):
@@ -288,6 +290,4 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
     inverse = [0] * len(image)
     for k, s in enumerate(image, start=1):
         inverse[s - 1] = k
-    idx = _perm_index(permuted, inverse)
-    _check_rows(n, idx)
-    return flat.reshape(-1)[idx]
+    return flat.reshape(-1)[_perm_index(permuted, inverse)]

@@ -98,6 +98,16 @@ def test_bracket_jacobi(rng):
         assert total.tolist() == [[0, 0], [0, 0]]
 
 
+def test_a_changed_structure_matrix_leaves_the_next_bracket_alone():
+    e11 = np.array([[1, 0], [0, 0]], dtype=object)
+    e12 = np.array([[0, 1], [0, 0]], dtype=object)
+    gl2_bracket(e11, e12)
+    m = gl2_structure_matrix()
+    m[:] = 7
+    assert gl2_structure_matrix().tolist() != m.tolist()
+    assert gl2_bracket(e11, e12).tolist() == e12.tolist()
+
+
 def test_published_table_errata_documented():
     # four columns of the published table deviate from the commutator
     errata = gl2_published_errata()

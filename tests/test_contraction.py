@@ -140,6 +140,23 @@ def test_routes_agree_with_loop_oracle(rng):
         assert contract_bruteforce(a, b, a_axes, b_axes) == expected
 
 
+def test_the_brute_route_reads_the_stores_unwidened(rng):
+    a = Hypermatrix((2, 3), [int(v) for v in rng.integers(-9, 10, 6)])
+    b = Hypermatrix((3, 2), [int(v) for v in rng.integers(-9, 10, 6)])
+    got = contract(a, b, (2,), (1,), "brute")
+    assert a._data is None and b._data is None
+    assert got.nd.tolist() == np.dot(a.nd, b.nd).tolist()
+
+
+def test_the_brute_route_sums_floats_as_float64_scalars_do(rng):
+    a = Hypermatrix((1, 64), rng.uniform(-1, 1, 64) * 1e8)
+    b = Hypermatrix((64, 1), rng.uniform(-1, 1, 64))
+    acc = np.float64(0.0)
+    for x, y in zip(a.data, b.data):
+        acc += x * y
+    assert contract_bruteforce(a, b, (2,), (1,)).data.tolist() == [float(acc)]
+
+
 def test_contract_dispatcher(rng):
     a = random_hm(rng, (2, 2))
     b = random_hm(rng, (2, 2))

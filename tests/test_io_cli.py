@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,70 @@ def test_hm_rejects_non_finite_on_write():
     object.__setattr__(a, "_data", np.array([float("nan")]))
     with pytest.raises(DocumentError):
         dumps_hm(a)
+
+
+def _doc_bytes(a):
+    return (dumps_hm(a) + "\n").encode()
+
+
+def test_write_hm_rewrites_a_longer_and_a_shorter_document(tmp_path):
+    short = Hypermatrix((2,), [1, 2])
+    long = Hypermatrix((3, 4), list(range(-6, 6)))
+    path = tmp_path / "x.hm"
+    for a in (long, short, long):
+        write_hm(a, path)
+        assert path.read_bytes() == _doc_bytes(a)
+
+
+def test_write_hm_rewrites_through_hard_links_and_symlinks(tmp_path):
+    path, hard, soft = tmp_path / "x.hm", tmp_path / "hard.hm", tmp_path / "soft.hm"
+    write_hm(Hypermatrix((3, 4), list(range(12))), path)
+    os.link(path, hard)
+    soft.symlink_to(path)
+    ino = path.stat().st_ino
+    a = Hypermatrix((2,), [5, 6])
+    write_hm(a, hard)
+    assert path.read_bytes() == _doc_bytes(a) and path.stat().st_ino == ino
+    b = Hypermatrix((1,), [7])
+    write_hm(b, soft)
+    assert soft.is_symlink() and path.read_bytes() == hard.read_bytes() == _doc_bytes(b)
+    assert path.stat().st_ino == ino
+
+
+def test_write_hm_creates_a_file_with_the_umask_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_hm(Hypermatrix((1,), [1]), tmp_path / "new.hm")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.hm").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_write_hm_writes_to_devnull_and_to_a_fifo(tmp_path):
+    a = Hypermatrix((2, 2), [1, 2, 3, 4])
+    write_hm(a, os.devnull)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_hm(a, fifo)
+    reader.join(timeout=10)
+    assert got == [_doc_bytes(a)]
+
+
+def test_write_hm_leaves_the_target_when_serialising_fails(tmp_path, monkeypatch):
+    path = tmp_path / "x.hm"
+    write_hm(Hypermatrix((2,), [1, 2]), path)
+    before = path.read_bytes()
+
+    def fail(a):
+        raise DocumentError("cannot serialise")
+
+    monkeypatch.setattr(hyperstp.io, "dumps_hm", fail)
+    with pytest.raises(DocumentError):
+        write_hm(Hypermatrix((1,), [3]), path)
+    assert path.read_bytes() == before
 
 
 # -- delta-notation -----------------------------------------------------------
@@ -277,6 +342,13 @@ def test_cli_transpose(tmp_path, capsys):
     assert main(["transpose", "--sigma", "2,1", src, out]) == 0
     t = read_hm(out)
     assert t.dims == (3, 2) and t.nd.tolist() == [[1, 4], [2, 5], [3, 6]]
+
+
+def test_cli_writing_to_a_directory_is_data_error(tmp_path, capsys):
+    a = write_doc(tmp_path / "a.hm", [2, 2], [1, 2, 3, 4])
+    assert main(["transpose", "--sigma", "2,1", a, str(tmp_path)]) == 2
+    assert main(["contract", "--a", a, "--b", a, "--a-axes", "2", "--b-axes", "1", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_cli_mexpr(tmp_path, capsys):
