@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix, as_scalars_joint
+from .core import _INT64_MAX, Hypermatrix
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, matrix_expression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -50,11 +50,12 @@ _cross_expression = functools.cache(cross_product_expression)
 
 
 def cross_product(x, y) -> np.ndarray:
-    """Cross product on R^3 evaluated through the multilinear machinery."""
-    (x, y), kind = as_scalars_joint(x, y)
-    if x.size != 3 or y.size != 3:
-        raise ValueError("cross product takes two length-3 vectors")
-    return eval_multilinear_vector(_cross_expression(kind), [x, y])
+    """Cross product on R^3 evaluated through the multilinear machinery.
+
+    The chain checks both vectors and their lengths; a float vector puts
+    the int structure constants on binary64.
+    """
+    return eval_multilinear_vector(_cross_expression(), [x, y])
 
 
 # -- commutator bracket on 2x2 matrices ----------------------------------

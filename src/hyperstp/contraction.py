@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ from .core import Hypermatrix, _stored, as_scalars, as_scalars_joint, check_dims
 from .expression import MatrixExpression, _laid_out, _lay_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
-from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
+from .permutation import _relayout, build_perm_matrix  # noqa: F401
 from .stp import _stp_dot, kron_chain
 
 
@@ -117,10 +116,12 @@ def _free_axes(order: int, axes: Sequence[int]) -> tuple[int, ...]:
     return tuple(k for k in range(1, order + 1) if k not in taken)
 
 
-def _strides(dims: tuple[int, ...]) -> list[int]:
-    out = [1] * len(dims)
-    for k in range(len(dims) - 2, -1, -1):
-        out[k] = out[k + 1] * dims[k + 1]
+def _offsets(dims: tuple[int, ...], axes: Sequence[int]) -> list[int]:
+    """The flat offset over ``dims`` of every multi-index over ``axes``, in ID order, one add per entry."""
+    out = [0]
+    for x in axes:
+        s = math.prod(dims[x:])
+        out = [o + k for o in out for k in range(0, dims[x - 1] * s, s)]
     return out
 
 
@@ -133,29 +134,18 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
     of both gives an order-0 scalar.
     """
     plan = _layout(a, b, a_axes, b_axes)
-    a_free, b_free = plan.a_free, plan.b_free
-    sa, sb = _strides(a.dims), _strides(b.dims)
-    af_str = [sa[x - 1] for x in a_free]
-    bf_str = [sb[x - 1] for x in b_free]
-    ac_str = [sa[x - 1] for x in plan.a_axes]
-    bc_str = [sb[x - 1] for x in plan.b_axes]
-    ell = [a.dims[x - 1] for x in plan.a_axes]
-    con = [
-        (sum(k * s for k, s in zip(ks, ac_str)), sum(k * s for k, s in zip(ks, bc_str)))
-        for ks in product(*(range(n) for n in ell))
-    ]
+    con = list(zip(_offsets(a.dims, plan.a_axes), _offsets(b.dims, plan.b_axes)))
     # Python lists of the stores: no widened copy is kept, and a Python float rounds as np.float64 does.
     da, db = a._flat().tolist(), b._flat().tolist()
     zero = 0 if a.kind == "int" else 0.0
     out = []
-    nf = len(a_free)
-    for fs in product(*(range(a.dims[x - 1]) for x in a_free), *(range(b.dims[x - 1]) for x in b_free)):
-        a_base = sum(k * s for k, s in zip(fs[:nf], af_str))
-        b_base = sum(k * s for k, s in zip(fs[nf:], bf_str))
-        acc = zero
-        for oa, ob in con:
-            acc += da[a_base + oa] * db[b_base + ob]
-        out.append(acc)
+    b_bases = _offsets(b.dims, plan.b_free)
+    for a_base in _offsets(a.dims, plan.a_free):
+        for b_base in b_bases:
+            acc = zero
+            for oa, ob in con:
+                acc += da[a_base + oa] * db[b_base + ob]
+            out.append(acc)
     return Hypermatrix(plan.out_dims, out, a.kind)
 
 
@@ -190,8 +180,8 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     keep their sources' magnitudes.
     """
     p = _layout(a, b, a_axes, b_axes)
-    m_a = perm_gather(a._flat(), a.dims, Permutation(p.a_free + p.a_axes)).reshape(p.a_shape)
-    v_b = perm_gather(b._flat(), b.dims, Permutation(p.b_axes + p.b_free)).reshape(-1, 1)
+    m_a = _relayout(a._flat(), a.dims, tuple(range(1, a.order + 1)), p.a_free + p.a_axes).reshape(p.a_shape)
+    v_b = _relayout(b._flat(), b.dims, tuple(range(1, b.order + 1)), p.b_axes + p.b_free).reshape(-1, 1)
     return _stored(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
 
 
@@ -267,16 +257,16 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.nda
     kept magnitude ``m_acc``), and an int product stays int64, or Python
     ints past it, until the chain ends.
     """
-    xs = [np.asarray(x) for x in xs]
+    xs = list(xs)
     if len(xs) != len(dims):
         raise ValueError(f"{len(xs)} arguments for {len(dims)} axes")
-    for k, (n, x) in enumerate(zip(dims, xs), start=1):
+    raw, chain = as_scalars_joint(*rows, *xs, kind=kind)
+    s = len(rows)
+    for k, (n, x) in enumerate(zip(dims, raw[s:]), start=1):
         if x.size != n:
             raise ValueError(f"argument {k} has length {x.size}, expected {n}")
-    raw, chain = as_scalars_joint(*rows, *xs, kind=kind)
     if chain != kind:
         acc = as_scalars(acc, chain)[0]
-    s = len(rows)
     factors = [w.reshape(1, -1) for w in raw[:s]] + [acc] + [x.reshape(-1, 1) for x in raw[s:]]
     mags = [None] * s + [m_acc] + [None] * len(xs)
     acc, m_acc = factors[0], mags[0]
@@ -303,7 +293,9 @@ def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
     """
     if len(m.row_axes) != 1:
         raise ValueError(f"expression has row axes {m.row_axes}; need exactly one")
-    return _fold(*as_scalars(m.mat), xs, [m.dims[ax - 1] for ax in m.col_axes])
+    # The expression's data first becomes a factor here, so it is checked as a raw operand.
+    (mat,), kind = as_scalars_joint(m.mat)
+    return _fold(mat, kind, xs, [m.dims[ax - 1] for ax in m.col_axes])
 
 
 def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
@@ -315,8 +307,7 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
     Kronecker order), the expression of ``omega``'s store sits in the
     middle, and the vectors fold in on the right.
     """
-    covectors = [np.asarray(w).reshape(-1) for w in covectors]
-    vectors = [np.asarray(x).reshape(-1) for x in vectors]
+    covectors, vectors = list(covectors), list(vectors)
     r, s = len(vectors), len(covectors)
     if omega.order != r + s:
         raise ValueError(f"order {omega.order} tensor with {r} vectors and {s} covectors")
@@ -324,8 +315,8 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
         raise ValueError(f"shape {omega.dims} is not hypercubic")
     n = omega.dims[0] if omega.order else 1
     for w in covectors:
-        if w.size != n:
-            raise ValueError(f"argument of length {w.size}, expected {n}")
+        if np.size(w) != n:
+            raise ValueError(f"argument of length {np.size(w)}, expected {n}")
     mat = _lay_out(omega._flat(), omega.dims, tuple(range(r + 1, r + s + 1)), tuple(range(1, r + 1)))
     return _fold(mat, omega.kind, vectors, (n,) * r, omega._max_abs(), covectors[::-1])[0]
 

@@ -14,24 +14,30 @@ Two scalar backends are supported:
 
 ``as_scalars`` is the one rule that decides which backend data lives on;
 every layer calls it (or ``as_scalars_joint`` for several raw operands)
-instead of inspecting dtypes itself.  Int products multiply through
-``checked_product``, on the tier that ``narrow`` picks from the bound
-``max|a| * max|b| * inner``: float64 BLAS up to 2**53, where every
-partial sum is an integer that binary64 holds exactly, with the product
-cast back to int64 inside the buffer BLAS returned; int64 up to
-2**63 - 1; the object array of Python ints past that.  ``narrow`` picks
-the tier before the factors are laid out, so the layout copies them
-straight into the tier's dtype.  Sums of vectors stay on the object
-array.  The value types share one immutable base, ``_Frozen``; public
-constructors copy any array the caller still holds.  A ``Hypermatrix``
-is checked once, when it is built (int object data is scanned by
-``_checked_ints``), and every value, built or a library result, is
-filled by one step, ``Hypermatrix._filled``: an int value holds one
-store, its read-only int64 form when every entry fits int64, else its
-object array of Python ints.  Products, gathers and comparisons read
-the store in numpy; ``Hypermatrix.data`` widens an int64 form only when
-first read.  A value keeps ``max|v|`` of its form from its first
-product (``Hypermatrix._max_abs``), which ``checked_product`` hands to
+instead of inspecting dtypes itself.  Each input is checked once, where
+it enters, by one rule (``_checked_ints``, for int object data): a raw
+arithmetic operand at ``as_scalars_joint``, a value at the
+``Hypermatrix`` constructor, a matrix expression's data at
+``expression_to_hypermatrix`` or where it first becomes a factor.
+``as_scalars`` reads no entry of an object array, so a re-layout reads
+nothing, and ``narrow`` and the gathers trust their callers.
+
+Int products multiply through ``checked_product``, on the tier that
+``narrow`` picks from the bound ``max|a| * max|b| * inner``: float64
+BLAS up to 2**53, where every partial sum is an integer that binary64
+holds exactly, with the product cast back to int64 inside the buffer
+BLAS returned; int64 up to 2**63 - 1; the object array of Python ints
+past that.  ``narrow`` picks the tier before the factors are laid out,
+so the layout copies them straight into the tier's dtype.  Sums of
+vectors stay on the object array.  The value types share one immutable
+base, ``_Frozen``; public constructors copy any array the caller still
+holds.  Every value, built or a library result, is filled by one step,
+``Hypermatrix._filled``: an int value holds one store, its read-only
+int64 form when every entry fits int64, else its object array of Python
+ints.  Products, gathers and comparisons read the store in numpy;
+``Hypermatrix.data`` widens an int64 form only when first read.  A value
+keeps ``max|v|`` of its form from its first product
+(``Hypermatrix._max_abs``), which ``checked_product`` hands to
 ``narrow``, so a value is measured once however many products read it.
 """
 
@@ -108,7 +114,7 @@ def iter_indices(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 DTYPE = {"int": object, "float": np.float64}
 
 # Array dtype kind -> scalar kind.  Object arrays are the int backend as they
-# stand: the ``Hypermatrix`` constructor and ``narrow`` scan their entries.
+# stand: the constructor and ``as_scalars_joint`` scan their entries.
 _ARRAY_KINDS = {"O": "int", "i": "int", "u": "int", "f": "float"}
 
 
@@ -139,8 +145,9 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
     """The scalar-kind policy: ``values`` on one backend, and that backend.
 
     * An object array is int data and a float64 array is float data, taken
-      as they are (an O(1) check, no scan); other integer or float arrays
-      convert by dtype.  Boolean and any other arrays raise ``TypeError``.
+      as they are (an O(1) check: ``as_scalars_joint`` and the constructor
+      scan object entries); other integer or float arrays convert by
+      dtype.  Boolean and any other arrays raise ``TypeError``.
     * Anything else is read as a (possibly nested) sequence: it is int when
       every value is an integer, float when some value is a float; a
       boolean or a non-number raises ``TypeError``.
@@ -174,8 +181,13 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
 
 
 def as_scalars_joint(*operands, kind: str = "int") -> tuple[list[np.ndarray], str]:
-    """Several raw operands on one backend: float when ``kind`` (a store they meet) or any of them is."""
+    """Several raw operands on one backend: float when ``kind`` (a store they meet) or any of them is.
+
+    The one check of raw arithmetic operands: an object array, which
+    ``as_scalars`` hands back unread, is scanned by the constructor's rule.
+    """
     pairs = [as_scalars(x) for x in operands]
+    pairs = [(_checked_ints(x) if x is raw and x.dtype == object else x, k) for raw, (x, k) in zip(operands, pairs)]
     if any(k == "float" for _, k in pairs):
         kind = "float"
     return [x if k == kind else as_scalars(x, kind)[0] for x, k in pairs], kind
@@ -219,10 +231,10 @@ def narrow(
     * at most 2**63 - 1: int64;
     * otherwise object arrays of Python ints.
 
-    This is the only place a tier is chosen.  Object entries are scanned
-    once, so a float or a boolean raises ``TypeError`` instead of
-    truncating; an int64 factor (a kept int64 form) is taken without a
-    scan but still counts toward the bound.  ``ma`` and ``mb`` are
+    This is the only place a tier is chosen, and it only chooses: it
+    trusts its callers, which checked each factor where it entered (a
+    value at its constructor, a raw operand at ``as_scalars_joint``), so
+    an object factor holds Python ints.  ``ma`` and ``mb`` are
     ``max|a|`` and ``max|b|`` of int64 factors whose value keeps them
     (``Hypermatrix._max_abs``); a factor without one is measured here.
     Int factors come back int64 or as Python ints, not yet in the tier's
@@ -231,8 +243,6 @@ def narrow(
     """
     if a.dtype.kind == "f" or b.dtype.kind == "f":
         return a, b, np.float64
-    a = a if a.dtype == np.int64 else _checked_ints(a)
-    b = b if b.dtype == np.int64 else _checked_ints(b)
     try:
         a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     except OverflowError:

@@ -4,16 +4,20 @@ An order-d hypermatrix has a 2-D "matrix expression" for every split of
 its axes into an ordered row tuple and column tuple: rows enumerate the
 row-axis indices in ID order, columns the column-axis indices.  The empty
 row tuple gives the 1 x n vector expression.  Each conversion between
-expressions (and the vector form), and ``sigma_transpose_via_perm``, is
-one ``perm_gather``: a row gather through the index of one permutation
-matrix, for any axis order on either side, with no ``LogicalMatrix``
-built.  The conversions are verified against direct index-shuffle
-construction.  That index shuffle is one helper, ``_lay_out``:
-``matrix_expression``, the sigma-transpose, ``expression_to_hypermatrix``
-and the expression contraction route all lay data out through it.
-Results come through the trusted constructors (``core._stored``,
-``_expression``); the public ``MatrixExpression`` constructor validates
-and copies its matrix.
+expressions (and the vector form) is one ``permutation._relayout``, and
+``sigma_transpose_via_perm`` one ``perm_gather``, its checked public
+entry: a row gather through the index of one permutation matrix, for any
+axis order on either side, with no ``Permutation`` or ``LogicalMatrix``
+built.  A re-layout reads no entry: ``as_scalars`` takes an object vector
+unread, and an expression's object data is checked where it becomes a
+value (``expression_to_hypermatrix``) or a factor
+(``contraction.eval_multilinear_vector``).  The conversions are verified
+against direct index-shuffle construction.  That index shuffle is one
+helper, ``_lay_out``: ``matrix_expression``, the sigma-transpose,
+``expression_to_hypermatrix`` and the expression contraction route all
+lay data out through it.  Results come through the trusted constructors
+(``core._stored``, ``_expression``); the public ``MatrixExpression``
+constructor validates and copies its matrix.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix, _Frozen, _stored, as_scalars, check_dims, size_of
+from .core import _INT64_MAX, Hypermatrix, _checked_ints, _Frozen, _stored, as_scalars, check_dims, size_of
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
-from .permutation import Permutation, build_perm_matrix, perm_gather  # noqa: F401
+from .permutation import Permutation, _relayout, build_perm_matrix, perm_gather  # noqa: F401
 
 # -- stacking forms ----------------------------------------------------
 
@@ -163,21 +167,12 @@ def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
     """
     order = m.row_axes + m.col_axes
     back = tuple(order.index(k) + 1 for k in range(1, len(order) + 1))
-    return _stored(m.dims, _lay_out(m.mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
+    # Here the expression's data becomes a value, so object data is checked by the constructor's rule.
+    mat = _checked_ints(m.mat) if m.mat.dtype == object else m.mat
+    return _stored(m.dims, _lay_out(mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
 
 
 # -- conversions through permutation matrices --------------------------
-
-
-def _relayout(data, dims, src, dst) -> np.ndarray:
-    """Re-lay flat data from axis order ``src`` to axis order ``dst``.
-
-    One ``perm_gather`` through the index of the permutation matrix of the
-    relative permutation ``tau(k) = position of dst[k] in src``, over the
-    dims in ``src`` order.
-    """
-    tau = Permutation(src.index(ax) + 1 for ax in dst)
-    return perm_gather(data, [dims[ax - 1] for ax in src], tau)
 
 
 def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpression:

@@ -16,12 +16,13 @@ prepended to the index of the axes after it, so every add runs its inner
 loop over a long contiguous suffix (the layout that keeps a transposition
 bandwidth-bound; Springer, Su and Bientinesi, *HPTT*, 2017).
 ``build_perm_matrix`` is its checks, that rule and a ``LogicalMatrix``.
-``perm_gather``, the re-layout that the other modules' permutation-matrix
-routes call, makes the same checks once and gathers through the rule's
-index directly, with no ``Permutation`` or ``LogicalMatrix`` object
-built.  Neither calls
-``np.transpose``: the permutation-matrix route stays independent of the
-index-shuffle route it is tested against.
+``_relayout``, the re-layout that the other modules' permutation-matrix
+routes call, is one gather through the rule's index between two axis
+orders: it builds no ``Permutation`` or ``LogicalMatrix`` and checks
+nothing, since its callers checked their inputs.  ``perm_gather`` is its
+public entry, ``build_perm_matrix``'s checks made once.  None of them
+calls ``np.transpose``: the permutation-matrix route stays independent
+of the index-shuffle route it is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _Frozen, as_scalars, check_dims, size_of
+from .core import _Frozen, as_scalars_joint, check_dims, size_of
 
 # Largest number of columns build_perm_matrix materialises.  The intp index
 # array takes 8 bytes per column on 64-bit hosts: 128 MiB at the cap.
@@ -115,31 +116,25 @@ class LogicalMatrix(_Frozen):
     _args = ("rows", "cols")
 
     def __init__(self, rows: int, cols: Iterable[int]):
-        # Python ints first, so a value past the index type fails the range
-        # check below instead of overflowing the conversion.
-        self._init(int(rows), np.array([int(c) for c in cols], dtype=object) - 1)
-
-    @classmethod
-    def _from_index(cls, rows: int, idx: np.ndarray) -> "LogicalMatrix":
-        """Wrap a fresh 0-based intp index array (range-checked, then frozen)."""
-        self = object.__new__(cls)
-        self._init(rows, idx)
-        return self
-
-    def _init(self, rows: int, idx: np.ndarray) -> None:
+        rows = int(rows)
         if rows < 1:
             raise ValueError("a logical matrix needs at least one row")
+        # Python ints first, so a value past the index type fails the range
+        # check below instead of overflowing the conversion.
+        idx = np.array([int(c) for c in cols], dtype=object) - 1
         if idx.size and (idx.min() < 0 or idx.max() >= rows):
             j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
             raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")
-        idx = idx.astype(np.intp, copy=False)
-        idx.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_idx", idx)
+        self._fill(rows, idx.astype(np.intp))
+
+    @classmethod
+    def _from_index(cls, rows: int, idx: np.ndarray) -> "LogicalMatrix":
+        """Wrap a fresh 0-based intp index array that the library built in range (frozen, unchecked)."""
+        return object.__new__(cls)._fill(rows, idx)
 
     @classmethod
     def identity(cls, n: int) -> "LogicalMatrix":
-        return cls._from_index(int(n), np.arange(n, dtype=np.intp))
+        return cls(n, range(1, int(n) + 1))
 
     @property
     def cols(self) -> tuple[int, ...]:
@@ -168,7 +163,7 @@ class LogicalMatrix(_Frozen):
 
     def apply(self, x) -> np.ndarray:
         """Gather-product ``W @ x``: out[r] = sum of x[j] over cols[j] == r."""
-        x, _ = as_scalars(x)
+        (x,), _ = as_scalars_joint(x)
         if x.size != self.n_cols:
             raise ValueError(f"vector of length {x.size} against {self.n_cols} columns")
         out = np.zeros(self.rows, dtype=x.dtype)
@@ -257,37 +252,39 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
 
 
 def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
-    """``W^sigma @ flat``, as one row gather.
+    """``W^sigma @ flat``, as one row gather: the flat data of the sigma-transpose.
 
-    For the flat data of a hypermatrix over ``dims`` this is the flat data
-    of its sigma-transpose.  The transpose of ``W^sigma`` over ``dims`` is
-    ``W^{sigma^-1}`` over the permuted dims, so ``flat`` is gathered
-    through that matrix's index directly: ``out[j] = flat[cols[j] - 1]``.
-    Callers stay on the permutation-matrix route, but no ``Permutation``
-    or ``LogicalMatrix`` object is built.  The checks are
-    ``build_perm_matrix``'s and ``LogicalMatrix.gather_row``'s, with the
-    same exception types and messages, made once: the degree, the
-    permuted dims, the budget and the length of ``flat``.  The identity
-    builds nothing: its gather is a copy.
-
-    The index needs no range check, because ``_perm_index`` is a bijection
-    onto ``range(n)``: ``_perm_index(d, image)`` ranks each multi-index
-    over ``d``, its axes reordered by ``image``, over the reordered dims.
-    Reordering axes maps the multi-indices over ``d`` one to one onto those
-    over the reordered dims, and ranking maps those one to one onto
-    ``range(n)``.
+    This is the public entry of ``_relayout``, from natural axis order to
+    sigma's.  Its checks are ``build_perm_matrix``'s and
+    ``LogicalMatrix.gather_row``'s, with the same exception types and
+    messages, made once: the degree, the permuted dims, the budget and the
+    length of ``flat``.  The identity is a copy, and no budget applies to it.
     """
     image = sigma.image
     if len(image) != len(dims):
         raise ValueError(f"permutation of degree {len(image)} for shape of order {len(dims)}")
     permuted = check_dims([dims[s - 1] for s in image])
-    if image == tuple(range(1, len(dims) + 1)) and np.size(flat) == size_of(permuted):
-        return np.array(flat).reshape(-1)
-    n = _check_budget(permuted)
     flat = np.asarray(flat)
-    if flat.size != n:
-        raise ValueError(f"row vector of length {flat.size} against {n} rows")
-    inverse = [0] * len(image)
-    for k, s in enumerate(image, start=1):
-        inverse[s - 1] = k
-    return flat.reshape(-1)[_perm_index(permuted, inverse)]
+    natural = tuple(range(1, len(dims) + 1))
+    if image != natural or flat.size != size_of(permuted):
+        n = _check_budget(permuted)
+        if flat.size != n:
+            raise ValueError(f"row vector of length {flat.size} against {n} rows")
+    return _relayout(flat, dims, natural, image)
+
+
+def _relayout(flat: np.ndarray, dims, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """Flat data over ``dims`` with its axes in order ``src``, re-laid to order ``dst``: one gather.
+
+    ``dims`` is indexed by axis and the caller has checked everything:
+    ``src`` and ``dst`` order the same axes and ``flat`` has their size.
+    The identity is a copy.  Any other order gathers through the index of
+    ``W^tau`` over the dims in ``dst`` order, tau taking each axis of
+    ``src`` to its position in ``dst``; no ``Permutation`` or
+    ``LogicalMatrix`` is built.  That index needs no range check:
+    ``_perm_index`` ranks each multi-index, its axes reordered, over the
+    reordered dims, a bijection onto ``range(flat.size)``.
+    """
+    if src == dst:
+        return flat.reshape(-1).copy()
+    return flat.reshape(-1)[_perm_index([dims[ax - 1] for ax in dst], [1 + dst.index(ax) for ax in src])]

@@ -182,7 +182,7 @@ def stp_inner(x, y):
     """
     x, y, kind = _vectors(x, y)
     t = _checked_lcm(x.size, y.size)
-    raw = vv_stp(x, y)
+    raw = widen(_stp_dot(x.reshape(1, -1), y.reshape(-1, 1)).sum())
     if kind == "float":
         return float(raw) / t
     if raw % t == 0:

@@ -212,6 +212,39 @@ def test_every_route_matches_the_oracle_on_float(case):
         assert contract(a, b, a_axes, b_axes, method).approx_equal(brute, 1e-9)
 
 
+@st.composite
+def cancelling_pairings(draw):
+    """An m x K by K x q float pairing whose row ``r`` sits at scale 1e8 and cancels against column 1 of b."""
+    m, k, q = draw(st.integers(1, 3)), draw(st.integers(2, 64)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = rng.uniform(-1, 1, (m, k)), rng.uniform(-1, 1, (k, q))
+    r = draw(st.integers(0, m - 1))
+    a[r] *= 1e8
+    a[r, -1] = -np.dot(a[r, :-1], b[:-1, 0]) / b[-1, 0]
+    return Hypermatrix((m, k), a.reshape(-1), "float"), Hypermatrix((k, q), b.reshape(-1), "float")
+
+
+def test_cancelling_float_pairings_agree_within_the_derived_bound():
+    # The routes sum K products in different orders, so near a cancelled 0 they can be far
+    # apart relative to their results, but never past 2·γ_K·(|a| ⋆ |b|)·(1 + γ_K).
+    gaps = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(cancelling_pairings())
+    def routes_agree(case):
+        a, b = case
+        brute = contract_bruteforce(a, b, (2,), (1,)).data
+        bound = contraction._agreement_bound(a, b, (2,), (1,))
+        for method in ("expression", "stp"):
+            gap = np.abs(contract(a, b, (2,), (1,), method).data - brute)
+            assert np.all(gap <= bound), method
+            gaps.append(float(np.max(gap / bound)))
+
+    routes_agree()
+    # The bound is not vacuous: some gap comes within 0.1 % of it.
+    assert max(gaps) >= 1e-3
+
+
 # -- one plan per (dims, axes) key --------------------------------------------
 
 # Axes as callers pass them; the plan's memo must key them all alike.

@@ -21,6 +21,9 @@ from hyperstp import (
     contract,
     contract_via_expression,
     cross_product,
+    eval_multilinear_scalar,
+    eval_tensor,
+    expression_to_hypermatrix,
     hypervector_expand,
     kron,
     kron_chain,
@@ -34,6 +37,7 @@ from hyperstp import (
     write_hm,
 )
 from hyperstp.cli import main
+from hyperstp.expression import MatrixExpression
 
 
 def ints(values):
@@ -97,6 +101,9 @@ def test_mm_stp_refuses_a_float_inside_object_ints():
         mm_stp(a, ints([1, 1]).reshape(2, 1))
     with pytest.raises(TypeError, match=r"1\.5 at position 4"):
         mm_stp(ints([1, 1]).reshape(1, 2), a)
+    # Beside a float operand too: object data is int data, checked before the kinds meet.
+    with pytest.raises(TypeError, match=r"float 0\.5 at position 1"):
+        mm_stp(np.array([[0.5, 1]], dtype=object), np.ones((2, 1)))
 
 
 def test_a_boolean_inside_object_ints_is_refused_by_products():
@@ -105,6 +112,42 @@ def test_a_boolean_inside_object_ints_is_refused_by_products():
         mm_stp(a.reshape(1, 2), ints([1, 1]).reshape(2, 1))
     with pytest.raises(TypeError, match="True at position 2"):
         contract_via_expression(Hypermatrix((2,), a), Hypermatrix.from_flat((2,), [1, 1]), (1,), (1,))
+
+
+# Each entry once took an object array as int data unread, so a float or a boolean in it
+# came back truncated, or as a float inside an int array.
+RAW_ENTRIES = {
+    "hypervector_expand": lambda x: hypervector_expand([x]),
+    "expression_to_hypermatrix": lambda x: expression_to_hypermatrix(
+        MatrixExpression(x.reshape(1, 2), (1,), (2,), (1, 2), "int")
+    ),
+    "kron": lambda x: kron(ints([1, 2]), x),
+    "kron_chain": lambda x: kron_chain([ints([1, 2]), x]),
+    "vec_oplus": lambda x: vec_oplus(ints([1, 2]), x),
+    "LogicalMatrix.apply": lambda x: LogicalMatrix(2, (2, 1)).apply(x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RAW_ENTRIES))
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0.5, "float 0.5 at position 2 is not an int-backend value"), (True, "True at position 2 is not a scalar")],
+    ids=["float", "bool"],
+)
+def test_raw_object_data_is_checked_where_it_enters(entry, bad, message):
+    with pytest.raises(TypeError) as err:
+        RAW_ENTRIES[entry](np.array([1, bad], dtype=object))
+    assert str(err.value) == message
+
+
+def test_a_boolean_in_a_list_argument_is_refused_by_a_chain():
+    pi = Hypermatrix((2, 3), [1, 2, 3, 4, 5, 6])
+    with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
+        eval_multilinear_scalar(pi, [[True, 0], [1, 0, 0]])
+    omega = Hypermatrix((2, 2), [1, 2, 3, 4])
+    for covectors, vectors in (([[True, 0]], [[1, 0]]), ([[1, 0]], [[True, 0]])):
+        with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
+            eval_tensor(omega, covectors, vectors)
 
 
 _INT64_EDGES = [-(2 ** 63) - 1, -(2 ** 63), 2 ** 63 - 1, 2 ** 63]
