@@ -11,11 +11,12 @@ reported rather than trusted -- and rather than failing the build.
 from __future__ import annotations
 
 import difflib
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
 
-from ._appendix_data import APPENDIX_TABLES, EXAMPLE_235_TABLES, SIGMA_BY_D
+from ._appendix_data import APPENDIX_TABLES, EXAMPLE_235_TABLES
 from .permutation import LogicalMatrix, Permutation, build_perm_matrix
 
 
@@ -31,11 +32,15 @@ def appendix_labels(d: int, n: int) -> list[int]:
 
 
 def appendix_sigma(d: int, label: int) -> Permutation:
-    """The permutation a table label claims to represent."""
-    try:
-        return Permutation(SIGMA_BY_D[d][label])
-    except KeyError:
-        raise KeyError(f"no label {label} for degree {d}") from None
+    """The permutation a table label claims to represent.
+
+    The labels 1, ..., d! of a degree with bundled tables number its
+    images in lexicographic order.
+    """
+    images = list(itertools.permutations(range(1, d + 1))) if d in {k for k, _ in APPENDIX_TABLES} else []
+    if label not in range(1, len(images) + 1):
+        raise KeyError(f"no label {label} for degree {d}")
+    return Permutation(images[label - 1])
 
 
 def appendix_table(d: int, n: int, label: int) -> LogicalMatrix:

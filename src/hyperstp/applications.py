@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix
+from .core import _INT64_MAX, Hypermatrix, as_scalars
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, matrix_expression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -83,8 +83,7 @@ def gl2_bracket(x, y) -> np.ndarray:
     the column stackings of the arguments; it must (and does) equal
     ``x @ y - y @ x``.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
+    x, y = as_scalars(x)[0], as_scalars(y)[0]
     if x.shape != (2, 2) or y.shape != (2, 2):
         raise ValueError("bracket takes two 2x2 matrices")
     return vcs(eval_multilinear_vector(_gl2_expression(), [vc(x), vc(y)]), 2)

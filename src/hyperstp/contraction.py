@@ -21,7 +21,9 @@ pairing fixes whatever the values (the checked axes, the output dims,
 the inner size and both operands' transpose orders and matrix shapes)
 is planned once per (dims, dims, axes, axes) key by ``_plan`` and kept
 in a bounded memo, so a small product pays for its arithmetic, not for
-re-deriving its layout.  ``contract`` is the one table
+re-deriving its layout.  The plan also checks the result's size against
+``core.MAX_ENTRIES``, so all three routes refuse the same pairings before
+allocating anything.  ``contract`` is the one table
 from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation
@@ -38,7 +40,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Hypermatrix, _stored, as_scalars, as_scalars_joint, check_dims, checked_product, same_kind, widen
+from .core import (
+    Hypermatrix, _check_budget, _stored, as_scalars, as_scalars_joint, check_dims, checked_product, same_kind, widen,
+)
 from .expression import MatrixExpression, _laid_out, _lay_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -80,8 +84,10 @@ class _Plan(NamedTuple):
 def _plan(a_dims: tuple[int, ...], b_dims: tuple[int, ...], a_axes: tuple, b_axes: tuple) -> _Plan:
     """The checked plan of pairing ``a_axes`` of ``a_dims`` with ``b_axes`` of ``b_dims``.
 
-    Built once per key and kept (at most 512 keys); an invalid pairing
-    raises on every call and is never kept.
+    Built once per key and kept (at most 512 keys); an invalid pairing,
+    or one whose result would pass ``core.MAX_ENTRIES`` entries, raises on
+    every call and is never kept, so every route refuses it before
+    allocating anything.
     """
     a_axes = _check_axes("first", len(a_dims), a_axes)
     b_axes = _check_axes("second", len(b_dims), b_axes)
@@ -96,6 +102,7 @@ def _plan(a_dims: tuple[int, ...], b_dims: tuple[int, ...], a_axes: tuple, b_axe
     b_free = _free_axes(len(b_dims), b_axes)
     rows = tuple(a_dims[x - 1] for x in a_free)
     cols = tuple(b_dims[x - 1] for x in b_free)
+    _check_budget(math.prod(rows + cols), "contracted product of shape {}", rows + cols)
     inner = math.prod(a_dims[x - 1] for x in a_axes)
     return _Plan(
         a_axes, b_axes, a_free, b_free, rows + cols, inner,

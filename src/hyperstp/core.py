@@ -15,10 +15,11 @@ Two scalar backends are supported:
 ``as_scalars`` is the one rule that decides which backend data lives on;
 every layer calls it (or ``as_scalars_joint`` for several raw operands)
 instead of inspecting dtypes itself.  Each input is checked once, where
-it enters, by one rule (``_checked_ints``, for int object data): a raw
-arithmetic operand at ``as_scalars_joint``, a value at the
-``Hypermatrix`` constructor, a matrix expression's data at
-``expression_to_hypermatrix`` or where it first becomes a factor.
+it enters, by one rule (``_checked_ints``, for object data, whatever
+backend it is asked for): a raw arithmetic operand at
+``as_scalars_joint``, a value at the ``Hypermatrix`` constructor, a
+matrix expression's data at ``expression_to_hypermatrix`` or where it
+first becomes a factor.
 ``as_scalars`` reads no entry of an object array, so a re-layout reads
 nothing, and ``narrow`` and the gathers trust their callers.
 
@@ -39,6 +40,14 @@ ints.  Products, gathers and comparisons read the store in numpy;
 keeps ``max|v|`` of its form from its first product
 (``Hypermatrix._max_abs``), which ``checked_product`` hands to
 ``narrow``, so a value is measured once however many products read it.
+
+One entry budget, ``MAX_ENTRIES``, bounds every array the library sizes
+from its inputs rather than from data it was given: a permutation or
+dense delta matrix, a semi-tensor result or repeated factor, a Kronecker
+chain, a dimension-free sum, the stacked identity, a contraction's
+result, a zero hypermatrix, an identity logical matrix and a logical
+matrix's gather-product.  Each caller counts what it allocates and asks
+``_check_budget`` before allocating it.
 """
 
 from __future__ import annotations
@@ -51,6 +60,10 @@ import numpy as np
 
 # Largest admissible total size: the platform index type.
 MAX_SIZE = np.iinfo(np.intp).max
+
+# Most entries of any array the library sizes from its inputs; larger
+# requests raise ``OverflowError`` before allocating.
+MAX_ENTRIES = 2 ** 24
 
 SCALAR_KINDS = ("int", "float")
 
@@ -68,6 +81,17 @@ def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     if size_of(dims) > MAX_SIZE:
         raise OverflowError(f"total size of shape {dims} exceeds the index type")
     return dims
+
+
+def _check_budget(entries: int, what: str, *args, unit: str = "entries") -> int:
+    """``entries``, the size of an array about to be allocated, when within ``MAX_ENTRIES``.
+
+    Above it raises ``OverflowError`` naming the array (``what`` formatted
+    with ``args``, only then), its size in ``unit`` and the budget.
+    """
+    if entries > MAX_ENTRIES:
+        raise OverflowError(f"{what.format(*args)} has {entries} {unit}, above the budget of {MAX_ENTRIES}")
+    return entries
 
 
 def size_of(dims: Iterable[int]) -> int:
@@ -337,7 +361,7 @@ class Hypermatrix(_Frozen):
         dims = check_dims(dims)
         # An array goes to the fill step as it is, so an int array is never widened to Python ints.
         flat = data if isinstance(data, np.ndarray) else as_scalars(data, kind)[0]
-        if flat is data and flat.dtype == object and kind in (None, "int"):
+        if flat is data and flat.dtype == object:
             flat = _checked_ints(flat)
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
@@ -410,7 +434,8 @@ class Hypermatrix(_Frozen):
 
     @classmethod
     def zeros(cls, dims, kind: str = "int") -> "Hypermatrix":
-        return cls(dims, [0] * size_of(check_dims(dims)), kind)
+        dims = check_dims(dims)
+        return cls(dims, [0] * _check_budget(size_of(dims), "zero hypermatrix of shape {}", dims), kind)
 
     # -- views -------------------------------------------------------
 

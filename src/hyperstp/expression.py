@@ -180,10 +180,14 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
 
     Re-lays the flat vector from natural axis order to ``rows`` followed
     by their increasing complement, and reshapes with one row per row-axis
-    index combination.  ``rows`` may list axes in any order.
+    index combination.  ``rows`` may list axes in any order.  An object
+    ``v`` asked for a backend is checked as the constructor checks it;
+    without ``kind`` it is taken as it stands, and no entry is read.
     """
     dims = check_dims(dims)
     rows, cols = _check_partition(len(dims), rows)
+    if kind is not None and isinstance(v, np.ndarray) and v.dtype == object:
+        v = _checked_ints(v)
     flat, kind = as_scalars(v, kind)
     if flat.size != size_of(dims):
         raise ValueError(f"vector of length {flat.size} for shape {dims}")

@@ -16,8 +16,8 @@ import stat
 
 import numpy as np
 
-from .core import Hypermatrix, _owned
-from .permutation import MAX_PERM_ENTRIES, LogicalMatrix
+from .core import Hypermatrix, _check_budget, _owned
+from .permutation import LogicalMatrix
 
 
 class DocumentError(ValueError):
@@ -137,12 +137,10 @@ def parse_delta(text: str) -> LogicalMatrix:
 def densify(w: LogicalMatrix) -> np.ndarray:
     """Dense 0/1 matrix with column j equal to the basis vector cols[j].
 
-    Above ``MAX_PERM_ENTRIES`` dense entries it raises ``OverflowError``
-    before allocating anything.
+    Above ``core.MAX_ENTRIES`` dense entries (rows x columns) it raises
+    ``OverflowError`` before allocating anything.
     """
-    entries = w.rows * w.n_cols
-    if entries > MAX_PERM_ENTRIES:
-        raise OverflowError(f"dense {w.rows} x {w.n_cols} matrix has {entries} entries, above the budget of {MAX_PERM_ENTRIES}")
+    _check_budget(w.rows * w.n_cols, "dense {} x {} matrix", w.rows, w.n_cols)
     out = np.zeros((w.rows, w.n_cols), dtype=np.int64)
     out[np.array(w.cols) - 1, np.arange(w.n_cols)] = 1
     return out

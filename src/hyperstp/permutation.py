@@ -20,9 +20,11 @@ bandwidth-bound; Springer, Su and Bientinesi, *HPTT*, 2017).
 routes call, is one gather through the rule's index between two axis
 orders: it builds no ``Permutation`` or ``LogicalMatrix`` and checks
 nothing, since its callers checked their inputs.  ``perm_gather`` is its
-public entry, ``build_perm_matrix``'s checks made once.  None of them
-calls ``np.transpose``: the permutation-matrix route stays independent
-of the index-shuffle route it is tested against.
+public entry, ``build_perm_matrix``'s checks made once.  Both count the
+columns of the index they build against ``core.MAX_ENTRIES`` before
+building it.  None of them calls ``np.transpose``: the
+permutation-matrix route stays independent of the index-shuffle route
+it is tested against.
 """
 
 from __future__ import annotations
@@ -32,11 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _Frozen, as_scalars_joint, check_dims, size_of
-
-# Largest number of columns build_perm_matrix materialises.  The intp index
-# array takes 8 bytes per column on 64-bit hosts: 128 MiB at the cap.
-MAX_PERM_ENTRIES = 2 ** 24
+from .core import _check_budget, _Frozen, as_scalars_joint, check_dims, size_of
 
 
 class Permutation(_Frozen):
@@ -134,7 +132,7 @@ class LogicalMatrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "LogicalMatrix":
-        return cls(n, range(1, int(n) + 1))
+        return cls(n, range(1, _check_budget(int(n), "identity of order {}", n, unit="columns") + 1))
 
     @property
     def cols(self) -> tuple[int, ...]:
@@ -166,7 +164,8 @@ class LogicalMatrix(_Frozen):
         (x,), _ = as_scalars_joint(x)
         if x.size != self.n_cols:
             raise ValueError(f"vector of length {x.size} against {self.n_cols} columns")
-        out = np.zeros(self.rows, dtype=x.dtype)
+        rows = _check_budget(self.rows, "gather-product of a {} x {} logical matrix", self.rows, self.n_cols)
+        out = np.zeros(rows, dtype=x.dtype)
         np.add.at(out, self._idx, x.reshape(-1))
         return out
 
@@ -213,12 +212,9 @@ def _perm_index(dims: tuple[int, ...], image: Sequence[int]) -> np.ndarray:
     return idx
 
 
-def _check_budget(dims: tuple[int, ...]) -> int:
-    """The column count of a permutation matrix over ``dims``, within ``MAX_PERM_ENTRIES``."""
-    n = size_of(dims)
-    if n > MAX_PERM_ENTRIES:
-        raise OverflowError(f"permutation matrix over {dims} has {n} columns, above the budget of {MAX_PERM_ENTRIES}")
-    return n
+def _columns(dims: tuple[int, ...]) -> int:
+    """The column count of a permutation matrix over ``dims``, within ``core.MAX_ENTRIES``."""
+    return _check_budget(size_of(dims), "permutation matrix over {}", dims, unit="columns")
 
 
 def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerate: bool = True) -> LogicalMatrix:
@@ -235,8 +231,9 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
     ``linearize((j_1, ..., j_d))`` over ``(dims[sigma(1)], ..., dims[sigma(d)])``.
     ``_perm_index`` computes all those rows at once by that stride rule.
 
-    Shapes above ``MAX_PERM_ENTRIES`` columns raise ``OverflowError``
-    before anything is allocated.  Dimensions below 2 degenerate
+    Shapes above ``core.MAX_ENTRIES`` columns raise ``OverflowError``
+    before anything is allocated; the intp index takes 8 bytes per column
+    on 64-bit hosts, 128 MiB at the budget.  Dimensions below 2 degenerate
     gracefully; direct calls get a warning since such matrices rarely
     mean what the caller hoped.
     """
@@ -245,7 +242,7 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
         sigma = Permutation(sigma)
     if sigma.degree != len(dims):
         raise ValueError(f"permutation of degree {sigma.degree} for shape of order {len(dims)}")
-    n = _check_budget(dims)
+    n = _columns(dims)
     if warn_degenerate and any(size < 2 for size in dims):
         warnings.warn("permutation matrix over dims with entries < 2 degenerates", stacklevel=2)
     return LogicalMatrix._from_index(n, _perm_index(dims, sigma.image))
@@ -267,7 +264,7 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
     flat = np.asarray(flat)
     natural = tuple(range(1, len(dims) + 1))
     if image != natural or flat.size != size_of(permuted):
-        n = _check_budget(permuted)
+        n = _columns(permuted)
         if flat.size != n:
             raise ValueError(f"row vector of length {flat.size} against {n} rows")
     return _relayout(flat, dims, natural, image)

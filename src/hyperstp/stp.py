@@ -20,6 +20,11 @@ product is one batched product over the left factor's rows.  Neither
 repeats a factor.  The public products return Python ints.
 ``vec_oplus`` is a sum, which that bound does not cover, so it stays on
 Python ints.
+
+Each product counts what it allocates against ``core.MAX_ENTRIES`` before
+allocating: its result, and in the general case the two repeated factors
+too; so do the Kronecker products, the dimension-free sum and the
+stacked identity.
 """
 
 from __future__ import annotations
@@ -28,11 +33,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_SIZE, as_scalars, as_scalars_joint, checked_product, widen
-
-# Budget on the entries of any array a semi-tensor product or Kronecker
-# chain allocates; larger requests raise ``OverflowError`` before allocating.
-MAX_PAD_ENTRIES = 2 ** 24
+from .core import _check_budget, as_scalars, as_scalars_joint, checked_product, widen
 
 
 def _matrix(a: np.ndarray) -> np.ndarray:
@@ -57,11 +58,6 @@ def _vectors(x, y) -> tuple[np.ndarray, np.ndarray, str]:
     return _vector(x), _vector(y), kind
 
 
-def _check_budget(entries: int, what: str) -> None:
-    if entries > MAX_PAD_ENTRIES:
-        raise OverflowError(f"{what} has {entries} entries, above the budget of {MAX_PAD_ENTRIES}")
-
-
 def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None = None) -> np.ndarray:
     """``(a kron I_α) @ (b kron I_β)``, not widened; t = lcm(n, p), α = t/n, β = t/p.
 
@@ -75,11 +71,15 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
     repeat built either.  Inner length t also bounds the vector
     products' sums, so an int product comes back as int64 or Python ints
     (``checked_product``, with the kept magnitudes ``ma`` and ``mb``).
+    The budget counts the result, m·α × q·β, and only in the general case
+    the repeats of a (m × t) and b (t × q) as well.
     """
     (m, n), (p, q) = a.shape, b.shape
     t = _checked_lcm(n, p)
     al, be = t // n, t // p
-    _check_budget(max(m * t, t * q, m * al * q * be), f"semi-tensor product of {a.shape} and {b.shape}")
+    result = m * al * q * be
+    entries = result if 1 in (al, be) else max(m * t, t * q, result)
+    _check_budget(entries, "semi-tensor product of {} and {}", a.shape, b.shape)
     k = al * be
 
     def blocks(a, b, dtype):
@@ -101,10 +101,7 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
 def _checked_lcm(n: int, p: int) -> int:
     if min(n, p) < 1:
         raise ValueError(f"lengths {n} and {p}: a semi-tensor operand needs length >= 1")
-    t = math.lcm(n, p)
-    if t > MAX_SIZE:
-        raise OverflowError(f"lcm({n}, {p}) exceeds the index type")
-    return t
+    return math.lcm(n, p)
 
 
 def kron(a, b) -> np.ndarray:
@@ -169,7 +166,7 @@ def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
     # A sum, not a product: ``narrow``'s bound does not cover |x| + |y|.
     x, y, _ = _vectors(x, y)
     t = _checked_lcm(x.size, y.size)
-    _check_budget(t, f"sum of lengths {x.size} and {y.size}")
+    _check_budget(t, "sum of lengths {} and {}", x.size, y.size)
     x, y = np.repeat(x, t // x.size), np.repeat(y, t // y.size)
     return x + y if sign > 0 else x - y
 
@@ -203,8 +200,8 @@ def stp_distance(x, y) -> float:
     return stp_norm(vec_oplus(x, y, -1))
 
 
-def delta_I(n: int, dtype=object) -> np.ndarray:
-    """The stacked identity columns: row stacking of I_n, length n*n.
+def delta_I(n: int) -> np.ndarray:
+    """The stacked identity columns: row stacking of I_n, length n*n, as Python ints.
 
     Right semi-tensor multiplication by it row-stacks a matrix: the
     product of an m x n matrix with it is the column vector of the
@@ -212,4 +209,5 @@ def delta_I(n: int, dtype=object) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.eye(n, dtype=dtype).reshape(-1)
+    _check_budget(n * n, "stacked identity of order {}", n)
+    return np.eye(n, dtype=object).reshape(-1)

@@ -1,4 +1,5 @@
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -38,6 +39,19 @@ def test_lookup_unknown():
         appendix_table(5, 2, 1)
     with pytest.raises(KeyError):
         appendix_table(3, 2, 9)
+
+
+def test_sigma_labels_number_the_images_in_lexicographic_order():
+    # As printed: label 4 of degree 3 is (2, 3, 1); labels 10 and 24 of degree 4 are (2, 3, 4, 1) and (4, 3, 2, 1).
+    assert appendix_sigma(3, 4).image == (2, 3, 1)
+    assert appendix_sigma(4, 10).image == (2, 3, 4, 1)
+    assert appendix_sigma(4, 24).image == (4, 3, 2, 1)
+    for d in (3, 4):
+        images = [appendix_sigma(d, label).image for label in range(1, factorial(d) + 1)]
+        assert images == sorted(set(images)) and len(images) == factorial(d)
+    for d, label in [(3, 0), (3, 7), (4, 25), (4, -1), (2, 1), (5, 1)]:
+        with pytest.raises(KeyError, match=f"no label {label} for degree {d}"):
+            appendix_sigma(d, label)
 
 
 def test_published_tables_reproduced_except_registered_errata():

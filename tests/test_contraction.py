@@ -245,6 +245,63 @@ def test_cancelling_float_pairings_agree_within_the_derived_bound():
     assert max(gaps) >= 1e-3
 
 
+# -- one entry budget -----------------------------------------------------------
+
+
+def refuse_products(mp):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product ran past the entry budget")
+
+    mp.setattr(np, "dot", refuse)
+    mp.setattr(np, "matmul", refuse)
+
+
+def test_every_route_refuses_the_same_pairings_before_allocating(monkeypatch):
+    # Under a budget of 64 entries, all three routes return one result or raise one error.
+    monkeypatch.setattr(core, "MAX_ENTRIES", 64)
+    contraction._plan.cache_clear()
+    square = Hypermatrix((3, 3), range(9))
+    drawn = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairings())
+    @example((square, square, (), ()))
+    @example((square, square, (2,), (1,)))
+    def routes_agree(case):
+        a, b, a_axes, b_axes = case
+        out_dims = tuple(n for ax, n in enumerate(a.dims, 1) if ax not in a_axes)
+        out_dims += tuple(n for bx, n in enumerate(b.dims, 1) if bx not in b_axes)
+        entries = size_of(out_dims)
+        drawn.append(entries > 64)
+        if entries <= 64:
+            results = [contract(a, b, a_axes, b_axes, method) for method in ("expression", "stp", "bruteforce")]
+            assert results[0] == results[1] == results[2]
+            return
+        with monkeypatch.context() as mp:
+            refuse_products(mp)
+            for method in ("expression", "stp", "bruteforce"):
+                with pytest.raises(OverflowError) as raised:
+                    contract(a, b, a_axes, b_axes, method)
+                assert str(raised.value) == (
+                    f"contracted product of shape {out_dims} has {entries} entries, above the budget of 64"
+                ), method
+
+    routes_agree()
+    # Both kinds of draw ran.
+    assert set(drawn) == {False, True}
+
+
+def test_an_outer_product_past_the_budget_is_refused_alike_on_every_route(monkeypatch):
+    x = Hypermatrix((4200,), [1] * 4200)
+    refuse_products(monkeypatch)
+    for method in ("expression", "stp", "bruteforce"):
+        with pytest.raises(OverflowError) as raised:
+            contract(x, x, (), (), method)
+        assert str(raised.value) == (
+            "contracted product of shape (4200, 4200) has 17640000 entries, above the budget of 16777216"
+        )
+
+
 # -- one plan per (dims, axes) key --------------------------------------------
 
 # Axes as callers pass them; the plan's memo must key them all alike.

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import hyperstp.core as core
 from hyperstp import (
     Hypermatrix,
     check_dims,
@@ -208,3 +209,12 @@ def test_matrix_expression_copies_and_pickles():
 def test_dim_one_axes_allowed():
     a = Hypermatrix.from_flat((2, 1, 3), [1, 2, 3, 4, 5, 6])
     assert a.get((2, 1, 3)) == 6
+
+
+def test_zeros_are_budgeted(monkeypatch):
+    with pytest.raises(OverflowError, match=f"zero hypermatrix of shape \\(4097, 4096\\) has {4097 * 4096} entries"):
+        Hypermatrix.zeros((4097, 4096))
+    monkeypatch.setattr(core, "MAX_ENTRIES", 12)
+    assert Hypermatrix.zeros((2, 3, 2)).data.tolist() == [0] * 12
+    with pytest.raises(OverflowError, match="above the budget of 12"):
+        Hypermatrix.zeros((13,))

@@ -28,7 +28,7 @@ from hyperstp import (
 from hyperstp import cli
 from hyperstp.cli import _parser, main
 from hyperstp.contraction import _agreement_bound
-from hyperstp.permutation import MAX_PERM_ENTRIES
+from hyperstp.core import MAX_ENTRIES
 
 from conftest import random_dims, random_hm
 
@@ -309,7 +309,7 @@ def test_cli_data_errors(tmp_path, capsys):
 
 
 def test_cli_permmat_over_entry_budget_is_data_error(capsys):
-    assert main(["permmat", "--dims", f"4097,{MAX_PERM_ENTRIES // 4096}", "--sigma", "2,1"]) == 2
+    assert main(["permmat", "--dims", f"4097,{MAX_ENTRIES // 4096}", "--sigma", "2,1"]) == 2
     assert "budget" in capsys.readouterr().err
 
 
@@ -372,6 +372,16 @@ def test_cli_contract_methods_and_agreement(tmp_path, capsys):
     expr = read_hm(out)
     assert both == brute == expr
     assert brute.nd.tolist() == (np.array([[1, 2, 3], [4, 5, 6]]) @ np.array([[7, 8], [9, 10], [11, 12]])).tolist()
+
+
+def test_cli_contract_over_entry_budget_is_data_error(tmp_path, capsys):
+    # An outer product of two 4097-entry vectors has 4097**2 entries, just past the budget.
+    x = write_doc(tmp_path / "x.hm", [4097], [1] * 4097)
+    out = tmp_path / "c.hm"
+    for method in ([], ["--method", "brute"], ["--method", "expr"]):
+        assert main(["contract", "--a", x, "--b", x, "--a-axes", "", "--b-axes", "", *method, str(out)]) == 2
+        assert f"has {4097 ** 2} entries, above the budget of {MAX_ENTRIES}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _cancelling_docs(tmp_path, seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperstp.core as core
 import hyperstp.permutation as permutation_module
 from hyperstp import (
     Hypermatrix,
@@ -17,7 +18,8 @@ from hyperstp import (
     perm_compose,
 )
 from hyperstp.appendix import EXAMPLE_235_TABLES  # re-exported data for cross-checks
-from hyperstp.permutation import MAX_PERM_ENTRIES, perm_gather
+from hyperstp.core import MAX_ENTRIES
+from hyperstp.permutation import perm_gather
 
 from conftest import basis_vec, mixed_dims, perm_matrix_oracle
 
@@ -200,15 +202,31 @@ def test_logical_matrix_rejects_row_past_index_type():
 
 
 def test_build_entry_budget_boundary(monkeypatch):
-    monkeypatch.setattr(permutation_module, "MAX_PERM_ENTRIES", 30)
+    monkeypatch.setattr(core, "MAX_ENTRIES", 30)
     assert build_perm_matrix((2, 3, 5), Permutation((3, 1, 2))).n_cols == 30
     with pytest.raises(OverflowError, match="budget of 30"):
         build_perm_matrix((2, 3, 6), Permutation((3, 1, 2)))
 
 
 def test_build_entry_budget_just_over_constant():
-    with pytest.raises(OverflowError, match=f"budget of {MAX_PERM_ENTRIES}"):
-        build_perm_matrix((4097, MAX_PERM_ENTRIES // 4096), Permutation((2, 1)))
+    with pytest.raises(OverflowError, match=f"budget of {MAX_ENTRIES}"):
+        build_perm_matrix((4097, MAX_ENTRIES // 4096), Permutation((2, 1)))
+
+
+def test_logical_identity_and_apply_are_budgeted(monkeypatch):
+    monkeypatch.setattr(core, "MAX_ENTRIES", 30)
+    assert LogicalMatrix.identity(30).n_cols == 30
+    with pytest.raises(OverflowError, match="identity of order 31 has 31 columns, above the budget of 30"):
+        LogicalMatrix.identity(31)
+    assert LogicalMatrix(30, (30,)).apply([5]).tolist() == [0] * 29 + [5]
+    with pytest.raises(OverflowError, match="gather-product of a 31 x 1 logical matrix has 31 entries"):
+        LogicalMatrix(31, (31,)).apply([5])
+
+
+def test_a_huge_row_count_is_refused_before_applying():
+    # The result has one entry per row, however few columns the matrix has.
+    with pytest.raises(OverflowError, match=f"above the budget of {MAX_ENTRIES}"):
+        LogicalMatrix(10 ** 13, (1,)).apply([5])
 
 
 # -- independence from the index-shuffle route ----------------------------------
@@ -289,7 +307,7 @@ def test_gather_errors_keep_their_type_and_message(args, error, message):
 
 
 def test_gather_and_build_budget_errors_keep_their_type_and_message(monkeypatch):
-    monkeypatch.setattr(permutation_module, "MAX_PERM_ENTRIES", 29)
+    monkeypatch.setattr(core, "MAX_ENTRIES", 29)
     for flat in (np.arange(30), np.arange(31)):
         with pytest.raises(OverflowError) as raised:
             perm_gather(flat, (2, 3, 5), Permutation((1, 3, 2)))

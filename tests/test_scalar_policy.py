@@ -24,6 +24,7 @@ from hyperstp import (
     eval_multilinear_scalar,
     eval_tensor,
     expression_to_hypermatrix,
+    gl2_bracket,
     hypervector_expand,
     kron,
     kron_chain,
@@ -36,6 +37,7 @@ from hyperstp import (
     vv_stp,
     write_hm,
 )
+import hyperstp.core as core
 from hyperstp.cli import main
 from hyperstp.expression import MatrixExpression
 
@@ -148,6 +150,42 @@ def test_a_boolean_in_a_list_argument_is_refused_by_a_chain():
     for covectors, vectors in (([[True, 0]], [[1, 0]]), ([[1, 0]], [[True, 0]])):
         with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
             eval_tensor(omega, covectors, vectors)
+
+
+def test_object_data_asked_for_as_float_is_checked_by_the_constructor():
+    # Object data is int data whatever backend is asked for: a boolean is never 1.0.
+    arr = np.array([True, 0.5], dtype=object)
+    for build in (
+        lambda: Hypermatrix((2,), arr, "float"),
+        lambda: Hypermatrix.from_flat((2,), arr, "float"),
+        lambda: Hypermatrix.from_nd(arr, "float"),
+    ):
+        with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
+            build()
+    with pytest.raises(TypeError, match=r"float 0\.5 at position 2 is not an int-backend value"):
+        Hypermatrix((2,), np.array([1, 0.5], dtype=object), "float")
+    h = Hypermatrix((2,), ints([1, 2]), "float")
+    assert h.kind == "float" and h.data.tolist() == [1.0, 2.0]
+
+
+def test_vec_to_matrix_form_checks_object_data_asked_for_a_backend(monkeypatch):
+    with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
+        vec_to_matrix_form(np.array([True, 0, 0, 1], dtype=object), (2, 2), (1,), kind="float")
+    assert vec_to_matrix_form(ints([1, 0, 0, 1]), (2, 2), (1,), kind="float").mat.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    # Without a kind, a value's own data is taken as it stands: no entry is read.
+    data, scans = Hypermatrix((2, 2), [1, 2, 3, 4]).data, []
+    real = core._scanned
+    monkeypatch.setattr(core, "_scanned", lambda arr: scans.append(arr.size) or real(arr))
+    assert vec_to_matrix_form(data, (2, 2), (2,)).mat.tolist() == [[1, 3], [2, 4]]
+    assert scans == []
+
+
+def test_a_boolean_in_a_bracket_argument_is_refused():
+    with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
+        gl2_bracket([[True, 0], [0, 1]], [[0, 1], [0, 0]])
+    with pytest.raises(TypeError, match="True at position 2 is not a scalar"):
+        gl2_bracket([[0, 1], [0, 0]], [[1, True], [0, 1]])
+    assert gl2_bracket([[1, 0], [0, 2]], [[0, 1], [0, 0]]).tolist() == [[0, -1], [0, 0]]
 
 
 _INT64_EDGES = [-(2 ** 63) - 1, -(2 ** 63), 2 ** 63 - 1, 2 ** 63]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hyperstp.stp as stp_mod
+import hyperstp.core as core
 from hyperstp import (
     Permutation,
     build_perm_matrix,
@@ -302,14 +302,25 @@ def test_padding_over_budget_is_refused_before_allocating(monkeypatch):
 
 
 def test_padding_budget_bounds_the_padded_entries(monkeypatch):
-    # The budget bounds each array the block kernel allocates: a with its
-    # columns repeated to t, b with its rows repeated to t, and the result.
-    monkeypatch.setattr(stp_mod, "MAX_PAD_ENTRIES", 24)
-    at_budget = {((2, 3), (12, 1)): (8, 1), ((1, 12), (3, 2)): (1, 8), ((4, 1), (1, 6)): (4, 6)}
-    for (sa, sb), shape in at_budget.items():
+    # The budget bounds each array the block kernel allocates: the result
+    # always, and only where the general case builds them, a with its
+    # columns repeated to t and b with its rows repeated to t.
+    monkeypatch.setattr(core, "MAX_ENTRIES", 24)
+    within = {
+        ((2, 3), (12, 1)): (8, 1),
+        ((1, 12), (3, 2)): (1, 8),
+        ((4, 1), (1, 6)): (4, 6),
+        # β = 1 and α = 1: a 10-entry result, and no repeat is built.
+        ((2, 3), (15, 1)): (10, 1),
+        ((1, 15), (3, 2)): (1, 10),
+        # General case, t = 12: both repeats (24 and 12 entries) are within the budget.
+        ((2, 4), (6, 1)): (6, 2),
+    }
+    for (sa, sb), shape in within.items():
         assert mm_stp(np.ones(sa, dtype=np.int64), np.ones(sb, dtype=np.int64)).shape == shape
-    for sa, sb in [((2, 3), (15, 1)), ((1, 15), (3, 2)), ((5, 1), (1, 5))]:
-        with pytest.raises(OverflowError, match="budget"):
+    # A 25-entry result; then 18-entry results whose repeat of a, or of b, has 36 entries.
+    for sa, sb, entries in [((5, 1), (1, 5), 25), ((3, 4), (6, 1), 36), ((1, 4), (6, 3), 36)]:
+        with pytest.raises(OverflowError, match=f"has {entries} entries, above the budget of 24"):
             mm_stp(np.ones(sa, dtype=np.int64), np.ones(sb, dtype=np.int64))
     assert vec_oplus(np.ones(3), np.ones(8)).size == 24
     with pytest.raises(OverflowError, match="budget"):
@@ -325,6 +336,15 @@ def test_padding_budget_bounds_the_padded_entries(monkeypatch):
 def test_delta_I_values():
     assert list(delta_I(1)) == [1]
     assert list(delta_I(2)) == [1, 0, 0, 1]
+
+
+def test_delta_I_over_the_budget_is_refused_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the entry budget")
+
+    monkeypatch.setattr(np, "eye", refuse)
+    with pytest.raises(OverflowError, match="stacked identity of order 4097 has 16785409 entries"):
+        delta_I(4097)
 
 
 def test_row_stack_via_stp(rng):
