@@ -69,9 +69,8 @@ def load_errata() -> dict:
     return json.loads(text)
 
 
-def errata_index(registry: dict | None = None) -> dict[tuple[int, int, int], str]:
-    registry = registry if registry is not None else load_errata()
-    return {(e["d"], e["n"], e["label"]): e["reason"] for e in registry["entries"]}
+def errata_index() -> dict[tuple[int, int, int], str]:
+    return {(e["d"], e["n"], e["label"]): e["reason"] for e in load_errata()["entries"]}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import _INT64_MAX, Hypermatrix, as_scalars
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
-from .expression import MatrixExpression, matrix_expression, vc, vcs, vr, vrs
+from .expression import MatrixExpression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import build_perm_matrix  # noqa: F401
@@ -41,8 +41,7 @@ _CROSS_COLS = (
 
 def cross_product_expression(kind: str = "int") -> MatrixExpression:
     """The 3 x 9 structure-constant expression of the cross product."""
-    hm = Hypermatrix((3, 3, 3), np.array(_CROSS_COLS).T, kind)
-    return matrix_expression(hm, rows=(1,), cols=(2, 3))
+    return MatrixExpression(np.transpose(_CROSS_COLS), (1,), (2, 3), (3, 3, 3), kind)
 
 
 # Read-only and built from constants alone, so every call can share it.
@@ -92,8 +91,7 @@ def gl2_bracket(x, y) -> np.ndarray:
 @functools.cache
 def _gl2_expression() -> MatrixExpression:
     """The read-only 4 x 16 expression of the bracket, built once from its own structure matrix."""
-    hm = Hypermatrix((4, 4, 4), gl2_structure_matrix().reshape(-1), "int")
-    return matrix_expression(hm, rows=(1,), cols=(2, 3))
+    return MatrixExpression(gl2_structure_matrix(), (1,), (2, 3), (4, 4, 4), "int")
 
 
 # The published bracket table, column by column, exactly as printed
@@ -169,6 +167,7 @@ class GamePayoff:
 def game_payoff(game: GamePayoff, xs: Sequence) -> list:
     """Expected payoff of every player under the given strategy vectors.
 
+    Player i's payoff is ``sum_{s_1..s_N} d_i[s_1, ..., s_N] x_1[s_1] ... x_N[s_N]``.
     Pure strategies are basis vectors (the evaluation then reads entries
     directly); mixed strategies are arbitrary distributions.
     """
@@ -198,10 +197,14 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatr
 
     Both sides are nested contracted products: the pairing
     ``t = r (4)x(1) r`` of two copies, then ``t (2,6)x(3,4) r`` for the
-    left side and ``r (1,2)x(3,4) t`` for the right.  Each is one
-    ``contract(..., method)`` call, so ``method`` names any contraction
-    route: ``matrix`` (the default), ``stp``, or the oracle
-    ``bruteforce`` (``brute``) kept for tests and the CLI's
+    left side and ``r (1,2)x(3,4) t`` for the right.  Summing over x, y, z,
+    lhs(p) = r[p1,y,p2,x] r[x,p3,p4,z] r[p5,p6,y,z] and
+    rhs(p) = r[y,z,p1,p2] r[p3,p4,y,x] r[x,z,p5,p6].  The textbook
+    R12 R13 R23 = R23 R13 R12 is another relation, summing over a, b, c:
+    r[i,j,a,b] r[a,k,l,c] r[b,c,m,n] = r[j,k,b,c] r[i,c,a,n] r[a,b,l,m].
+    Each side is one ``contract(..., method)`` call, so ``method`` names
+    any contraction route: ``matrix`` (the default), ``stp``, or the
+    oracle ``bruteforce`` (``brute``) kept for tests and the CLI's
     ``--method brute``.  The routes agree entry for entry on int data.
     """
     side = side.lower()

@@ -23,7 +23,7 @@ from .contraction import _agreement_bound, contract
 from .core import Hypermatrix, _stored, same_kind
 from .expression import matrix_expression, sigma_transpose
 from .io import DocumentError, dumps_hm, print_delta, read_hm, write_hm, densify
-from .permutation import Permutation, build_perm_matrix
+from .permutation import build_perm_matrix
 from .stp import _stp_dot
 
 USAGE_ERROR, DATA_ERROR, VERIFY_ERROR = 1, 2, 3
@@ -107,7 +107,7 @@ _parser = functools.cache(build_parser)
 def _cmd_permmat(args) -> int:
     dims = _int_list(args.dims, "--dims")
     sigma = _int_list(args.sigma, "--sigma")
-    w = build_perm_matrix(dims, Permutation(sigma))
+    w = build_perm_matrix(dims, sigma)
     if args.dense:
         for row in densify(w):
             print(" ".join(str(v) for v in row))
@@ -119,7 +119,7 @@ def _cmd_permmat(args) -> int:
 def _cmd_transpose(args) -> int:
     sigma = _int_list(args.sigma, "--sigma")
     a = read_hm(args.infile)
-    write_hm(sigma_transpose(a, Permutation(sigma)), args.outfile)
+    write_hm(sigma_transpose(a, sigma), args.outfile)
     return 0
 
 
@@ -179,9 +179,7 @@ def _cmd_stp(args) -> int:
 
 def _cmd_ybe(args) -> int:
     r = read_hm(args.r)
-    if r.order != 4 or len(set(r.dims)) != 1:
-        raise ValueError(f"shape {r.dims} is not (n,n,n,n)")
-    inst = YbeInstance(r.dims[0], r)
+    inst = YbeInstance(r.dims[0] if r.dims else 1, r)
     if args.side:
         print(dumps_hm(ybe_sides(inst, args.side, args.method)))
         return 0

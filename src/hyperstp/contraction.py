@@ -28,8 +28,9 @@ from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation
 complete the module: a semi-tensor chain (``_fold``) runs on the
-evaluated value's store, checks each raw argument once, keeps each int
-product in its tier between steps and widens once, at the end.
+evaluated value's store or expression's matrix, checks each raw argument
+once, keeps each int product in its tier between steps and widens once,
+at the end.  Each route fills its result unscanned.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    Hypermatrix, _check_budget, _stored, as_scalars, as_scalars_joint, check_dims, checked_product, same_kind, widen,
+    Hypermatrix, _check_budget, _owned, _stored, as_scalars, as_scalars_joint, check_dims, checked_product, same_kind,
+    widen,
 )
 from .expression import MatrixExpression, _laid_out, _lay_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -138,7 +140,8 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
     Output axes are a's free axes (ascending) followed by b's free axes
     (ascending); each entry sums products over the paired index ranges in
     ID order.  No paired axes gives the outer product; pairing all axes
-    of both gives an order-0 scalar.
+    of both gives an order-0 scalar.  The sums are Python ints or floats,
+    so ``core._owned`` fills the result unscanned.
     """
     plan = _layout(a, b, a_axes, b_axes)
     con = list(zip(_offsets(a.dims, plan.a_axes), _offsets(b.dims, plan.b_axes)))
@@ -153,7 +156,7 @@ def contract_bruteforce(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hyper
             for oa, ob in con:
                 acc += da[a_base + oa] * db[b_base + ob]
             out.append(acc)
-    return Hypermatrix(plan.out_dims, out, a.kind)
+    return _owned(plan.out_dims, out, a.kind)
 
 
 def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix:
@@ -296,23 +299,22 @@ def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
     """Vector-valued multilinear map from a one-row-axis expression.
 
     ``m`` must have exactly one row axis; the arguments follow the
-    column-axis order and are folded in by semi-tensor products.
+    column-axis order and are folded in by semi-tensor products:
+    ``out[p] = sum_{q_1..q_k} m.mat[p, (q_1, ..., q_k)] x_1[q_1] ... x_k[q_k]``.
     """
     if len(m.row_axes) != 1:
         raise ValueError(f"expression has row axes {m.row_axes}; need exactly one")
-    # The expression's data first becomes a factor here, so it is checked as a raw operand.
-    (mat,), kind = as_scalars_joint(m.mat)
-    return _fold(mat, kind, xs, [m.dims[ax - 1] for ax in m.col_axes])
+    return _fold(m.mat, m.kind, xs, [m.dims[ax - 1] for ax in m.col_axes])
 
 
 def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
     """Mixed tensor evaluation through the general matrix expression.
 
     ``omega`` has order r+s over one dimension n, with the first r axes
-    fed by column vectors and the last s by row covectors.  The covector
-    chain is folded right to left (a row semi-tensor chain reverses the
-    Kronecker order), the expression of ``omega``'s store sits in the
-    middle, and the vectors fold in on the right.
+    fed by column vectors and the last s by row covectors, so the value is
+    ``sum_{i,j} omega[i_1..i_r, j_1..j_s] x_1[i_1] ... x_r[i_r] w_1[j_1] ... w_s[j_s]``.
+    The covector chain is folded right to left (a row semi-tensor chain
+    reverses the Kronecker order) around the expression of ``omega``'s store.
     """
     covectors, vectors = list(covectors), list(vectors)
     r, s = len(vectors), len(covectors)
@@ -350,7 +352,8 @@ def binary_apply(a: Hypermatrix, b: Hypermatrix, c: Hypermatrix) -> Hypermatrix:
     """Order-3d operator on two order-d operands: ``kary_apply(a, [b, c])``.
 
     The first operand binds the last axis block, then the second operand
-    binds the block before it; the nesting is literal, not fused.
+    binds the block before it; the nesting is literal, not fused:
+    ``out[i] = sum_{j,k} a[i, k, j] b[j] c[k]`` over d-tuples i, j, k.
     """
     return kary_apply(a, [b, c])
 
@@ -359,7 +362,8 @@ def kary_apply(a: Hypermatrix, operands) -> Hypermatrix:
     """Order-(k+1)d operator acting on k order-d operands.
 
     Extends the binary pattern: operand t binds what is then the last
-    axis block, working inward from the end.
+    axis block, working inward from the end, so with d-tuples i, j_t
+    ``out[i] = sum_{j_1..j_k} a[i, j_k, ..., j_1] b_1[j_1] ... b_k[j_k]``.
     """
     operands = list(operands)
     if not operands:

@@ -17,11 +17,12 @@ every layer calls it (or ``as_scalars_joint`` for several raw operands)
 instead of inspecting dtypes itself.  Each input is checked once, where
 it enters, by one rule (``_checked_ints``, for object data, whatever
 backend it is asked for): a raw arithmetic operand at
-``as_scalars_joint``, a value at the ``Hypermatrix`` constructor, a
-matrix expression's data at ``expression_to_hypermatrix`` or where it
-first becomes a factor.
-``as_scalars`` reads no entry of an object array, so a re-layout reads
-nothing, and ``narrow`` and the gathers trust their callers.
+``as_scalars_joint``, a value at the ``Hypermatrix`` or
+``MatrixExpression`` constructor.  What the library makes is of its kind
+by construction and filled unscanned (``_stored``, ``_owned``,
+``expression._expression``).  ``as_scalars`` reads no entry of an object
+array, so a re-layout reads nothing, and ``narrow`` and the gathers
+trust their callers.
 
 Int products multiply through ``checked_product``, on the tier that
 ``narrow`` picks from the bound ``max|a| * max|b| * inner``: float64
@@ -64,8 +65,6 @@ MAX_SIZE = np.iinfo(np.intp).max
 # Most entries of any array the library sizes from its inputs; larger
 # requests raise ``OverflowError`` before allocating.
 MAX_ENTRIES = 2 ** 24
-
-SCALAR_KINDS = ("int", "float")
 
 
 def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -435,7 +434,7 @@ class Hypermatrix(_Frozen):
     @classmethod
     def zeros(cls, dims, kind: str = "int") -> "Hypermatrix":
         dims = check_dims(dims)
-        return cls(dims, [0] * _check_budget(size_of(dims), "zero hypermatrix of shape {}", dims), kind)
+        return _stored(dims, np.zeros(_check_budget(size_of(dims), "zero hypermatrix of shape {}", dims), int), kind)
 
     # -- views -------------------------------------------------------
 

@@ -9,15 +9,13 @@ expressions (and the vector form) is one ``permutation._relayout``, and
 entry: a row gather through the index of one permutation matrix, for any
 axis order on either side, with no ``Permutation`` or ``LogicalMatrix``
 built.  A re-layout reads no entry: ``as_scalars`` takes an object vector
-unread, and an expression's object data is checked where it becomes a
-value (``expression_to_hypermatrix``) or a factor
-(``contraction.eval_multilinear_vector``).  The conversions are verified
-against direct index-shuffle construction.  That index shuffle is one
-helper, ``_lay_out``: ``matrix_expression``, the sigma-transpose,
-``expression_to_hypermatrix`` and the expression contraction route all
-lay data out through it.  Results come through the trusted constructors
-(``core._stored``, ``_expression``); the public ``MatrixExpression``
-constructor validates and copies its matrix.
+unread.  The conversions are verified against direct index-shuffle
+construction.  That index shuffle is one helper, ``_lay_out``:
+``matrix_expression``, the sigma-transpose, ``expression_to_hypermatrix``
+and the expression contraction route all lay data out through it.  The
+public ``MatrixExpression`` constructor is the one check of an
+expression's matrix, by the ``Hypermatrix`` constructor's rule; results
+come through the trusted ``core._stored`` and ``_expression``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from .core import _INT64_MAX, Hypermatrix, _checked_ints, _Frozen, _stored, as_scalars, check_dims, size_of
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
-from .permutation import Permutation, _relayout, build_perm_matrix, perm_gather  # noqa: F401
+from .permutation import Permutation, _checked_perm, _relayout, build_perm_matrix, perm_gather  # noqa: F401
 
 # -- stacking forms ----------------------------------------------------
 
@@ -64,21 +62,13 @@ def vcs(x, s: int) -> np.ndarray:
 # -- sigma-transpose ---------------------------------------------------
 
 
-def _as_perm(sigma, d: int) -> Permutation:
-    if not isinstance(sigma, Permutation):
-        sigma = Permutation(sigma)
-    if sigma.degree != d:
-        raise ValueError(f"permutation of degree {sigma.degree} for order {d}")
-    return sigma
-
-
 def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
     """Axis permutation: entry at (m_sigma(1), ..., m_sigma(d)) is a_m.
 
     Result shape is (n_sigma(1), ..., n_sigma(d)); at d = 2 with
     sigma = (2, 1) this is the ordinary matrix transpose.
     """
-    sigma = _as_perm(sigma, a.order)
+    sigma = _checked_perm(sigma, a.order)
     dims = tuple(a.dims[ax - 1] for ax in sigma.image)
     return _stored(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind, a._max)
 
@@ -90,8 +80,8 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     vector of ``a``, computed by ``perm_gather`` as one gather through
     the index of ``W^{sigma^-1}`` over the result's dims.
     """
-    sigma = _as_perm(sigma, a.order)
-    dims = tuple(a.dims[sigma(k) - 1] for k in range(1, a.order + 1))
+    sigma = _checked_perm(sigma, a.order)
+    dims = tuple(a.dims[ax - 1] for ax in sigma.image)
     return _stored(dims, perm_gather(a._flat(), a.dims, sigma), a.kind, a._max)
 
 
@@ -108,7 +98,7 @@ def _check_partition(d: int, rows: Sequence[int], cols: Sequence[int] | None = N
 
 
 class MatrixExpression(_Frozen):
-    """A 2-D flattening of a hypermatrix, tagged with its axis split."""
+    """A 2-D flattening of a hypermatrix, tagged with its axis split; checked as ``Hypermatrix`` data is."""
 
     __slots__ = ("mat", "row_axes", "col_axes", "dims", "kind")
     _args = __slots__
@@ -116,7 +106,9 @@ class MatrixExpression(_Frozen):
     def __init__(self, mat, row_axes, col_axes, dims, kind: str):
         dims = check_dims(dims)
         row_axes, col_axes = _check_partition(len(dims), row_axes, col_axes)
-        mat = np.array(mat)
+        if isinstance(mat, np.ndarray):
+            mat = _checked_ints(np.array(mat)) if mat.dtype == object else np.array(mat)
+        mat, kind = as_scalars(mat, kind)
         s = math.prod(dims[r - 1] for r in row_axes)
         t = math.prod(dims[c - 1] for c in col_axes)
         if mat.shape != (s, t):
@@ -144,14 +136,11 @@ def matrix_expression(a: Hypermatrix, rows: Sequence[int], cols: Sequence[int] |
     return _expression(_lay_out(a.data, a.dims, rows, cols), rows, cols, a.dims, a.kind)
 
 
-def _lay_out(flat: np.ndarray, dims, rows, cols, dtype=None) -> np.ndarray:
-    """Flat ID-order data as the matrix of a validated split ``rows`` x ``cols``.
-
-    With ``dtype`` the entries are cast in the same copy.
-    """
+def _lay_out(flat: np.ndarray, dims, rows, cols) -> np.ndarray:
+    """Flat ID-order data as the matrix of a validated split ``rows`` x ``cols``."""
     s = math.prod(dims[r - 1] for r in rows)
     t = math.prod(dims[c - 1] for c in cols)
-    return _laid_out(flat, dims, [ax - 1 for ax in rows + cols], (s, t), dtype)
+    return _laid_out(flat, dims, [ax - 1 for ax in rows + cols], (s, t))
 
 
 def _laid_out(flat: np.ndarray, dims, axes, shape, dtype=None) -> np.ndarray:
@@ -167,9 +156,7 @@ def expression_to_hypermatrix(m: MatrixExpression) -> Hypermatrix:
     """
     order = m.row_axes + m.col_axes
     back = tuple(order.index(k) + 1 for k in range(1, len(order) + 1))
-    # Here the expression's data becomes a value, so object data is checked by the constructor's rule.
-    mat = _checked_ints(m.mat) if m.mat.dtype == object else m.mat
-    return _stored(m.dims, _lay_out(mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
+    return _stored(m.dims, _lay_out(m.mat, [m.dims[ax - 1] for ax in order], back, ()), m.kind)
 
 
 # -- conversions through permutation matrices --------------------------
@@ -181,12 +168,12 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
     Re-lays the flat vector from natural axis order to ``rows`` followed
     by their increasing complement, and reshapes with one row per row-axis
     index combination.  ``rows`` may list axes in any order.  An object
-    ``v`` asked for a backend is checked as the constructor checks it;
-    without ``kind`` it is taken as it stands, and no entry is read.
+    ``v`` is checked as the constructor checks it, except a value's own
+    read-only data taken without a ``kind``: no entry of it is read.
     """
     dims = check_dims(dims)
     rows, cols = _check_partition(len(dims), rows)
-    if kind is not None and isinstance(v, np.ndarray) and v.dtype == object:
+    if isinstance(v, np.ndarray) and v.dtype == object and (kind is not None or v.flags.writeable):
         v = _checked_ints(v)
     flat, kind = as_scalars(v, kind)
     if flat.size != size_of(dims):

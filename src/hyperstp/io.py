@@ -9,7 +9,6 @@ ASCII grammar ``d<m>[c1,c2,...,cn]`` for logical matrices.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import stat
@@ -32,13 +31,12 @@ _DATA_TYPES = {"int": {int}, "float": {int, float}}
 def dumps_hm(a: Hypermatrix) -> str:
     """Serialise a hypermatrix; integers exactly, floats shortest round-trip."""
     # tolist() gives Python floats, and Python ints whether or not the store is int64.
-    data = a._flat().tolist()
-    if a.kind == "float":
-        for pos, v in enumerate(data, start=1):
-            if not math.isfinite(v):
-                raise DocumentError(f"non-finite float {v!r} at data position {pos}")
-    doc = {"shape": list(a.dims), "data": data, "scalar_kind": a.kind}
-    return json.dumps(doc, allow_nan=False)
+    # A float value was checked finite when it was filled; allow_nan=False is the backstop.
+    doc = {"shape": list(a.dims), "data": a._flat().tolist(), "scalar_kind": a.kind}
+    try:
+        return json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def loads_hm(text: str) -> Hypermatrix:

@@ -20,9 +20,10 @@ bandwidth-bound; Springer, Su and Bientinesi, *HPTT*, 2017).
 routes call, is one gather through the rule's index between two axis
 orders: it builds no ``Permutation`` or ``LogicalMatrix`` and checks
 nothing, since its callers checked their inputs.  ``perm_gather`` is its
-public entry, ``build_perm_matrix``'s checks made once.  Both count the
-columns of the index they build against ``core.MAX_ENTRIES`` before
-building it.  None of them calls ``np.transpose``: the
+public entry, ``build_perm_matrix``'s checks made once.  Both, and the
+sigma-transposes, check sigma by one rule, ``_checked_perm``.  Both
+count the columns of the index they build against ``core.MAX_ENTRIES``
+before building it.  None of them calls ``np.transpose``: the
 permutation-matrix route stays independent of the index-shuffle route
 it is tested against.
 """
@@ -107,6 +108,13 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(q(p(k)) for k in range(1, p.degree + 1))
 
 
+def _row_count(rows) -> int:
+    rows = int(rows)
+    if rows < 1:
+        raise ValueError("a logical matrix needs at least one row")
+    return rows
+
+
 class LogicalMatrix(_Frozen):
     """m x n matrix of basis-vector columns, stored as 0-based row positions."""
 
@@ -114,9 +122,7 @@ class LogicalMatrix(_Frozen):
     _args = ("rows", "cols")
 
     def __init__(self, rows: int, cols: Iterable[int]):
-        rows = int(rows)
-        if rows < 1:
-            raise ValueError("a logical matrix needs at least one row")
+        rows = _row_count(rows)
         # Python ints first, so a value past the index type fails the range
         # check below instead of overflowing the conversion.
         idx = np.array([int(c) for c in cols], dtype=object) - 1
@@ -132,7 +138,8 @@ class LogicalMatrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "LogicalMatrix":
-        return cls(n, range(1, _check_budget(int(n), "identity of order {}", n, unit="columns") + 1))
+        n = _check_budget(_row_count(n), "identity of order {}", n, unit="columns")
+        return cls._from_index(n, np.arange(n, dtype=np.intp))
 
     @property
     def cols(self) -> tuple[int, ...]:
@@ -212,12 +219,21 @@ def _perm_index(dims: tuple[int, ...], image: Sequence[int]) -> np.ndarray:
     return idx
 
 
+def _checked_perm(sigma, order: int) -> Permutation:
+    """``sigma``, a ``Permutation`` or its image, as a permutation of degree ``order``; else ``ValueError``."""
+    if not isinstance(sigma, Permutation):
+        sigma = Permutation(sigma)
+    if sigma.degree != order:
+        raise ValueError(f"permutation of degree {sigma.degree} for shape of order {order}")
+    return sigma
+
+
 def _columns(dims: tuple[int, ...]) -> int:
     """The column count of a permutation matrix over ``dims``, within ``core.MAX_ENTRIES``."""
     return _check_budget(size_of(dims), "permutation matrix over {}", dims, unit="columns")
 
 
-def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerate: bool = True) -> LogicalMatrix:
+def build_perm_matrix(dims: Sequence[int], sigma, *, warn_degenerate: bool = True) -> LogicalMatrix:
     """Permutation matrix reordering a Kronecker chain of d vectors.
 
     ``W`` is the n x n logical matrix (n = prod dims) with
@@ -238,17 +254,14 @@ def build_perm_matrix(dims: Sequence[int], sigma: Permutation, *, warn_degenerat
     mean what the caller hoped.
     """
     dims = check_dims(dims)
-    if isinstance(sigma, (tuple, list)):
-        sigma = Permutation(sigma)
-    if sigma.degree != len(dims):
-        raise ValueError(f"permutation of degree {sigma.degree} for shape of order {len(dims)}")
+    sigma = _checked_perm(sigma, len(dims))
     n = _columns(dims)
     if warn_degenerate and any(size < 2 for size in dims):
         warnings.warn("permutation matrix over dims with entries < 2 degenerates", stacklevel=2)
     return LogicalMatrix._from_index(n, _perm_index(dims, sigma.image))
 
 
-def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
+def perm_gather(flat, dims: Sequence[int], sigma) -> np.ndarray:
     """``W^sigma @ flat``, as one row gather: the flat data of the sigma-transpose.
 
     This is the public entry of ``_relayout``, from natural axis order to
@@ -257,9 +270,7 @@ def perm_gather(flat, dims: Sequence[int], sigma: Permutation) -> np.ndarray:
     messages, made once: the degree, the permuted dims, the budget and the
     length of ``flat``.  The identity is a copy, and no budget applies to it.
     """
-    image = sigma.image
-    if len(image) != len(dims):
-        raise ValueError(f"permutation of degree {len(image)} for shape of order {len(dims)}")
+    image = _checked_perm(sigma, len(dims)).image
     permuted = check_dims([dims[s - 1] for s in image])
     flat = np.asarray(flat)
     natural = tuple(range(1, len(dims) + 1))

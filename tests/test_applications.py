@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,17 @@ def test_uniform_mixed_strategy_is_average(rng):
     assert got == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("counts", [(3,), (2, 3), (4, 5, 3), (3, 2, 2, 3)])
+def test_game_payoff_is_its_index_sum(rng, counts):
+    # Player i: sum over s of d_i[s_1, ..., s_N] x_1[s_1] ... x_N[s_N].
+    payoffs = [rng.integers(-9, 10, counts).astype(object) for _ in range(2)]
+    xs = [rng.integers(0, 5, n).astype(object) for n in counts]
+    game = GamePayoff(counts, tuple(Hypermatrix(counts, d.reshape(-1)) for d in payoffs))
+    spec = "abcd"[: len(counts)]
+    expected = [np.einsum(f"{spec},{','.join(spec)}->", d, *xs) for d in payoffs]
+    assert game_payoff(game, xs) == expected
+
+
 def test_game_validation(rng):
     with pytest.raises(ValueError):
         GamePayoff((2, 2), (random_hm(rng, (2, 3)),))
@@ -246,21 +259,58 @@ def test_ybe_residual_methods_agree_float(rng):
     assert res_m == pytest.approx(res_b, rel=1e-9, abs=1e-12)
 
 
+# The relation the library computes, as the index sums in ``ybe_sides``'s docstring, and the
+# textbook R12 R13 R23 = R23 R13 R12 with r[i,j,k,l] read as R^{ij}_{kl}.  Object einsum is exact on ints.
+LIBRARY_YBE = {"lhs": "aybx,xcdz,efyz->abcdef", "rhs": "yzab,cdyx,xzef->abcdef"}
+TEXTBOOK_YBE = ("ijab,aklc,bcmn->ijklmn", "jkbc,ican,ablm->ijklmn")
+
+
+def rule_tensor(n, rule):
+    """The order-4 object array over dimension n whose entry at 1-based (i, j, k, l) is rule(i, j, k, l)."""
+    return np.array([rule(*m) for m in product(range(1, n + 1), repeat=4)], dtype=object).reshape((n,) * 4)
+
+
+def solves(r, specs) -> bool:
+    lhs, rhs = (np.einsum(spec, r, r, r) for spec in specs)
+    return bool(np.array_equal(lhs, rhs))
+
+
 @pytest.mark.parametrize(
     "rule",
     [lambda i, j, k, l: 1, lambda i, j, k, l: int(i == j == k == l)],
     ids=["all-ones", "diagonal"],
 )
 def test_ybe_known_solutions_have_zero_residual(rule):
-    n = 2
-    data = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    data.append(rule(i, j, k, l))
-    inst = YbeInstance(n, Hypermatrix.from_flat((n,) * 4, data))
-    assert ybe_residual(inst) == 0
+    # Both solve the library's relation and the textbook one.
+    for n in (2, 3):
+        r = rule_tensor(n, rule)
+        assert ybe_residual(YbeInstance(n, Hypermatrix((n,) * 4, r.reshape(-1)))) == 0
+        assert solves(r, TEXTBOOK_YBE) and solves(r, LIBRARY_YBE.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_ybe_route_computes_the_library_index_sums(rng, n):
+    r = rng.integers(-3, 4, (n,) * 4).astype(object)
+    inst = YbeInstance(n, Hypermatrix((n,) * 4, r.reshape(-1)))
+    for side, spec in LIBRARY_YBE.items():
+        expected = np.einsum(spec, r, r, r).reshape(-1).tolist()
+        for method in ("matrix", "stp", "bruteforce"):
+            assert ybe_sides(inst, side, method).data.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_textbook_solutions_do_not_solve_the_library_relation(rng, n):
+    a = rng.integers(-3, 4, (n, n)).astype(object)
+    families = {
+        "identity": rule_tensor(n, lambda i, j, k, l: int(i == k and j == l)),
+        "swap": rule_tensor(n, lambda i, j, k, l: int(i == l and j == k)),
+        "A(x)A": np.einsum("ik,jl->ijkl", a, a),
+    }
+    residuals = {}
+    for name, r in families.items():
+        assert solves(r, TEXTBOOK_YBE), name
+        residuals[name] = ybe_residual(YbeInstance(n, Hypermatrix((n,) * 4, r.reshape(-1))))
+    assert residuals["identity"] == residuals["swap"] == 1 and residuals["A(x)A"] != 0
 
 
 def test_ybe_validation(rng):

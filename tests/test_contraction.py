@@ -20,6 +20,7 @@ from hyperstp import (
     kary_apply,
     matrix_expression,
     onto_contract,
+    sigma_transpose,
     size_of,
     unary_apply,
 )
@@ -659,6 +660,94 @@ def test_int_store_with_float_arguments_gives_float():
     # sum of omega[i, j] * x[i] * w[j]
     omega = Hypermatrix((2, 2), [1, 2, 3, 4])
     assert_same_result(eval_tensor(omega, [[0.5, 2.0]], [[1, 3]]), np.float64(33.0), "float")
+
+
+# -- definition oracles: each composite product against its index sum ------------------------
+
+
+def obj_ints(rng, shape, lo=-9, hi=9):
+    """Python ints in an object array, on which ``np.einsum`` is exact."""
+    return rng.integers(lo, hi + 1, shape).astype(object)
+
+
+def einsum_list(spec, *operands) -> list:
+    return np.asarray(np.einsum(spec, *operands), dtype=object).reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+def test_kary_apply_is_its_index_sum(rng, d, k):
+    # out[i] = sum over j_1..j_k of a[i, j_k, ..., j_1] b_1[j_1] ... b_k[j_k], each index a d-tuple.
+    blocks = ["abcdefgh"[t * d : (t + 1) * d] for t in range(k + 1)]
+    spec = f"{blocks[0]}{''.join(blocks[:0:-1])},{','.join(blocks[1:])}->{blocks[0]}"
+    a = obj_ints(rng, (2,) * ((k + 1) * d))
+    bs = [obj_ints(rng, (2,) * d) for _ in range(k)]
+    hms = [Hypermatrix(x.shape, x.reshape(-1)) for x in [a, *bs]]
+    expected = einsum_list(spec, a, *bs)
+    assert kary_apply(hms[0], hms[1:]).data.tolist() == expected
+    if k == 2:
+        assert binary_apply(*hms).data.tolist() == expected
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 1, 4), (2, 3, 2, 2)])
+def test_eval_multilinear_vector_is_its_index_sum(rng, dims):
+    # out[p] = sum over q of pi[...p at the row axis, q_t at column axis t...] x_1[q_1] ... x_k[q_k].
+    letters = "abcd"[: len(dims)]
+    pi = obj_ints(rng, dims)
+    for _ in range(4):
+        row, *cols = (int(v) + 1 for v in rng.permutation(len(dims)))
+        xs = [obj_ints(rng, dims[c - 1]) for c in cols]
+        spec = f"{','.join([letters, *(letters[c - 1] for c in cols)])}->{letters[row - 1]}"
+        m = matrix_expression(Hypermatrix(dims, pi.reshape(-1)), rows=(row,), cols=tuple(cols))
+        assert eval_multilinear_vector(m, xs).tolist() == einsum_list(spec, pi, *xs)
+
+
+@pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)])
+def test_eval_tensor_is_its_index_sum(rng, r, s):
+    # sum over i, j of omega[i_1..i_r, j_1..j_s] x_1[i_1] ... x_r[i_r] w_1[j_1] ... w_s[j_s].
+    letters = "abcd"[: r + s]
+    omega = obj_ints(rng, (3,) * (r + s))
+    vectors, covectors = [obj_ints(rng, 3) for _ in range(r)], [obj_ints(rng, 3) for _ in range(s)]
+    spec = f"{letters},{','.join(letters)}->"
+    got = eval_tensor(Hypermatrix(omega.shape, omega.reshape(-1)), covectors, vectors)
+    assert [got] == einsum_list(spec, omega, *vectors, *covectors)
+
+
+@st.composite
+def relabelled_pairings(draw):
+    """A pairing of a's axes with b's, a permutation of each operand's axes, an entry scale and a seed."""
+    a_dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    b_dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    k = draw(st.integers(0, min(len(a_dims), len(b_dims))))
+    a_axes = draw(st.permutations(range(1, len(a_dims) + 1)))[:k]
+    b_axes = draw(st.permutations(range(1, len(b_dims) + 1)))[:k]
+    for x, y in zip(a_axes, b_axes):
+        b_dims[y - 1] = a_dims[x - 1]
+    sigma = draw(st.permutations(range(1, len(a_dims) + 1)))
+    tau = draw(st.permutations(range(1, len(b_dims) + 1)))
+    scale, seed = draw(st.sampled_from([9, 2 ** 31, 2 ** 62])), draw(st.integers(0, 2 ** 32 - 1))
+    return tuple(a_dims), tuple(b_dims), tuple(a_axes), tuple(b_axes), tuple(sigma), tuple(tau), scale, seed
+
+
+@settings(max_examples=120, deadline=None)
+@given(relabelled_pairings(), st.sampled_from(["expression", "stp", "bruteforce"]))
+def test_contraction_commutes_with_relabelling_the_axes(case, method):
+    a_dims, b_dims, a_axes, b_axes, sigma, tau, scale, seed = case
+    rng = np.random.default_rng(seed)
+    a = Hypermatrix(a_dims, obj_ints(rng, size_of(a_dims), -scale, scale))
+    b = Hypermatrix(b_dims, obj_ints(rng, size_of(b_dims), -scale, scale))
+    # Axis x of an operand sits at position pos[x] of its sigma-transpose (tau for b).
+    pos_a = {x: k for k, x in enumerate(sigma, start=1)}
+    pos_b = {y: k for k, y in enumerate(tau, start=1)}
+    got = contract(
+        sigma_transpose(a, sigma), sigma_transpose(b, tau), [pos_a[x] for x in a_axes], [pos_b[y] for y in b_axes], method
+    )
+    # Output axis k of ``got`` is the k-th free position of a transposed operand; rho maps it to its axis in ``want``.
+    a_free = [x for x in range(1, len(a_dims) + 1) if x not in a_axes]
+    b_free = [y for y in range(1, len(b_dims) + 1) if y not in b_axes]
+    rho = [a_free.index(sigma[k - 1]) + 1 for k in sorted(pos_a[x] for x in a_free)]
+    rho += [len(a_free) + b_free.index(tau[k - 1]) + 1 for k in sorted(pos_b[y] for y in b_free)]
+    want = contract(a, b, a_axes, b_axes, method)
+    assert got == sigma_transpose(want, rho)
 
 
 # -- block operators ------------------------------------------------------------

@@ -194,6 +194,35 @@ def test_public_expression_constructor_validates(ex215):
         MatrixExpression(m.mat, m.row_axes, m.col_axes, (2, 0, 5), m.kind)
 
 
+@pytest.mark.parametrize(
+    "mat, kind, error, message",
+    [
+        ([[1, 2]], "complex", ValueError, "unknown scalar kind 'complex'"),
+        (np.array([[True, False]]), "int", TypeError, "arrays of dtype bool do not hold scalars"),
+        (np.array([["1", "2"]]), "int", TypeError, "arrays of dtype <U1 do not hold scalars"),
+        (np.array([[1, 0.5]], dtype=object), "int", TypeError, "float 0.5 at position 2 is not an int-backend value"),
+        (np.array([[1, True]], dtype=object), "float", TypeError, "True at position 2 is not a scalar"),
+        (np.array([[1.0, 0.5]]), "int", TypeError, "float data does not convert to the int backend"),
+        ([[1, True]], "int", TypeError, "True at position 2 is not a scalar"),
+        ([[1.0, float("inf")]], "float", ValueError, "non-finite value inf at position 2"),
+    ],
+    ids=["kind", "bool-array", "str-array", "float-in-int", "bool-in-object", "float-array", "bool-in-list", "inf"],
+)
+def test_expression_constructor_checks_its_matrix(mat, kind, error, message):
+    # The constructor's rule is the Hypermatrix constructor's, so nothing downstream reads an entry's type.
+    with pytest.raises(error) as raised:
+        MatrixExpression(mat, (1,), (2,), (1, 2), kind)
+    assert str(raised.value) == message
+
+
+def test_expression_constructor_puts_ints_on_the_declared_backend():
+    m = MatrixExpression(np.array([[1, 2], [3, 4]]), (1,), (2,), (2, 2), "float")
+    assert m.mat.dtype == np.float64 and m.kind == "float"
+    m = MatrixExpression(np.array([[np.int8(1), 2 ** 70]], dtype=object), (1,), (2,), (1, 2), "int")
+    assert m.mat.dtype == object and [type(v) for v in m.mat.reshape(-1)] == [int, int]
+    assert expression_to_hypermatrix(m) == Hypermatrix((1, 2), [1, 2 ** 70])
+
+
 def test_expression_roundtrip_hypermatrix(rng):
     for _ in range(20):
         dims = random_dims(rng, max_order=4, max_dim=4, max_size=256)

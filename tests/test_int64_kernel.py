@@ -423,6 +423,26 @@ def test_products_of_built_values_scan_nothing(rng, monkeypatch):
     assert scans == []
 
 
+def test_library_results_are_filled_without_a_scan(monkeypatch):
+    a, b = Hypermatrix((2, 3), [1, -2, 3, 4, 5, -6]), Hypermatrix((3, 3), list(range(-4, 5)))
+    past = Hypermatrix((2,), [2 ** 63, -1])
+    hot = Hypermatrix((2,), [1e200, 1.0], "float")
+    scans = watch_scans(monkeypatch)
+    # The oracle's sums are Python ints by construction, and zeros are int64 zeros: neither is scanned.
+    out = contract_bruteforce(a, b, (2,), (1,))
+    zeros = [Hypermatrix.zeros((3, 3)), Hypermatrix.zeros((2,), "float")]
+    wide = contract_bruteforce(past, past, (), ())
+    assert scans == []
+    assert out == contract_via_expression(a, b, (2,), (1,)) and out.size == 6
+    assert [z.data.tolist() for z in zeros] == [[0] * 9, [0.0, 0.0]] and zeros[1].data.dtype == np.float64
+    assert wide._int64 is None and wide.data.tolist() == [2 ** 126, -(2 ** 63), -(2 ** 63), 1]
+    # A float sum that overflows is still refused where the result is filled.
+    with pytest.raises(ValueError, match="non-finite value inf at position 1"):
+        contract_bruteforce(hot, hot, (), ())
+    with pytest.raises(ValueError, match="unknown scalar kind 'complex'"):
+        Hypermatrix.zeros((2,), "complex")
+
+
 def test_gathers_transposes_and_equality_scan_nothing(rng, monkeypatch):
     a = random_hm(rng, (2, 3, 4))
     same = Hypermatrix(a.dims, list(a.data))

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -16,6 +17,8 @@ from hyperstp import (
     kron_chain,
     onto_contract,
     perm_compose,
+    sigma_transpose,
+    sigma_transpose_via_perm,
 )
 from hyperstp.appendix import EXAMPLE_235_TABLES  # re-exported data for cross-checks
 from hyperstp.core import MAX_ENTRIES
@@ -92,6 +95,18 @@ def test_chain_permutation_property_exhaustive(dims):
             lhs = kron_chain([xs[sigma(k) - 1] for k in range(1, d + 1)])
             rhs = w.apply(kron_chain(xs))
             assert list(lhs) == list(rhs)
+
+
+def test_identity_is_built_on_a_trusted_fill(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("the validating constructor ran")
+
+    monkeypatch.setattr(LogicalMatrix, "__init__", refuse)
+    w = LogicalMatrix.identity(5)
+    assert (w.rows, w.cols) == (5, (1, 2, 3, 4, 5)) and w._idx.dtype == np.intp and not w._idx.flags.writeable
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="a logical matrix needs at least one row"):
+            LogicalMatrix.identity(n)
 
 
 def test_apply_identity_and_swap():
@@ -296,6 +311,26 @@ GATHER_ERRORS = [
     # Once returned a gather: the axis left out has size 1.
     ((np.arange(3), (3, 1), (1,)), ValueError, "permutation of degree 1 for shape of order 2"),
 ]
+
+
+SIGMA_ENTRIES = {
+    "build_perm_matrix": lambda a, sigma: build_perm_matrix(a.dims, sigma).cols,
+    "perm_gather": lambda a, sigma: perm_gather(a.data, a.dims, sigma).tolist(),
+    "sigma_transpose": lambda a, sigma: sigma_transpose(a, sigma),
+    "sigma_transpose_via_perm": lambda a, sigma: sigma_transpose_via_perm(a, sigma),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIGMA_ENTRIES))
+def test_every_sigma_entry_takes_an_image_and_checks_its_degree_alike(entry):
+    run, a = SIGMA_ENTRIES[entry], Hypermatrix((2, 3, 2), list(range(12)))
+    assert run(a, (3, 1, 2)) == run(a, Permutation((3, 1, 2)))
+    for sigma in ((2, 1), Permutation((2, 1))):
+        with pytest.raises(ValueError) as raised:
+            run(a, sigma)
+        assert str(raised.value) == "permutation of degree 2 for shape of order 3"
+    with pytest.raises(ValueError, match=re.escape("(1, 1, 2) is not a bijection of 1..3")):
+        run(a, (1, 1, 2))
 
 
 @pytest.mark.parametrize("args, error, message", GATHER_ERRORS)

@@ -22,6 +22,7 @@ from hyperstp import (
     contract_via_expression,
     cross_product,
     eval_multilinear_scalar,
+    eval_multilinear_vector,
     eval_tensor,
     expression_to_hypermatrix,
     gl2_bracket,
@@ -72,6 +73,15 @@ def test_hypervector_of_int_and_float_factors_is_float():
 def test_cross_product_of_object_int_vectors_stays_int():
     out = cross_product(ints([1, 0, 0]), ints([0, 1, 0]))
     assert list(out) == [0, 0, 1] and all(type(v) is int for v in out)
+
+
+def test_float_expression_of_ints_evaluates_to_float64():
+    # The kind is the declared one: the expression once evaluated to Python ints.
+    m = MatrixExpression([[1, 2], [3, 4]], (1,), (2,), (2, 2), "float")
+    got = eval_multilinear_vector(m, [[1, 1]])
+    assert got.dtype == np.float64 and got.tolist() == [3.0, 7.0]
+    got = eval_multilinear_vector(m, [ints([1, 1])])
+    assert got.dtype == np.float64 and got.tolist() == [3.0, 7.0]
 
 
 def test_vec_to_matrix_form_refuses_float_data_as_int():
@@ -127,6 +137,9 @@ RAW_ENTRIES = {
     "kron_chain": lambda x: kron_chain([ints([1, 2]), x]),
     "vec_oplus": lambda x: vec_oplus(ints([1, 2]), x),
     "LogicalMatrix.apply": lambda x: LogicalMatrix(2, (2, 1)).apply(x),
+    # A caller's object vector, unlike a value's read-only data, is checked even without a kind:
+    # the expression it makes is trusted by every reader.
+    "vec_to_matrix_form": lambda x: vec_to_matrix_form(x, (2,), ()),
 }
 
 
