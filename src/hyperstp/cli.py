@@ -166,9 +166,9 @@ def _cmd_stp(args) -> int:
         raise ValueError("vv needs two order-1 hypermatrices")
     if args.op == "mv" and b.order != 1:
         raise ValueError("mv needs an order-1 second operand")
-    # The public products' arithmetic on the loaded stores and magnitudes: nothing is scanned.
+    # The public products' arithmetic on the loaded stores: nothing is scanned.
     left = _as_matrix_hm(a).T if args.op == "vv" else _as_matrix_hm(a)
-    out = _stp_dot(left, _as_matrix_hm(b), a._max_abs(), b._max_abs())
+    out = _stp_dot(left, _as_matrix_hm(b))
     if args.op == "vv":
         print(_scalar_str(out.sum(), kind))
         return 0

@@ -36,11 +36,11 @@ base, ``_Frozen``; public constructors copy any array the caller still
 holds.  Every value, built or a library result, is filled by one step,
 ``Hypermatrix._filled``: an int value holds one store, its read-only
 int64 form when every entry fits int64, else its object array of Python
-ints.  Products, gathers and comparisons read the store in numpy;
-``Hypermatrix.data`` widens an int64 form only when first read.  A value
-keeps ``max|v|`` of its form from its first product
-(``Hypermatrix._max_abs``), which ``checked_product`` hands to
-``narrow``, so a value is measured once however many products read it.
+ints.  Products, gathers, comparisons and one-entry reads read the store;
+only ``data``, ``nd`` and ``repr`` widen an int64 form, once.  A value's
+``max|v|`` has one writer, ``Hypermatrix._max_abs``, at its first
+product; ``checked_product`` hands it to ``narrow``, so a value is
+measured once however many products read it.
 
 One entry budget, ``MAX_ENTRIES``, bounds every array the library sizes
 from its inputs rather than from data it was given: a permutation or
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -235,6 +236,21 @@ def _checked_ints(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# The object arrays that values hand out as ``data``, by id, so that a reader can take them unread.
+_VALUE_DATA: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
+
+
+def _handed_out(data: np.ndarray) -> np.ndarray:
+    """``data``, recorded as a value's own: ``_is_value_data`` knows it from then on."""
+    _VALUE_DATA[id(data)] = data
+    return data
+
+
+def _is_value_data(arr: np.ndarray) -> bool:
+    """True for an object array that a value handed out as its ``data``: Python ints by construction."""
+    return _VALUE_DATA.get(id(arr)) is arr
+
+
 def _magnitude(arr: np.ndarray) -> int:
     """``max |v|`` over an int64 array as a Python int (0 when empty), so -2**63 cannot wrap."""
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
@@ -367,13 +383,12 @@ class Hypermatrix(_Frozen):
             flat = flat.copy()
         self._filled(dims, flat, kind)
 
-    def _filled(self, dims: tuple[int, ...], flat: np.ndarray, kind: str | None, max_abs: int | None = None):
+    def _filled(self, dims: tuple[int, ...], flat: np.ndarray, kind: str | None):
         """The one fill step: the slots from an array of ``dims``' entries that no caller holds.
 
         Int entries (object ones must be Python ints) go to one store;
         other data takes the scalar policy.  ``astype`` wraps a uint64 entry
-        past 2**63 - 1 silently, so an unsigned maximum is read first.  A
-        gather passes its source's ``max|v|`` as ``max_abs``.
+        past 2**63 - 1 silently, so an unsigned maximum is read first.
         """
         if flat.dtype.kind not in "iuO" or kind not in (None, "int"):
             flat, kind = as_scalars(flat, kind)
@@ -384,10 +399,10 @@ class Hypermatrix(_Frozen):
             if flat.dtype.kind == "u" and flat.max(initial=0) > _INT64_MAX:
                 flat = flat.astype(object)
             try:
-                return self._fill(dims, None, "int", flat.astype(np.int64, copy=False), max_abs, None)
+                return self._fill(dims, None, "int", flat.astype(np.int64, copy=False), None, None)
             except OverflowError:
                 kind = "int"
-        return self._fill(dims, flat, kind, None, None, None)
+        return self._fill(dims, _handed_out(flat) if kind == "int" else flat, kind, None, None, None)
 
     @property
     def data(self) -> np.ndarray:
@@ -395,7 +410,7 @@ class Hypermatrix(_Frozen):
         if self._data is None:
             data = self._int64.astype(object)
             data.setflags(write=False)
-            object.__setattr__(self, "_data", data)
+            object.__setattr__(self, "_data", _handed_out(data))
         return self._data
 
     def _flat(self) -> np.ndarray:
@@ -454,18 +469,18 @@ class Hypermatrix(_Frozen):
     # -- element access ----------------------------------------------
 
     def get(self, idx: tuple[int, ...]):
-        """Entry at a 1-based multi-index."""
-        return self.data[linearize(self.dims, tuple(idx)) - 1]
+        """Entry at a 1-based multi-index, read from the store: no cache is filled."""
+        rank = linearize(self.dims, tuple(idx)) - 1
+        return self._data[rank] if self._int64 is None else int(self._int64[rank])
 
     def items(self) -> Iterator[tuple[tuple[int, ...], object]]:
         """Iterate ``(multi_index, value)`` pairs in ID order."""
-        for rank, idx in enumerate(iter_indices(self.dims)):
-            yield idx, self.data[rank]
+        yield from zip(iter_indices(self.dims), self._data if self._int64 is None else map(int, self._int64))
 
     def to_scalar(self):
         if self.size != 1:
             raise ValueError(f"hypermatrix of shape {self.dims} is not a scalar")
-        return self.data[0]
+        return self.get((1,) * self.order)
 
     # -- comparison --------------------------------------------------
 
@@ -518,6 +533,6 @@ def _owned(dims, values: list, kind: str) -> Hypermatrix:
     return _stored(dims, np.array(values, dtype=DTYPE[kind]), kind)
 
 
-def _stored(dims: tuple[int, ...], out: np.ndarray, kind: str | None, max_abs: int | None = None) -> Hypermatrix:
+def _stored(dims: tuple[int, ...], out: np.ndarray, kind: str | None) -> Hypermatrix:
     """A library result from a fresh array ``out``, through the fill step unscanned and uncopied."""
-    return object.__new__(Hypermatrix)._filled(dims, out, kind, max_abs)
+    return object.__new__(Hypermatrix)._filled(dims, out, kind)

@@ -25,7 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix, _checked_ints, _Frozen, _stored, as_scalars, check_dims, size_of
+from .core import (
+    _INT64_MAX, Hypermatrix, _checked_ints, _Frozen, _is_value_data, _stored, as_scalars, check_dims, size_of,
+)
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, _checked_perm, _relayout, build_perm_matrix, perm_gather  # noqa: F401
@@ -70,7 +72,7 @@ def sigma_transpose(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _checked_perm(sigma, a.order)
     dims = tuple(a.dims[ax - 1] for ax in sigma.image)
-    return _stored(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind, a._max)
+    return _stored(dims, _lay_out(a._flat(), a.dims, sigma.image, ()), a.kind)
 
 
 def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
@@ -82,7 +84,7 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
     """
     sigma = _checked_perm(sigma, a.order)
     dims = tuple(a.dims[ax - 1] for ax in sigma.image)
-    return _stored(dims, perm_gather(a._flat(), a.dims, sigma), a.kind, a._max)
+    return _stored(dims, perm_gather(a._flat(), a.dims, sigma), a.kind)
 
 
 # -- matrix expressions ------------------------------------------------
@@ -169,11 +171,12 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
     by their increasing complement, and reshapes with one row per row-axis
     index combination.  ``rows`` may list axes in any order.  An object
     ``v`` is checked as the constructor checks it, except a value's own
-    read-only data taken without a ``kind``: no entry of it is read.
+    ``data``, whose entries are Python ints by construction: no entry of
+    it is read.
     """
     dims = check_dims(dims)
     rows, cols = _check_partition(len(dims), rows)
-    if isinstance(v, np.ndarray) and v.dtype == object and (kind is not None or v.flags.writeable):
+    if isinstance(v, np.ndarray) and v.dtype == object and not _is_value_data(v):
         v = _checked_ints(v)
     flat, kind = as_scalars(v, kind)
     if flat.size != size_of(dims):

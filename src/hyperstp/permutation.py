@@ -233,7 +233,7 @@ def _columns(dims: tuple[int, ...]) -> int:
     return _check_budget(size_of(dims), "permutation matrix over {}", dims, unit="columns")
 
 
-def build_perm_matrix(dims: Sequence[int], sigma, *, warn_degenerate: bool = True) -> LogicalMatrix:
+def build_perm_matrix(dims: Sequence[int], sigma) -> LogicalMatrix:
     """Permutation matrix reordering a Kronecker chain of d vectors.
 
     ``W`` is the n x n logical matrix (n = prod dims) with
@@ -250,13 +250,13 @@ def build_perm_matrix(dims: Sequence[int], sigma, *, warn_degenerate: bool = Tru
     Shapes above ``core.MAX_ENTRIES`` columns raise ``OverflowError``
     before anything is allocated; the intp index takes 8 bytes per column
     on 64-bit hosts, 128 MiB at the budget.  Dimensions below 2 degenerate
-    gracefully; direct calls get a warning since such matrices rarely
-    mean what the caller hoped.
+    gracefully but always raise a ``UserWarning``, since such matrices
+    rarely mean what the caller hoped.
     """
     dims = check_dims(dims)
     sigma = _checked_perm(sigma, len(dims))
     n = _columns(dims)
-    if warn_degenerate and any(size < 2 for size in dims):
+    if any(size < 2 for size in dims):
         warnings.warn("permutation matrix over dims with entries < 2 degenerates", stacklevel=2)
     return LogicalMatrix._from_index(n, _perm_index(dims, sigma.image))
 

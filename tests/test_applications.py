@@ -313,6 +313,29 @@ def test_textbook_solutions_do_not_solve_the_library_relation(rng, n):
     assert residuals["identity"] == residuals["swap"] == 1 and residuals["A(x)A"] != 0
 
 
+def test_both_fast_routes_compute_the_n6_library_index_sums_in_int64(rng):
+    # Entries near 2**16 take every second product past the float64 tier.  The einsum sums
+    # n**3 products of three entries, so the bound below keeps its int64 arithmetic exact.
+    n = 6
+    r = rng.integers(-(2 ** 16), 2 ** 16 + 1, (n,) * 4)
+    assert n ** 3 * int(np.abs(r).max()) ** 3 <= 2 ** 63 - 1
+    inst = YbeInstance(n, Hypermatrix((n,) * 4, r.reshape(-1)))
+    for side, spec in LIBRARY_YBE.items():
+        expected = np.einsum(spec, r, r, r).reshape(-1).tolist()
+        for method in ("matrix", "stp"):
+            assert ybe_sides(inst, side, method).data.tolist() == expected, (side, method)
+
+
+@pytest.mark.parametrize("q, residual", [(2, 48), (3, 648)])
+def test_the_scaled_jimbo_r_matrix_solves_the_textbook_relation(q, residual):
+    # q times Jimbo's U_q(sl2) R-matrix over the basis 11, 12, 21, 22: rows (i, j), columns (k, l).
+    jimbo = np.array(
+        [[q * q, 0, 0, 0], [0, q, q * q - 1, 0], [0, 0, q, 0], [0, 0, 0, q * q]], dtype=object
+    ).reshape((2,) * 4)
+    assert solves(jimbo, TEXTBOOK_YBE)
+    assert ybe_residual(YbeInstance(2, Hypermatrix((2,) * 4, jimbo.reshape(-1)))) == residual
+
+
 def test_ybe_validation(rng):
     with pytest.raises(ValueError):
         YbeInstance(2, random_hm(rng, (2, 2, 2)))

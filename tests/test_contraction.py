@@ -750,6 +750,40 @@ def test_contraction_commutes_with_relabelling_the_axes(case, method):
     assert got == sigma_transpose(want, rho)
 
 
+@st.composite
+def nested_pairings(draw):
+    """Dims of a, b and c, a's axes paired with some of b's, others of b's with some of c's, a scale and a seed."""
+    a_dims, b_dims, c_dims = (draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)) for _ in range(3))
+    b_order = draw(st.permutations(range(1, len(b_dims) + 1)))
+    k = draw(st.integers(0, min(len(a_dims), len(b_dims))))
+    m = draw(st.integers(0, min(len(b_dims) - k, len(c_dims))))
+    a_axes = draw(st.permutations(range(1, len(a_dims) + 1)))[:k]
+    c_axes = draw(st.permutations(range(1, len(c_dims) + 1)))[:m]
+    ab_axes, bc_axes = b_order[:k], b_order[k:k + m]
+    for x, y in zip(a_axes, ab_axes):
+        b_dims[y - 1] = a_dims[x - 1]
+    for y, z in zip(bc_axes, c_axes):
+        c_dims[z - 1] = b_dims[y - 1]
+    scale, seed = draw(st.sampled_from([9, 2 ** 31, 2 ** 62])), draw(st.integers(0, 2 ** 32 - 1))
+    return tuple(a_dims), tuple(b_dims), tuple(c_dims), a_axes, ab_axes, bc_axes, c_axes, scale, seed
+
+
+@settings(max_examples=120, deadline=None)
+@given(nested_pairings(), st.sampled_from(["expression", "stp", "bruteforce"]))
+def test_contraction_nests_either_way(case, method):
+    # (a b) c and a (b c) both lay their axes out as a's free axes, then b's, then c's.
+    a_dims, b_dims, c_dims, a_axes, ab_axes, bc_axes, c_axes, scale, seed = case
+    rng = np.random.default_rng(seed)
+    a, b, c = (Hypermatrix(dims, obj_ints(rng, size_of(dims), -scale, scale)) for dims in (a_dims, b_dims, c_dims))
+    a_free = len(a_dims) - len(a_axes)
+    b_left = [y for y in range(1, len(b_dims) + 1) if y not in ab_axes]
+    b_right = [y for y in range(1, len(b_dims) + 1) if y not in bc_axes]
+    ab, bc = contract(a, b, a_axes, ab_axes, method), contract(b, c, bc_axes, c_axes, method)
+    left = contract(ab, c, [a_free + b_left.index(y) + 1 for y in bc_axes], c_axes, method)
+    right = contract(a, bc, a_axes, [b_right.index(y) + 1 for y in ab_axes], method)
+    assert left == right
+
+
 # -- block operators ------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -218,3 +219,31 @@ def test_zeros_are_budgeted(monkeypatch):
     assert Hypermatrix.zeros((2, 3, 2)).data.tolist() == [0] * 12
     with pytest.raises(OverflowError, match="above the budget of 12"):
         Hypermatrix.zeros((13,))
+
+
+@pytest.mark.parametrize(
+    "dims, data, kind",
+    [((2, 3), [1, -2, 3, 2 ** 62, 0, -7], "int"), ((3,), [3 ** 50, -1, 0], "int"), ((1, 2), [0.5, -2.0], "float")],
+    ids=["int64", "past-int64", "float"],
+)
+def test_one_entry_reads_yield_what_data_holds_and_fill_no_cache(dims, data, kind):
+    h, twin = Hypermatrix.from_flat(dims, data, kind), Hypermatrix.from_flat(dims, data, kind)
+    items = list(h.items())
+    assert [v for _, v in items] == [h.get(idx) for idx, _ in items] == twin.data.tolist()
+    assert [type(v) for _, v in items] == [type(v) for v in twin.data]
+    scalar = Hypermatrix.from_flat((1,) * len(dims), data[:1], kind)
+    assert scalar.to_scalar() == data[0] and type(scalar.to_scalar()) is type(twin.data[0])
+    # An int64 store is read entry by entry: its Python-int cache stays empty.
+    assert (h._data is None) is (scalar._data is None) is (h._int64 is not None)
+
+
+def test_one_get_on_a_large_value_allocates_nothing_of_its_size():
+    h = Hypermatrix.from_nd(np.arange(2 ** 22, dtype=np.int64).reshape(2048, 2048))
+    tracemalloc.start()
+    try:
+        v = h.get((5, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == 4 * 2048 + 6 and type(v) is int
+    assert h._data is None and peak < 2 ** 20

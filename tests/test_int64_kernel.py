@@ -12,8 +12,8 @@ reads without a scan, comparisons read in numpy, and ``data`` widens on
 first read; a constructor-built input holds the int64 form its
 constructor made after scanning it once.  A float64-tier product is
 cast back in its own buffer, and an n = 6 Yang-Baxter side holds three
-result-sized arrays at most (four on the ``stp`` route).  Each value's ``max|v|`` is measured once
-and kept, counting negative entries, and a gather passes it on.
+result-sized arrays at most (four on the ``stp`` route).  Each value's ``max|v|`` is measured once,
+at its first product, and kept, counting negative entries; a gather measures its own.
 """
 
 import json
@@ -561,7 +561,11 @@ def test_a_kept_magnitude_counts_negative_entries(dots):
         assert contract(a, b, (1,), (1,), method).data.tolist() == [-(2 ** 53 + 1), 321]
         assert dots == [(np.int64, np.int64)], method
     assert a._max == C and b._max == 321
-    # A gather keeps its source's magnitude; an unmeasured value passes none on.
+    # A gather keeps no magnitude of its source: its own first product measures it, still on int64.
     for gather in (sigma_transpose, sigma_transpose_via_perm):
-        assert gather(a, (2, 1))._max == C
-        assert gather(Hypermatrix.from_flat((2, 2), [-C, 1, 0, 1]), (2, 1))._max is None
+        for method in ("expression", "stp"):
+            t = gather(a, (2, 1))
+            assert t._max is None
+            dots.clear()
+            assert contract(t, b, (2,), (1,), method).data.tolist() == [-(2 ** 53 + 1), 321]
+            assert dots == [(np.int64, np.int64)] and t._max == C, (gather, method)

@@ -263,6 +263,49 @@ def test_cli_verify_appendix_stdout_is_byte_stable(capsys):
     assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == "a7fa2a69da028189c3df766f78bcbd58"
 
 
+# The documents of the CI workflow's byte-stability steps, as its printf commands write them.
+CI_DOCS = {
+    "square.hm": '{"shape":[2,2],"data":[1,2,3,4],"scalar_kind":"int"}',
+    "int3.hm": '{"shape":[2,3,2],"data":[1,-2,3,4,-5,6,7,8,-9,0,2,-3],"scalar_kind":"int"}',
+    "int2.hm": '{"shape":[3,2],"data":[2,-1,0,3,-4,5],"scalar_kind":"int"}',
+    "float_a.hm": '{"shape":[2,3],"data":[0.1,-2.5,3.25,1e8,-0.3,7.0],"scalar_kind":"float"}',
+    "float_b.hm": '{"shape":[3,2],"data":[1.5,-0.2,0.7,3.0,-4.125,1e-3],"scalar_kind":"float"}',
+    "identity.hm": '{"shape":[2,2,2,2],"data":[1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1],"scalar_kind":"int"}',
+    "A.hm": '{"shape":[2,3],"data":[1,-2,3,4,-5,6],"scalar_kind":"int"}',
+    "X.hm": '{"shape":[4],"data":[2,-1,0,3],"scalar_kind":"int"}',
+    "Y.hm": '{"shape":[6],"data":[1,2,-3,4,0,-5],"scalar_kind":"int"}',
+    "FX.hm": '{"shape":[4],"data":[1.5,-0.2,0.7,3.0],"scalar_kind":"float"}',
+    "FY.hm": '{"shape":[6],"data":[-4.125,1e-3,0.5,2.0,-1.0,0.25],"scalar_kind":"float"}',
+}
+
+
+@pytest.mark.parametrize("argv, md5", [
+    ("transpose --sigma 2,1 square.hm OUT", "6dbaa0cb56e7297d2e83af5fd4f79ed6"),
+    ("contract --a int3.hm --b int2.hm --a-axes 2,3 --b-axes 1,2 OUT", "bc5a1fc53882ecde771419c3190268ba"),
+    ("contract --a float_a.hm --b float_b.hm --a-axes 2 --b-axes 1 OUT", "c0dd5e5ea664f77343f720c860b245b7"),
+    ("mexpr --rows 3,1 int3.hm", "da634b95bb66fd6d141b5fa839c7626e"),
+    ("mexpr --rows 2 float_a.hm", "c3e50035bbe13fcf28e5ac885f3a4e8d"),
+    ("permmat --dims 2,3,5 --sigma 1,3,2 --dense", "0a286e53c75d63bd4de2f8d5706144fd"),
+    # The CI step compares the text "1"; this is the md5 of the line that prints it.
+    ("ybe --r identity.hm", "b026324c6904b2a9cb4b88d6d61c81d1"),
+    ("stp --op mm A.hm A.hm", "777446511dd6765f11bc493d4ca7e8e5"),
+    ("stp --op mv A.hm X.hm", "4794788537431189483733bea6b12bee"),
+    ("stp --op vv X.hm Y.hm", "91bc4d3dbcedbd15689018fc0ccceeab"),
+    ("stp --op mm float_a.hm float_a.hm", "0765be05298a3b6ac458a99f138b0ef5"),
+    ("stp --op mv float_a.hm FX.hm", "87be603c4668e1890b1de35c949433db"),
+    ("stp --op vv FX.hm FY.hm", "1f943a883f1c47213dfdf73d30a2f8b8"),
+])
+def test_cli_output_has_the_ci_md5(tmp_path, capsys, argv, md5):
+    # The in-process twin of a CI byte-stability step: OUT is the file written in place of /dev/stdout.
+    for name, text in CI_DOCS.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out.hm"
+    args = [str(out) if a == "OUT" else str(tmp_path / a) if a in CI_DOCS else a for a in argv.split()]
+    assert main(args) == 0
+    got = out.read_bytes() if "OUT" in argv else capsys.readouterr().out.encode("utf-8")
+    assert hashlib.md5(got).hexdigest() == md5
+
+
 @pytest.mark.parametrize("dims, sigma, out", [
     ("2,3,5", "3,1,2", "d30[1,7,13,19,25,2,8,14,20,26,3,9,15,21,27,4,10,16,22,28,5,11,17,23,29,6,12,18,24,30]"),
     ("3,1,4,2", "4,2,1,3", "d24[1,13,2,14,3,15,4,16,5,17,6,18,7,19,8,20,9,21,10,22,11,23,12,24]"),

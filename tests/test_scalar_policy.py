@@ -193,6 +193,23 @@ def test_vec_to_matrix_form_checks_object_data_asked_for_a_backend(monkeypatch):
     assert scans == []
 
 
+def test_vec_to_matrix_form_checks_a_read_only_object_array_that_no_value_handed_out(monkeypatch):
+    # A read-only object array is not a value's data: 0.5 must not pass as an int.
+    mine = np.array([0.5, 0, 0, 1], dtype=object)
+    mine.setflags(write=False)
+    for v in (np.broadcast_to(np.array([0.5], dtype=object), (4,)), mine):
+        with pytest.raises(TypeError, match=r"0\.5 at position 1"):
+            vec_to_matrix_form(v, (2, 2), (1,))
+    # A value's own data stays unread, past int64 too, with or without a kind.
+    values, scans = (Hypermatrix((2, 2), [1, 2, 3, 4]), Hypermatrix((2, 2), [2 ** 70, 2, 3, 4])), []
+    real = core._scanned
+    monkeypatch.setattr(core, "_scanned", lambda arr: scans.append(arr.size) or real(arr))
+    for h in values:
+        assert vec_to_matrix_form(h.data, (2, 2), (2,)).mat.tolist() == [[h.get((1, 1)), 3], [2, 4]]
+        assert vec_to_matrix_form(h.data, (2, 2), (2,), kind="float").mat.dtype == np.float64
+    assert scans == []
+
+
 def test_a_boolean_in_a_bracket_argument_is_refused():
     with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
         gl2_bracket([[True, 0], [0, 1]], [[0, 1], [0, 0]])
