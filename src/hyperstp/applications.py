@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix, as_scalars
+from .core import _INT64_MAX, Hypermatrix, _checked_int, as_scalars
 from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
 from .expression import MatrixExpression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -157,7 +157,7 @@ class GamePayoff:
     payoffs: tuple[Hypermatrix, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "strategy_counts", tuple(int(k) for k in self.strategy_counts))
+        object.__setattr__(self, "strategy_counts", tuple(map(_checked_int, self.strategy_counts)))
         object.__setattr__(self, "payoffs", tuple(self.payoffs))
         for i, d in enumerate(self.payoffs, start=1):
             if d.dims != self.strategy_counts:

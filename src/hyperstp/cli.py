@@ -24,7 +24,7 @@ from .core import Hypermatrix, _stored, same_kind
 from .expression import matrix_expression, sigma_transpose
 from .io import DocumentError, dumps_hm, print_delta, read_hm, write_hm, densify
 from .permutation import build_perm_matrix
-from .stp import _stp_dot
+from .stp import _stp_dot, _vv_sum
 
 USAGE_ERROR, DATA_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -167,11 +167,10 @@ def _cmd_stp(args) -> int:
     if args.op == "mv" and b.order != 1:
         raise ValueError("mv needs an order-1 second operand")
     # The public products' arithmetic on the loaded stores: nothing is scanned.
-    left = _as_matrix_hm(a).T if args.op == "vv" else _as_matrix_hm(a)
-    out = _stp_dot(left, _as_matrix_hm(b))
     if args.op == "vv":
-        print(_scalar_str(out.sum(), kind))
+        print(_scalar_str(_vv_sum(a._flat(), b._flat()), kind))
         return 0
+    out = _stp_dot(_as_matrix_hm(a), _as_matrix_hm(b))
     out = out.sum(axis=1) if args.op == "mv" else out
     print(dumps_hm(_stored(out.shape, out, kind)))
     return 0

@@ -7,24 +7,23 @@ multiplies two matrix expressions through ``np.dot`` (float sums in
 BLAS's order).  The ``stp`` route is the paper's ``M_A |x V(B)``, whose
 block-form semi-tensor product does the same multiply-adds.  Int products
 on both go through ``core.checked_product``, on the tier that
-``core.narrow`` picks from ``max|a| * max|b| * K`` (K the paired size,
-or the lcm on the ``stp`` route): float64 BLAS up to 2**53, int64 up to
-2**63 - 1, Python ints past that; on exact data the three routes agree
+``core.narrow`` picks from ``max|a| * max|b| * K``, K the paired size that
+a result entry sums on either route: float64 BLAS up to 2**53, int64 up
+to 2**63 - 1, Python ints past that; on exact data the three routes agree
 bit for bit.  The tier is picked from the operands' int64 forms before
 the layout, which the expression route then copies straight into the
 tier's dtype; a float64 product is cast back to int64 in its own
 buffer.  Every int value that fits int64 holds only its int64 form,
 and the next product on either route reads it instead of scanning and
-re-casting ``data``; each
-value's ``max|v|`` is kept too, so no product measures it twice.  What a
-pairing fixes whatever the values (the checked axes, the output dims,
-the inner size and both operands' transpose orders and matrix shapes)
-is planned once per (dims, dims, axes, axes) key by ``_plan`` and kept
-in a bounded memo, so a small product pays for its arithmetic, not for
-re-deriving its layout.  The plan also checks the result's size against
-``core.MAX_ENTRIES``, so all three routes refuse the same pairings before
-allocating anything.  ``contract`` is the one table
-from method name to route: ``onto_contract`` and the Yang-Baxter sides
+re-casting ``data``; each value's ``max|v|`` is kept too, so no product
+measures it twice.  What a pairing fixes whatever the values (the checked
+axes, the output dims, the inner size and both operands' transpose orders
+and matrix shapes) is planned once per (dims, dims, axes, axes) key by
+``_plan`` and kept in a bounded memo, so a small product pays for its
+arithmetic, not for re-deriving its layout.  The plan also checks the
+result's size against ``core.MAX_ENTRIES``, so all three routes refuse
+the same pairings before allocating anything.  ``contract`` is the one
+table from method name to route: ``onto_contract`` and the Yang-Baxter sides
 in ``applications`` call it, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation
 complete the module: a semi-tensor chain (``_fold``) runs on the
@@ -42,8 +41,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    Hypermatrix, _check_budget, _owned, _stored, as_scalars, as_scalars_joint, check_dims, checked_product, same_kind,
-    widen,
+    Hypermatrix, _check_budget, _checked_int, _owned, _stored, as_scalars, as_scalars_joint, check_dims,
+    checked_product, same_kind, widen,
 )
 from .expression import MatrixExpression, _laid_out, _lay_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -53,7 +52,7 @@ from .stp import _stp_dot, kron_chain
 
 
 def _check_axes(label: str, order: int, axes: Sequence[int]) -> tuple[int, ...]:
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(map(_checked_int, axes))
     if len(set(axes)) != len(axes):
         raise ValueError(f"duplicate axis in {label} axes {axes}")
     for a in axes:
@@ -115,7 +114,8 @@ def _plan(a_dims: tuple[int, ...], b_dims: tuple[int, ...], a_axes: tuple, b_axe
 
 def _layout(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> _Plan:
     """The plan of a pairing of ``a``'s axes with ``b``'s; then the scalar kinds must match."""
-    plan = _plan(a.dims, b.dims, tuple(a_axes), tuple(b_axes))
+    # Ints before the memo: its keys would take True or 1.0 for 1.
+    plan = _plan(a.dims, b.dims, tuple(map(_checked_int, a_axes)), tuple(map(_checked_int, b_axes)))
     same_kind(a, b)
     return plan
 
@@ -185,9 +185,9 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
 
     ``M_A`` is a's data re-laid to ``a_free + a_axes`` with one row per
     free index, ``V(B)`` b's data re-laid to ``b_axes + b_free`` as one
-    column; their product is the output data, already in order.  Like
-    the expression route, it reads and keeps int64 forms, and the gathers
-    keep their sources' magnitudes.
+    column; their product is the output data, already in order.  ``M_A``
+    has K columns, so like the expression route it takes K's tier and
+    reads and keeps int64 forms; the gathers keep their sources' magnitudes.
     """
     p = _layout(a, b, a_axes, b_axes)
     m_a = _relayout(a._flat(), a.dims, tuple(range(1, a.order + 1)), p.a_free + p.a_axes).reshape(p.a_shape)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import weakref
 from typing import Iterable, Iterator
 
@@ -68,13 +69,25 @@ MAX_SIZE = np.iinfo(np.intp).max
 MAX_ENTRIES = 2 ** 24
 
 
+def _checked_int(v) -> int:
+    """An index argument as a Python int: an integer, numpy's too, but no bool; else ``TypeError`` naming it."""
+    if type(v) is int:  # the common case, at the cost of ``int(v)``
+        return v
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{v!r} is not an integer")
+
+
 def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Validate a shape vector and return it as a tuple.
 
-    Every dimension must be a positive integer and the total size must
-    fit the platform index type.
+    Every dimension must be a positive integer (``_checked_int``) and the
+    total size must fit the platform index type.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(map(_checked_int, dims))
     for axis, n in enumerate(dims, start=1):
         if n < 1:
             raise ValueError(f"dimension at axis {axis} must be >= 1, got {n}")

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _INT64_MAX, Hypermatrix, _checked_ints, _Frozen, _is_value_data, _stored, as_scalars, check_dims, size_of,
+    _INT64_MAX, Hypermatrix, _checked_int, _checked_ints, _Frozen, _is_value_data, _stored, as_scalars, check_dims,
+    size_of,
 )
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -92,8 +93,8 @@ def sigma_transpose_via_perm(a: Hypermatrix, sigma) -> Hypermatrix:
 
 def _check_partition(d: int, rows: Sequence[int], cols: Sequence[int] | None = None):
     """Validated ``(rows, cols)`` tuples; ``cols`` defaults to the increasing complement of ``rows``."""
-    rows = tuple(int(r) for r in rows)
-    cols = tuple(k for k in range(1, d + 1) if k not in rows) if cols is None else tuple(int(c) for c in cols)
+    rows = tuple(map(_checked_int, rows))
+    cols = tuple(k for k in range(1, d + 1) if k not in rows) if cols is None else tuple(map(_checked_int, cols))
     if sorted(rows + cols) != list(range(1, d + 1)):
         raise ValueError(f"row axes {rows} and column axes {cols} do not partition 1..{d}")
     return rows, cols

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _check_budget, _Frozen, as_scalars_joint, check_dims, size_of
+from .core import _check_budget, _checked_int, _Frozen, as_scalars_joint, check_dims, size_of
 
 
 class Permutation(_Frozen):
@@ -45,7 +45,7 @@ class Permutation(_Frozen):
     _args = ("image",)
 
     def __init__(self, image: Iterable[int]):
-        image = tuple(int(v) for v in image)
+        image = tuple(map(_checked_int, image))
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"{image} is not a bijection of 1..{len(image)}")
         object.__setattr__(self, "image", image)
@@ -109,7 +109,7 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 def _row_count(rows) -> int:
-    rows = int(rows)
+    rows = _checked_int(rows)
     if rows < 1:
         raise ValueError("a logical matrix needs at least one row")
     return rows
@@ -125,7 +125,7 @@ class LogicalMatrix(_Frozen):
         rows = _row_count(rows)
         # Python ints first, so a value past the index type fails the range
         # check below instead of overflowing the conversion.
-        idx = np.array([int(c) for c in cols], dtype=object) - 1
+        idx = np.array([_checked_int(c) for c in cols], dtype=object) - 1
         if idx.size and (idx.min() < 0 or idx.max() >= rows):
             j = int(np.flatnonzero((idx < 0) | (idx >= rows))[0])
             raise ValueError(f"column {j + 1} points at row {idx[j] + 1}, outside [1, {rows}]")

@@ -9,17 +9,15 @@ these, vectors of different lengths can be added, compared and measured.
 Operands go through ``core.as_scalars_joint``: any float operand puts the
 whole product on binary64, and integer data stays exact.  Products run
 through ``np.matmul``, so float results follow its summation order; int
-products go through ``core.checked_product`` with the lcm t as the inner
-length, so ``core.narrow`` picks the tier from ``max|a| * max|b| * t``:
-float64 BLAS up to 2**53 (the block result cast back to int64 in its own
-buffer), int64 up to 2**63 - 1, Python ints past that.  When the right
-factor needs no identity padding (n divides p), every block multiplies
-the left factor itself and the product is one matrix product; when p
-divides n, every block multiplies the right factor itself and the
-product is one batched product over the left factor's rows.  Neither
-repeats a factor.  The public products return Python ints.
-``vec_oplus`` is a sum, which that bound does not cover, so it stays on
-Python ints.
+products go through ``core.checked_product`` bounded by what a result row
+sums: an entry sums gcd(n, p) products and a row of ``mv_stp``'s n, so
+``core.narrow`` picks the tier from ``max|a| * max|b| * n``: float64 BLAS
+up to 2**53 (the block result cast back to int64 in its own buffer),
+int64 up to 2**63 - 1, Python ints past that.  ``vv_stp`` and
+``stp_inner`` add their rows, t products, after widening.  When n divides
+p, or p divides n, the product is one (batched) matrix product that
+repeats neither factor.  The public products return Python ints, and
+``vec_oplus``, a sum that no product bound covers, stays on them.
 
 Each product counts what it allocates against ``core.MAX_ENTRIES`` before
 allocating: its result, and in the general case the two repeated factors
@@ -68,9 +66,9 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
     read as n × (α q), no repeat built.  With α = 1 every block multiplies b
     itself: row r of the product, read as q × β, is ``b.T @`` row r of ``a``
     read as p × β, one batched product over a's rows with b broadcast, no
-    repeat built either.  Inner length t also bounds the vector
-    products' sums, so an int product comes back as int64 or Python ints
-    (``checked_product``, with the kept magnitudes ``ma`` and ``mb``).
+    repeat built either.  An entry sums gcd(n, p) products and a row of a
+    one-column product n, so with n as inner length an int product comes
+    back, rows summable, as int64 or Python ints (``checked_product``).
     The budget counts the result, m·α × q·β, and only in the general case
     the repeats of a (m × t) and b (t × q) as well.
     """
@@ -95,7 +93,7 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
         out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
         return out.reshape(m * al, q * be)
 
-    return checked_product(blocks, a, b, t, ma, mb)
+    return checked_product(blocks, a, b, n, ma, mb)
 
 
 def _checked_lcm(n: int, p: int) -> int:
@@ -152,7 +150,12 @@ def mv_stp(a, x) -> np.ndarray:
 def vv_stp(x, y):
     """Vector-vector semi-tensor product (a scalar)."""
     x, y, _ = _vectors(x, y)
-    return widen(_stp_dot(x.reshape(1, -1), y.reshape(-1, 1)).sum())
+    return _vv_sum(x, y)
+
+
+def _vv_sum(x: np.ndarray, y: np.ndarray):
+    """The sum of ``x ⋉ y``'s α·β entries, added after widening: t products may pass int64."""
+    return widen(_stp_dot(x.reshape(1, -1), y.reshape(-1, 1))).sum()
 
 
 def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
@@ -163,7 +166,6 @@ def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    # A sum, not a product: ``narrow``'s bound does not cover |x| + |y|.
     x, y, _ = _vectors(x, y)
     t = _checked_lcm(x.size, y.size)
     _check_budget(t, "sum of lengths {} and {}", x.size, y.size)
@@ -179,7 +181,7 @@ def stp_inner(x, y):
     """
     x, y, kind = _vectors(x, y)
     t = _checked_lcm(x.size, y.size)
-    raw = widen(_stp_dot(x.reshape(1, -1), y.reshape(-1, 1)).sum())
+    raw = _vv_sum(x, y)
     if kind == "float":
         return float(raw) / t
     if raw % t == 0:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import hyperstp.core as core
 from hyperstp import Hypermatrix, Permutation, delinearize, iter_indices, linearize, mm_stp, size_of
 
 
@@ -38,6 +39,35 @@ def mixed_dims(draw, max_size=2000):
         dims.append(n)
         budget //= n
     return tuple(dims)
+
+
+# |v| <= 9, |v| near 2**26.5, near 2**31.5 or past 2**63: products of
+# the large values fall on both sides of the float64 tier's bound and of
+# the int64 tier's, so all three tiers of the kernel meet here.
+NEAR_FLOAT64 = 94906265  # NEAR_FLOAT64**2 < 2**53 < (NEAR_FLOAT64 + 1)**2
+NEAR_BOUND = 3037000499  # NEAR_BOUND**2 < 2**63 - 1 < (NEAR_BOUND + 1)**2
+
+
+def signed(magnitudes):
+    return st.builds(lambda v, s: v * s, magnitudes, st.sampled_from([1, -1]))
+
+
+def tier_values(scale=1):
+    """One family of int entries, drawn once per array; ``scale`` divides the squares that set the near bounds."""
+    return st.sampled_from([
+        st.integers(-9, 9),
+        signed(st.integers(math.isqrt(NEAR_FLOAT64 ** 2 // scale) - 2, math.isqrt(NEAR_FLOAT64 ** 2 // scale) + 2)),
+        signed(st.integers(math.isqrt(NEAR_BOUND ** 2 // scale) - 2, math.isqrt(NEAR_BOUND ** 2 // scale) + 2)),
+        signed(st.integers(2 ** 63, 2 ** 63 + 9)),
+    ])
+
+
+def tier_spy(monkeypatch) -> list:
+    """The (inner length, tier) of every ``core.narrow`` call from now on."""
+    calls = []
+    narrow = core.narrow
+    monkeypatch.setattr(core, "narrow", lambda *args: (out := narrow(*args), calls.append((args[2], out[2])))[0])
+    return calls
 
 
 def random_hm(rng, dims, lo=-9, hi=9, kind="int"):

@@ -1,3 +1,4 @@
+import math
 import re
 from itertools import product
 
@@ -33,6 +34,8 @@ from conftest import (
     random_dims,
     random_hm,
     stp_chain,
+    tier_spy,
+    tier_values,
 )
 
 
@@ -167,11 +170,14 @@ def test_contract_dispatcher(rng):
 
 
 @st.composite
-def pairings(draw, kind="int"):
+def pairings(draw, kind="int", near_bounds=False):
     """Two hypermatrices of order 0-4 over dims 1-3 and a random axis pairing.
 
     The pairing takes an ordered subset of a's axes and places the matching
-    dims at random positions of b, among b's own free axes.
+    dims at random positions of b, among b's own free axes.  With
+    ``near_bounds`` each operand's int entries come from one ``tier_values``
+    family scaled by the paired size K, so ``max|a| * max|b| * K`` lands
+    around 2**53 or 2**63.
     """
     a_dims = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
     a_axes = tuple(draw(st.permutations(range(1, len(a_dims) + 1)))[: draw(st.integers(0, len(a_dims)))])
@@ -184,8 +190,10 @@ def pairings(draw, kind="int"):
     free = iter(b_free)
     b_dims = tuple(n or next(free) for n in b_dims)
     values = st.integers(-9, 9) if kind == "int" else st.floats(-9, 9, allow_nan=False)
-    a = Hypermatrix(a_dims, draw(st.lists(values, min_size=size_of(a_dims), max_size=size_of(a_dims))), kind)
-    b = Hypermatrix(b_dims, draw(st.lists(values, min_size=size_of(b_dims), max_size=size_of(b_dims))), kind)
+    inner = math.prod(a_dims[x - 1] for x in a_axes)
+    a_values, b_values = (draw(tier_values(inner)) for _ in "ab") if near_bounds else (values, values)
+    a = Hypermatrix(a_dims, draw(st.lists(a_values, min_size=size_of(a_dims), max_size=size_of(a_dims))), kind)
+    b = Hypermatrix(b_dims, draw(st.lists(b_values, min_size=size_of(b_dims), max_size=size_of(b_dims))), kind)
     return a, b, a_axes, b_axes
 
 
@@ -632,6 +640,31 @@ def test_int_chain_crosses_every_tier(monkeypatch):
         v * xs[0][i] * xs[1][j] * xs[2][k] for (i, j, k), v in zip(product(range(2), repeat=3), values)
     )
     assert type(got) is int and got == expected and got > 2 ** 63
+
+
+@pytest.mark.parametrize("n, bits, brute", [(4, 17, True), (6, 16, False)])
+def test_both_fast_routes_bound_the_ybe_rhs_pairing_by_its_paired_size(rng, monkeypatch, n, bits, brute):
+    # The rhs pairing of ybe_sides: M_A has K = n**2 columns, V(B) n**6 rows.  Bounded by
+    # the lcm n**6 its product would leave int64 for Python ints on the stp route alone.
+    r = Hypermatrix((n,) * 4, rng.integers(2 ** bits - 9, 2 ** bits + 10, n ** 4))
+    t = contract(r, r, (4,), (1,))
+    tiers = tier_spy(monkeypatch)
+    got = {method: contract(r, t, (1, 2), (3, 4), method) for method in ("expression", "stp")}
+    assert tiers == [(n * n, np.int64)] * 2
+    assert got["expression"] == got["stp"]
+    if brute:
+        assert contract_bruteforce(r, t, (1, 2), (3, 4)) == got["stp"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairings(near_bounds=True))
+def test_both_fast_routes_take_the_same_tier_for_every_pairing(case):
+    a, b, a_axes, b_axes = case
+    with pytest.MonkeyPatch.context() as mp:
+        tiers = tier_spy(mp)
+        got = contract(a, b, a_axes, b_axes, "expression")
+        assert contract(a, b, a_axes, b_axes, "stp") == got
+    assert len(tiers) == 2 and tiers[0] == tiers[1]
 
 
 @pytest.mark.parametrize(

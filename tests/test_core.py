@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 from itertools import product
 
@@ -8,13 +9,21 @@ import pytest
 
 import hyperstp.core as core
 from hyperstp import (
+    GamePayoff,
     Hypermatrix,
+    LogicalMatrix,
+    MatrixExpression,
+    Permutation,
+    build_perm_matrix,
     check_dims,
+    contract,
     contract_via_expression,
     delinearize,
     iter_indices,
     linearize,
     matrix_expression,
+    onto_contract,
+    sigma_transpose,
     size_of,
 )
 
@@ -247,3 +256,42 @@ def test_one_get_on_a_large_value_allocates_nothing_of_its_size():
         tracemalloc.stop()
     assert v == 4 * 2048 + 6 and type(v) is int
     assert h._data is None and peak < 2 ** 20
+
+
+# -- index arguments ---------------------------------------------------------
+
+_SQUARE = Hypermatrix((3, 3), list(range(9)))
+_COLUMN = Hypermatrix((3,), [1, -2, 3])
+
+# Every entry point that takes dims, axes, an image or a count, with ``v`` in one slot.
+INDEX_ENTRIES = {
+    "Hypermatrix dims": lambda v: Hypermatrix((v, 2), [1, 2, 3, 4]),
+    "check_dims": lambda v: check_dims((2, v)),
+    "build_perm_matrix dims": lambda v: build_perm_matrix((v, 2), (2, 1)),
+    "contract axes": lambda v: contract(_SQUARE, _COLUMN, (v,), (1,)),
+    "contract stp axes": lambda v: contract(_SQUARE, _SQUARE, (1,), (v,), "stp"),
+    "onto_contract axes": lambda v: onto_contract(_SQUARE, _COLUMN, (v,)),
+    "matrix_expression rows": lambda v: matrix_expression(_SQUARE, (v,)),
+    "matrix_expression cols": lambda v: matrix_expression(_SQUARE, (1,), (v,)),
+    "MatrixExpression axes": lambda v: MatrixExpression(np.zeros((3, 3), int), (1,), (v,), (3, 3), "int"),
+    "Permutation image": lambda v: Permutation((v, 1)),
+    "sigma_transpose sigma": lambda v: sigma_transpose(_SQUARE, (v, 1)),
+    "LogicalMatrix rows": lambda v: LogicalMatrix(v, [1]),
+    "LogicalMatrix cols": lambda v: LogicalMatrix(3, [v, 1]),
+    "GamePayoff strategy_counts": lambda v: GamePayoff((v,), (Hypermatrix((2,), [1, 2]),)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+@pytest.mark.parametrize("bad", [2.7, True, np.float64(2.0), np.bool_(True)], ids=repr)
+def test_index_arguments_refuse_floats_and_booleans(entry, bad):
+    # Warm the contraction plan memo first: it keys on axes, and 2.0 == 2 and True == 1 hash alike.
+    for axes in ((1,), (2,)):
+        contract(_SQUARE, _COLUMN, axes, (1,))
+    with pytest.raises(TypeError, match=re.escape(f"{bad!r} is not an integer")):
+        INDEX_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+def test_index_arguments_take_numpy_integers(entry):
+    assert INDEX_ENTRIES[entry](np.int64(2)) is not None

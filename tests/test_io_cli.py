@@ -276,6 +276,8 @@ CI_DOCS = {
     "Y.hm": '{"shape":[6],"data":[1,2,-3,4,0,-5],"scalar_kind":"int"}',
     "FX.hm": '{"shape":[4],"data":[1.5,-0.2,0.7,3.0],"scalar_kind":"float"}',
     "FY.hm": '{"shape":[6],"data":[-4.125,1e-3,0.5,2.0,-1.0,0.25],"scalar_kind":"float"}',
+    "MX.hm": '{"shape":[2],"data":[1600000000,1600000000],"scalar_kind":"int"}',
+    "MY.hm": '{"shape":[3],"data":[1600000000,1600000000,1600000000],"scalar_kind":"int"}',
 }
 
 
@@ -294,6 +296,8 @@ CI_DOCS = {
     ("stp --op mm float_a.hm float_a.hm", "0765be05298a3b6ac458a99f138b0ef5"),
     ("stp --op mv float_a.hm FX.hm", "87be603c4668e1890b1de35c949433db"),
     ("stp --op vv FX.hm FY.hm", "1f943a883f1c47213dfdf73d30a2f8b8"),
+    # The CI step compares the text 15360000000000000000, 6·M² past 2**63; this is the md5 of its line.
+    ("stp --op vv MX.hm MY.hm", "12cec223bd2ab232fac5b1d52179ffc4"),
 ])
 def test_cli_output_has_the_ci_md5(tmp_path, capsys, argv, md5):
     # The in-process twin of a CI byte-stability step: OUT is the file written in place of /dev/stdout.

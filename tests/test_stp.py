@@ -23,7 +23,7 @@ from hyperstp import (
     vv_stp,
 )
 
-from conftest import basis_vec, kron_pad, stp_oracle
+from conftest import basis_vec, kron_pad, stp_oracle, tier_spy, tier_values
 
 
 def rand_int_mat(rng, m, n, lo=-6, hi=6):
@@ -106,26 +106,10 @@ def test_distributivity_identities(rng):
         assert vv_stp(z, x + y) == vv_stp(z, x) + vv_stp(z, y)
 
 
-# |v| <= 9, |v| near 2**26.5, near 2**31.5 or past 2**63: products of
-# the large values fall on both sides of the float64 tier's bound and of
-# the int64 tier's, so all three tiers of the kernel meet here.
-NEAR_FLOAT64 = 94906265  # NEAR_FLOAT64**2 < 2**53 < (NEAR_FLOAT64 + 1)**2
-NEAR_BOUND = 3037000499  # NEAR_BOUND**2 < 2**63 - 1 < (NEAR_BOUND + 1)**2
-
-
-def _signed(magnitudes):
-    return st.builds(lambda v, s: v * s, magnitudes, st.sampled_from([1, -1]))
-
-
 @st.composite
 def int_array(draw, shape):
     size = math.prod(shape)
-    values = draw(st.sampled_from([
-        st.integers(-9, 9),
-        _signed(st.integers(NEAR_FLOAT64 - 2, NEAR_FLOAT64 + 2)),
-        _signed(st.integers(NEAR_BOUND - 2, NEAR_BOUND + 2)),
-        _signed(st.integers(2 ** 63, 2 ** 63 + 9)),
-    ]))
+    values = draw(tier_values())
     return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=object).reshape(shape)
 
 
@@ -239,6 +223,20 @@ def test_vec_oplus_is_exact_past_int64():
     down = vec_oplus([-(2 ** 63 - 1)], [2], -1)
     assert list(up) == [2 ** 63] and list(down) == [-(2 ** 63) - 1]
     assert type(up[0]) is int and type(down[0]) is int
+
+
+def test_vv_adds_its_rows_past_int64_exactly(monkeypatch):
+    # Each of the 3 rows sums n = 2 products, 2·M² < 2**63, so the product runs on int64;
+    # the total 6·M² passes 2**63 and would wrap if the rows were added in int64.
+    M = 1_600_000_000
+    tiers = tier_spy(monkeypatch)
+    x, y = [M, M], [M, M, M]
+    assert 2 * M * M < 2 ** 63 - 1 < 6 * M * M
+    total, inner = vv_stp(x, y), stp_inner(x, y)
+    assert tiers == [(2, np.int64)] * 2
+    assert type(total) is int and total == 6 * M * M == 15360000000000000000
+    assert type(inner) is int and inner == M * M
+    assert_python_ints_equal(mv_stp([x], y), [2 * M * M] * 3)
 
 
 def test_inner_norm_distance():
