@@ -188,6 +188,7 @@ class YbeInstance:
     r: Hypermatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _checked_int(self.n))
         if self.r.dims != (self.n,) * 4:
             raise ValueError(f"shape {self.r.dims} is not ({self.n},)*4")
 

@@ -104,6 +104,29 @@ def build_parser() -> _Parser:
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _command_parsers() -> dict[str, _Parser]:
+    """Each command's parser, as ``build_parser`` made it, by command name."""
+    return next(a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with a known command parsed by its own parser alone.
+
+    The top-level parser hands every string after the command name to that
+    command's parser, so the namespace, the messages and the help text are
+    the same; the two-level parse costs about twice as much.  The top-level
+    parser runs only when ``argv[0]`` names no command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_parsers().get(argv[0]) if argv else None
+    if command is None:
+        return _parser().parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def _cmd_permmat(args) -> int:
     dims = _int_list(args.dims, "--dims")
     sigma = _int_list(args.sigma, "--sigma")
@@ -218,7 +241,7 @@ def _print_warning(message, *_where):
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

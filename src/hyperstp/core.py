@@ -121,7 +121,7 @@ def linearize(dims: tuple[int, ...], idx: tuple[int, ...]) -> int:
     if len(idx) != len(dims):
         raise ValueError(f"index of length {len(idx)} for shape of order {len(dims)}")
     rank = 0
-    for axis, (i, n) in enumerate(zip(idx, dims), start=1):
+    for axis, (i, n) in enumerate(zip(map(_checked_int, idx), dims), start=1):
         if not 1 <= i <= n:
             raise IndexError(f"index {i} out of range [1, {n}] at axis {axis}")
         rank = rank * n + (i - 1)
@@ -130,6 +130,7 @@ def linearize(dims: tuple[int, ...], idx: tuple[int, ...]) -> int:
 
 def delinearize(dims: tuple[int, ...], rank: int) -> tuple[int, ...]:
     """Multi-index (1-based) at a given flat rank; inverse of linearize."""
+    rank = _checked_int(rank)
     total = size_of(dims)
     if not 1 <= rank <= total:
         raise IndexError(f"rank {rank} out of range [1, {total}]")
@@ -343,6 +344,10 @@ def same_kind(*hms: "Hypermatrix") -> str:
     return hms[0].kind
 
 
+# ``_Frozen._fill`` tests every slot value against it: a global read is cheaper than ``np.ndarray``.
+_ndarray = np.ndarray
+
+
 class _Frozen:
     """Immutable value; copies and pickles rebuild through the constructor from ``_args``."""
 
@@ -357,7 +362,8 @@ class _Frozen:
     def _fill(self, *values):
         """Write the slots in ``__slots__`` order and return the value; array values become read-only."""
         for put, value in zip(self._setters, values):
-            if isinstance(value, np.ndarray):
+            # Reading the flag costs a third of setting it.
+            if isinstance(value, _ndarray) and value.flags.writeable:
                 value.setflags(write=False)
             put(self, value)
         return self

@@ -34,7 +34,7 @@ def dumps_hm(a: Hypermatrix) -> str:
     # A float value was checked finite when it was filled; allow_nan=False is the backstop.
     doc = {"shape": list(a.dims), "data": a._flat().tolist(), "scalar_kind": a.kind}
     try:
-        return json.dumps(doc, allow_nan=False)
+        return _ENCODER.encode(doc)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -42,7 +42,12 @@ def dumps_hm(a: Hypermatrix) -> str:
 def loads_hm(text: str) -> Hypermatrix:
     """Parse a .hm document, checking every field strictly."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        if not isinstance(text, str):  # bytes are decoded, and other types refused, as json.loads does
+            doc = json.loads(text, parse_constant=_reject_constant)
+        elif text.startswith("\ufeff"):  # json.loads refuses a BOM; the shared decoder would not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        else:
+            doc = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -82,10 +87,18 @@ def _reject_constant(name):
     raise DocumentError(f"non-finite constant {name} is not allowed")
 
 
+# One codec per process: ``json.loads`` and ``json.dumps`` build a new one
+# on every call that passes them an option.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def read_hm(path) -> Hypermatrix:
+    """Read a .hm document: its bytes, decoded as UTF-8 once, without newline translation."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"not UTF-8 text: {exc}") from None
     return loads_hm(text)

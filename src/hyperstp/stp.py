@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import _check_budget, as_scalars, as_scalars_joint, checked_product, widen
+from .core import _check_budget, _checked_int, as_scalars, as_scalars_joint, checked_product, widen
 
 
 def _matrix(a: np.ndarray) -> np.ndarray:
@@ -209,6 +209,7 @@ def delta_I(n: int) -> np.ndarray:
     product of an m x n matrix with it is the column vector of the
     matrix's rows laid end to end.
     """
+    n = _checked_int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_budget(n * n, "stacked identity of order {}", n)

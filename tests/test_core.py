@@ -14,11 +14,13 @@ from hyperstp import (
     LogicalMatrix,
     MatrixExpression,
     Permutation,
+    YbeInstance,
     build_perm_matrix,
     check_dims,
     contract,
     contract_via_expression,
     delinearize,
+    delta_I,
     iter_indices,
     linearize,
     matrix_expression,
@@ -279,6 +281,11 @@ INDEX_ENTRIES = {
     "LogicalMatrix rows": lambda v: LogicalMatrix(v, [1]),
     "LogicalMatrix cols": lambda v: LogicalMatrix(3, [v, 1]),
     "GamePayoff strategy_counts": lambda v: GamePayoff((v,), (Hypermatrix((2,), [1, 2]),)),
+    "Hypermatrix.get index": lambda v: _SQUARE.get((1, v)),
+    "linearize index": lambda v: linearize((3, 3), (v, 1)),
+    "delinearize rank": lambda v: delinearize((2, 3), v),
+    "YbeInstance n": lambda v: YbeInstance(v, Hypermatrix((2,) * 4, [0] * 16)),
+    "delta_I n": lambda v: delta_I(v),
 }
 
 
@@ -290,6 +297,15 @@ def test_index_arguments_refuse_floats_and_booleans(entry, bad):
         contract(_SQUARE, _COLUMN, axes, (1,))
     with pytest.raises(TypeError, match=re.escape(f"{bad!r} is not an integer")):
         INDEX_ENTRIES[entry](bad)
+
+
+def test_entry_reads_name_a_float_or_bool_index():
+    # Once truncated or read by numpy: get((True,)) gave the first entry, delinearize((2, 3), True) gave (1, 1).
+    h = Hypermatrix((2,), [5, 6])
+    for read, bad in [(lambda: h.get((True,)), True), (lambda: delinearize((2, 3), True), True),
+                      (lambda: YbeInstance(True, Hypermatrix((1,) * 4, [1])), True), (lambda: h.get((1.0,)), 1.0)]:
+        with pytest.raises(TypeError, match=f"^{bad!r} is not an integer$"):
+            read()
 
 
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))

@@ -26,7 +26,7 @@ from hyperstp import (
     write_hm,
 )
 from hyperstp import cli
-from hyperstp.cli import _parser, main
+from hyperstp.cli import UsageError, _parser, main
 from hyperstp.contraction import _agreement_bound
 from hyperstp.core import MAX_ENTRIES
 
@@ -115,8 +115,55 @@ def test_a_loaded_document_skips_the_constructors_type_pass(monkeypatch):
 def test_read_hm_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "bad.hm"
     path.write_bytes(b"\xff" + b'{"shape":[1],"data":[1],"scalar_kind":"int"}')
-    with pytest.raises(DocumentError, match="UTF-8"):
+    with pytest.raises(DocumentError, match="not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"):
         read_hm(path)
+
+
+HM_TEXT = '{"shape":[2],"data":[1,2],"scalar_kind":"int"}'
+
+
+def test_hm_refuses_a_bom_as_json_loads_does(tmp_path):
+    want = "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    with pytest.raises(DocumentError) as err:
+        loads_hm("\ufeff" + HM_TEXT)
+    assert str(err.value) == want
+    path = tmp_path / "bom.hm"
+    path.write_bytes(b"\xef\xbb\xbf" + HM_TEXT.encode())
+    with pytest.raises(DocumentError) as err:
+        read_hm(path)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("name", ["NaN", "Infinity", "-Infinity"])
+def test_hm_refuses_non_finite_constants(name):
+    with pytest.raises(DocumentError) as err:
+        loads_hm(f'{{"shape":[2],"data":[1.5,{name}],"scalar_kind":"float"}}')
+    assert str(err.value) == f"not valid JSON: non-finite constant {name} is not allowed"
+
+
+def test_hm_crlf_document_loads_as_its_lf_twin(tmp_path):
+    lf, crlf = tmp_path / "lf.hm", tmp_path / "crlf.hm"
+    text = '{\n  "shape": [2, 2],\n  "data": [1, -2,\n 3, 4],\n  "scalar_kind": "int"\n}\n'
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert read_hm(crlf) == read_hm(lf) == Hypermatrix((2, 2), [1, -2, 3, 4])
+
+
+def test_hm_loads_bytes_and_refuses_other_types_as_json_loads_does():
+    assert loads_hm(HM_TEXT.encode()) == loads_hm(HM_TEXT)
+    with pytest.raises(TypeError, match="must be str, bytes or bytearray, not NoneType"):
+        loads_hm(None)
+
+
+@pytest.mark.parametrize("a", [
+    Hypermatrix((2, 2), [1, -2, 3, 4]),
+    Hypermatrix((3,), [0.1, -2.5e-300, 1e8], "float"),
+    Hypermatrix((2,), [2 ** 63, -(2 ** 70) - 1]),
+    Hypermatrix((), [7]),
+])
+def test_dumps_hm_writes_json_dumps_bytes(a):
+    doc = {"shape": list(a.dims), "data": a.data.tolist(), "scalar_kind": a.kind}
+    assert dumps_hm(a) == json.dumps(doc, allow_nan=False)
 
 
 def test_hm_rejects_non_finite_on_write():
@@ -301,13 +348,137 @@ CI_DOCS = {
 ])
 def test_cli_output_has_the_ci_md5(tmp_path, capsys, argv, md5):
     # The in-process twin of a CI byte-stability step: OUT is the file written in place of /dev/stdout.
+    assert main(_ci_argv(tmp_path, argv.split())) == 0
+    got = (tmp_path / "out.hm").read_bytes() if "OUT" in argv else capsys.readouterr().out.encode("utf-8")
+    assert hashlib.md5(got).hexdigest() == md5
+
+
+def _ci_argv(tmp_path, words):
+    """``words`` with each CI document name written to a file in ``tmp_path`` and OUT as ``tmp_path/out.hm``."""
     for name, text in CI_DOCS.items():
         (tmp_path / name).write_text(text)
-    out = tmp_path / "out.hm"
-    args = [str(out) if a == "OUT" else str(tmp_path / a) if a in CI_DOCS else a for a in argv.split()]
-    assert main(args) == 0
-    got = out.read_bytes() if "OUT" in argv else capsys.readouterr().out.encode("utf-8")
-    assert hashlib.md5(got).hexdigest() == md5
+    return [str(tmp_path / "out.hm") if w == "OUT" else str(tmp_path / w) if w in CI_DOCS else w for w in words]
+
+
+# -- argv corpus ---------------------------------------------------------------
+
+# Help texts at COLUMNS=80, as argparse prints them.
+TOP_HELP = """\
+usage: hyperstp [-h]
+                {permmat,transpose,mexpr,contract,stp,ybe,verify-appendix} ...
+
+hypermatrix algebra toolbox
+
+positional arguments:
+  {permmat,transpose,mexpr,contract,stp,ybe,verify-appendix}
+    permmat             print a permutation matrix in delta-notation
+    transpose           axis-permute a hypermatrix file
+    mexpr               print a matrix expression with axis metadata
+    contract            contracted product of two hypermatrix files
+    stp                 semi-tensor product of two hypermatrix files
+    ybe                 sides or residual of the Yang-Baxter constraint
+    verify-appendix     regenerate and check every bundled table
+
+options:
+  -h, --help            show this help message and exit
+"""
+CONTRACT_HELP = """\
+usage: hyperstp contract [-h] --a A --b B --a-axes A_AXES --b-axes B_AXES
+                         [--method {brute,expr}]
+                         outfile
+
+positional arguments:
+  outfile
+
+options:
+  -h, --help            show this help message and exit
+  --a A
+  --b B
+  --a-axes A_AXES
+  --b-axes B_AXES
+  --method {brute,expr}
+"""
+STP_HELP = """\
+usage: hyperstp stp [-h] --op {mm,mv,vv} afile bfile
+
+positional arguments:
+  afile
+  bfile
+
+options:
+  -h, --help       show this help message and exit
+  --op {mm,mv,vv}
+"""
+COMMAND_CHOICES = "'permmat', 'transpose', 'mexpr', 'contract', 'stp', 'ybe', 'verify-appendix'"
+INT_CONTRACT = ["--a", "int3.hm", "--b", "int2.hm"]
+
+# (argv, exit code, stdout, stderr).  A help request ends in SystemExit; its code is the exit code.
+ARGV_CORPUS = [
+    ([], 1, "", "usage error: the following arguments are required: command\n"),
+    (["nope"], 1, "", f"usage error: argument command: invalid choice: 'nope' (choose from {COMMAND_CHOICES})\n"),
+    (["-x"], 1, "", "usage error: the following arguments are required: command\n"),
+    (["-h"], 0, TOP_HELP, ""),
+    (["--help"], 0, TOP_HELP, ""),
+    (["contract", "-h"], 0, CONTRACT_HELP, ""),
+    (["stp", "--help"], 0, STP_HELP, ""),
+    (["contract", "--a", "x"], 1, "",
+     "usage error: the following arguments are required: --b, --a-axes, --b-axes, outfile\n"),
+    (["stp", "--op", "xx", "A.hm", "A.hm"], 1, "",
+     "usage error: argument --op: invalid choice: 'xx' (choose from 'mm', 'mv', 'vv')\n"),
+    (["permmat", "--dims", "2", "--sigma", "1", "extra"], 1, "", "usage error: unrecognized arguments: extra\n"),
+    (["transpose", "--sigma", "2,1", "--bogus", "square.hm", "OUT"], 1, "",
+     "usage error: unrecognized arguments: --bogus\n"),
+    (["transpose", "--bogus", "square.hm", "OUT"], 1, "", "usage error: the following arguments are required: --sigma\n"),
+    (["mexpr", "--rows"], 1, "", "usage error: argument --rows: expected one argument\n"),
+    (["permmat", "--d", "2", "--sigma", "1"], 1, "", "usage error: ambiguous option: --d could match --dims, --dense\n"),
+    (["verify-appendix", "x"], 1, "", "usage error: unrecognized arguments: x\n"),
+    (["permmat", "--dims", "2,x", "--sigma", "1,2"], 1, "",
+     "usage error: --dims expects comma-separated integers, got '2,x'\n"),
+    (["contract", *INT_CONTRACT, "--a-axes=2,3", "--b-axes=1,2", "OUT"], 0, "", ""),
+    (["contract", "--meth", "expr", *INT_CONTRACT, "--a-axes", "2,3", "--b-axes", "1,2", "OUT"], 0, "", ""),
+    (["permmat", "--di", "2,2", "--sigma", "2,1"], 0, "d4[1,3,2,4]\n", ""),
+    (["stp", "--op", "vv", "X.hm", "Y.hm"], 0, "-18\n", ""),
+    (["mexpr", "--rows", "3", "square.hm"], 2, "",
+     "error: row axes (3,) and column axes (1, 2) do not partition 1..2\n"),
+]
+
+
+def _exit_code(run, argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGV_CORPUS)
+def test_cli_argv_corpus(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (_exit_code(main, _ci_argv(tmp_path, argv)), *capsys.readouterr()) == (code, out, err)
+    if code == 0 and "OUT" in argv:  # both contract forms write the CI step's bytes
+        assert hashlib.md5((tmp_path / "out.hm").read_bytes()).hexdigest() == "bc5a1fc53882ecde771419c3190268ba"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in ARGV_CORPUS if argv and argv[0] in cli._COMMANDS])
+def test_cli_command_parser_gives_the_top_level_parsers_namespace(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = _ci_argv(tmp_path, argv)
+
+    def outcome(parse):
+        try:
+            return parse(argv)
+        except (UsageError, SystemExit) as exc:
+            return type(exc), str(exc), capsys.readouterr()
+
+    assert outcome(cli._parse_args) == outcome(_parser().parse_args)
+
+
+def test_cli_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hyperstp", "permmat", "--dims", "2,2,2", "--sigma", "2,3,1"])
+    assert main() == 0
+    assert capsys.readouterr() == ("d8[1,3,5,7,2,4,6,8]\n", "")
+    monkeypatch.setattr(sys, "argv", ["hyperstp", "contract", "--a", "x"])
+    assert main(None) == 1
+    assert capsys.readouterr() == ("", ARGV_CORPUS[7][3])
 
 
 @pytest.mark.parametrize("dims, sigma, out", [
@@ -337,6 +508,14 @@ def test_cli_usage_errors(capsys):
     assert main(["permmat", "--dims", "2,2"]) == 1
     assert main(["nope"]) == 1
     assert main(["permmat", "--dims", "2,x", "--sigma", "1,2"]) == 1
+
+
+def test_cli_usage_errors_have_the_ci_steps_exit_codes_and_line(capsys):
+    # The in-process twin of the CI step "Usage errors exit 1 with one stderr line".
+    assert main(["contract", "--a", "x"]) == 1
+    err = "usage error: the following arguments are required: --b, --a-axes, --b-axes, outfile\n"
+    assert capsys.readouterr() == ("", err)
+    assert main(["nope"]) == 1
 
 
 def test_cli_parser_is_built_once_and_reused(capsys):

@@ -24,6 +24,7 @@ from hyperstp import (
     contract_via_expression,
     expression_to_hypermatrix,
     hypervector_expand,
+    loads_hm,
     matrix_expression,
     sigma_transpose,
     sigma_transpose_via_perm,
@@ -90,6 +91,34 @@ def test_every_value_type_refuses_attribute_writes(name):
         delattr(value, value.__slots__[0])
     assert _fields(value) == _fields(_values()[name])
     assert all(not arr.flags.writeable for arr in _arrays(value))
+
+
+def _built_results_and_loaded():
+    a = Hypermatrix((2, 3, 2), np.arange(12))
+    b = Hypermatrix.from_flat((3, 2), [2, -1, 0, 3, -4, 5])
+    f = Hypermatrix.from_flat((2, 3), [0.1, -2.5, 3.25, 1e8, -0.3, 7.0], "float")
+    frozen = np.arange(6)
+    frozen.setflags(write=False)  # a read-only array reaches the fill step as it is
+    return [
+        a, b, f, Hypermatrix.from_flat((2,), [3 ** 50, -(2 ** 70)]), Hypermatrix.from_nd([[1, 2], [3, 4]]),
+        core._stored((6,), frozen, "int"),
+        *(contract(a, b, (2, 3), (1, 2), method) for method in ("expr", "stp", "brute")),
+        contract(f, f, (2,), (2,)), sigma_transpose(a, (3, 1, 2)), Hypermatrix.zeros((2, 2)),
+        matrix_expression(a, rows=(3, 1)), build_perm_matrix((2, 3), Permutation((2, 1))),
+        loads_hm('{"shape":[2,2],"data":[1,2,3,4],"scalar_kind":"int"}'),
+        loads_hm('{"shape":[2],"data":[0.5,1e300],"scalar_kind":"float"}'),
+        loads_hm('{"shape":[2],"data":[9223372036854775808,-1],"scalar_kind":"int"}'),
+    ]
+
+
+def test_every_array_slot_is_read_only():
+    for value in _built_results_and_loaded():
+        if isinstance(value, Hypermatrix):
+            value.data  # fills the cache slot of a value over an int64 form
+        slots = [getattr(value, name) for name in value.__slots__]
+        assert any(isinstance(slot, np.ndarray) for slot in slots)
+        for slot in slots:
+            assert not isinstance(slot, np.ndarray) or slot.flags.writeable is False
 
 
 def test_logical_matrix_pickle_carries_rows_and_cols_only():
