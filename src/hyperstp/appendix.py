@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ._appendix_data import APPENDIX_TABLES, EXAMPLE_235_TABLES
+from .core import _checked_int
 from .permutation import LogicalMatrix, Permutation, build_perm_matrix
 
 
@@ -26,6 +27,7 @@ def appendix_families() -> list[tuple[int, int]]:
 
 
 def appendix_labels(d: int, n: int) -> list[int]:
+    d, n = _checked_int(d), _checked_int(n)
     if (d, n) not in APPENDIX_TABLES:
         raise KeyError(f"no bundled tables for d={d}, n={n}")
     return sorted(APPENDIX_TABLES[(d, n)])
@@ -37,6 +39,7 @@ def appendix_sigma(d: int, label: int) -> Permutation:
     The labels 1, ..., d! of a degree with bundled tables number its
     images in lexicographic order.
     """
+    d, label = _checked_int(d), _checked_int(label)
     images = list(itertools.permutations(range(1, d + 1))) if d in {k for k, _ in APPENDIX_TABLES} else []
     if label not in range(1, len(images) + 1):
         raise KeyError(f"no label {label} for degree {d}")
@@ -45,6 +48,7 @@ def appendix_sigma(d: int, label: int) -> Permutation:
 
 def appendix_table(d: int, n: int, label: int) -> LogicalMatrix:
     """Published table for ``(d, n, label)``, verbatim (misprints included)."""
+    d, n, label = _checked_int(d), _checked_int(n), _checked_int(label)
     if (d, n) not in APPENDIX_TABLES:
         raise KeyError(f"no bundled tables for d={d}, n={n}")
     try:
@@ -56,6 +60,7 @@ def appendix_table(d: int, n: int, label: int) -> LogicalMatrix:
 
 def example_table(label: int) -> LogicalMatrix:
     """Published worked table over the mixed shape (2, 3, 5)."""
+    label = _checked_int(label)
     try:
         cols = EXAMPLE_235_TABLES[label]
     except KeyError:

@@ -41,8 +41,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    Hypermatrix, _check_budget, _checked_int, _owned, _stored, as_scalars, as_scalars_joint, check_dims,
-    checked_product, same_kind, widen,
+    Hypermatrix, _check_budget, _checked_int, _owned, _stored, as_scalars_joint, check_dims, checked_product,
+    same_kind, widen,
 )
 from .expression import MatrixExpression, _laid_out, _lay_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -261,11 +261,12 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.nda
     Argument column k must have length ``dims[k]``; each peels one axis.
     The raw factors (the row factors ``rows`` and the arguments) are
     checked once, by ``as_scalars_joint``, which also decides the chain's
-    kind from theirs and the store's ``kind``; ``acc`` converts only when
-    a float factor puts an int chain on binary64.  Each step is one
-    ``_stp_dot`` whose ``narrow`` picks the tier (the first from ``acc``'s
-    kept magnitude ``m_acc``), and an int product stays int64, or Python
-    ints past it, until the chain ends.
+    kind from theirs and the store's ``kind``; ``acc``, checked or made by
+    the library, converts directly, and only when a float factor puts an
+    int chain on binary64.  Each step is one ``_stp_dot`` whose ``narrow``
+    picks the tier (the first from ``acc``'s kept magnitude ``m_acc``), and
+    an int product stays int64, or Python ints past it, until the chain
+    ends.
     """
     xs = list(xs)
     if len(xs) != len(dims):
@@ -276,7 +277,7 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.nda
         if x.size != n:
             raise ValueError(f"argument {k} has length {x.size}, expected {n}")
     if chain != kind:
-        acc = as_scalars(acc, chain)[0]
+        acc = acc.astype(np.float64)
     factors = [w.reshape(1, -1) for w in raw[:s]] + [acc] + [x.reshape(-1, 1) for x in raw[s:]]
     mags = [None] * s + [m_acc] + [None] * len(xs)
     acc, m_acc = factors[0], mags[0]

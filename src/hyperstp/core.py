@@ -12,17 +12,18 @@ Two scalar backends are supported:
   silently wrap;
 * ``"float"`` -- IEEE binary64, finite values only (NaN and inf raise).
 
-``as_scalars`` is the one rule that decides which backend data lives on;
-every layer calls it (or ``as_scalars_joint`` for several raw operands)
-instead of inspecting dtypes itself.  Each input is checked once, where
-it enters, by one rule (``_checked_ints``, for object data, whatever
-backend it is asked for): a raw arithmetic operand at
-``as_scalars_joint``, a value at the ``Hypermatrix`` or
-``MatrixExpression`` constructor.  What the library makes is of its kind
-by construction and filled unscanned (``_stored``, ``_owned``,
-``expression._expression``).  ``as_scalars`` reads no entry of an object
-array, so a re-layout reads nothing, and ``narrow`` and the gathers
-trust their callers.
+``as_scalars`` is the one rule that decides which backend data lives on,
+and the one check of raw data; every layer calls it (or
+``as_scalars_joint`` for several raw operands) instead of inspecting
+dtypes itself.  It scans every object array it is given, whatever
+backend is asked for, except a value's own ``data``, whose entries are
+Python ints by construction and are taken unread.  So each input is
+checked once, where it enters: a raw operand at the call that takes it,
+a value's data at the ``Hypermatrix`` or ``MatrixExpression``
+constructor.  What the library makes is of its kind by construction and
+filled unscanned (``_stored``, ``_owned``, ``expression._expression``);
+checked or library-made int data that a float puts on binary64 converts
+directly, and ``narrow`` and the gathers trust their callers.
 
 Int products multiply through ``checked_product``, on the tier that
 ``narrow`` picks from the bound ``max|a| * max|b| * inner``: float64
@@ -151,8 +152,8 @@ def iter_indices(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 DTYPE = {"int": object, "float": np.float64}
 
-# Array dtype kind -> scalar kind.  Object arrays are the int backend as they
-# stand: the constructor and ``as_scalars_joint`` scan their entries.
+# Array dtype kind -> scalar kind.  Object arrays are the int backend:
+# ``as_scalars`` scans their entries unless a value handed them out.
 _ARRAY_KINDS = {"O": "int", "i": "int", "u": "int", "f": "float"}
 
 
@@ -180,12 +181,15 @@ def _scanned(arr: np.ndarray) -> tuple[np.ndarray, str]:
 
 
 def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
-    """The scalar-kind policy: ``values`` on one backend, and that backend.
+    """The scalar-kind policy, and the one check of raw data: ``values`` on one backend, and that backend.
 
-    * An object array is int data and a float64 array is float data, taken
-      as they are (an O(1) check: ``as_scalars_joint`` and the constructor
-      scan object entries); other integer or float arrays convert by
-      dtype.  Boolean and any other arrays raise ``TypeError``.
+    * An object array is int data: every entry must be an integer (numpy's
+      become Python ints), and a float or a non-number raises ``TypeError``
+      naming it and its 1-based flat position.  A value's own ``data``
+      (``_is_value_data``) holds Python ints by construction and is taken
+      unread.  A float64 array is float data as it stands; other integer
+      or float arrays convert by dtype.  Boolean and any other arrays raise
+      ``TypeError``.
     * Anything else is read as a (possibly nested) sequence: it is int when
       every value is an integer, float when some value is a float; a
       boolean or a non-number raises ``TypeError``.
@@ -198,7 +202,7 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
     """
     if kind is not None and kind not in DTYPE:
         raise ValueError(f"unknown scalar kind {kind!r}")
-    if isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray) and (values.dtype != object or _is_value_data(values)):
         have = _ARRAY_KINDS.get(values.dtype.kind)
         if have is None:
             raise TypeError(f"arrays of dtype {values.dtype} do not hold scalars")
@@ -206,7 +210,10 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
     else:
         if isinstance(values, Iterator):
             values = list(values)
-        arr, have = _scanned(np.array(values, dtype=object))
+        arr, have = _scanned(np.asarray(values, dtype=object))
+        if have == "float" and isinstance(values, np.ndarray):
+            pos, v = next((pos, v) for pos, v in enumerate(arr.flat, start=1) if isinstance(v, (float, np.floating)))
+            raise TypeError(f"float {v!r} at position {pos} is not an int-backend value")
     if kind == "int" and have == "float":
         raise TypeError("float data does not convert to the int backend")
     kind = kind or have
@@ -221,33 +228,19 @@ def as_scalars(values, kind: str | None = None) -> tuple[np.ndarray, str]:
 def as_scalars_joint(*operands, kind: str = "int") -> tuple[list[np.ndarray], str]:
     """Several raw operands on one backend: float when ``kind`` (a store they meet) or any of them is.
 
-    The one check of raw arithmetic operands: an object array, which
-    ``as_scalars`` hands back unread, is scanned by the constructor's rule.
+    Each operand is checked once, by ``as_scalars``; an int one that a
+    float puts on binary64 converts directly, since an int never becomes
+    a non-finite float.
     """
     pairs = [as_scalars(x) for x in operands]
-    pairs = [(_checked_ints(x) if x is raw and x.dtype == object else x, k) for raw, (x, k) in zip(operands, pairs)]
     if any(k == "float" for _, k in pairs):
         kind = "float"
-    return [x if k == kind else as_scalars(x, kind)[0] for x, k in pairs], kind
+    return [x if k == kind else x.astype(np.float64) for x, k in pairs], kind
 
 
 _INT64_MAX = 2 ** 63 - 1
 # Integers of magnitude at most 2**53 are exact in binary64.
 _FLOAT64_EXACT = 2 ** 53
-
-
-def _checked_ints(arr: np.ndarray) -> np.ndarray:
-    """An int-backend object array with every entry a Python int.
-
-    Other integer types convert; a float or a non-number raises
-    ``TypeError`` naming the value and its 1-based flat position.
-    """
-    arr, have = _scanned(arr)
-    if have == "float":
-        flat = enumerate(arr.reshape(-1).tolist(), start=1)
-        pos, v = next((pos, v) for pos, v in flat if isinstance(v, (float, np.floating)))
-        raise TypeError(f"float {v!r} at position {pos} is not an int-backend value")
-    return arr
 
 
 # The object arrays that values hand out as ``data``, by id, so that a reader can take them unread.
@@ -285,11 +278,12 @@ def narrow(
     * otherwise object arrays of Python ints.
 
     This is the only place a tier is chosen, and it only chooses: it
-    trusts its callers, which checked each factor where it entered (a
-    value at its constructor, a raw operand at ``as_scalars_joint``), so
-    an object factor holds Python ints.  ``ma`` and ``mb`` are
-    ``max|a|`` and ``max|b|`` of int64 factors whose value keeps them
-    (``Hypermatrix._max_abs``); a factor without one is measured here.
+    trusts its callers, whose factors ``as_scalars`` checked where they
+    entered (a value's data at its constructor, a raw operand at the call
+    that takes it), so an object factor holds Python ints.  ``ma`` and
+    ``mb`` are ``max|a|`` and ``max|b|`` of int64 factors whose value
+    keeps them (``Hypermatrix._max_abs``); a factor without one is
+    measured here.
     Int factors come back int64 or as Python ints, not yet in the tier's
     dtype: the caller lays them out in that dtype, so the cast costs no
     pass of its own.  Float factors come back untouched, with float64.
@@ -393,10 +387,8 @@ class Hypermatrix(_Frozen):
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
-        # An array goes to the fill step as it is, so an int array is never widened to Python ints.
-        flat = data if isinstance(data, np.ndarray) else as_scalars(data, kind)[0]
-        if flat is data and flat.dtype == object:
-            flat = _checked_ints(flat)
+        # A numeric array goes to the fill step as it is, so an int array is never widened to Python ints.
+        flat = data if isinstance(data, np.ndarray) and data.dtype != object else as_scalars(data, kind)[0]
         # A list never aliases; asking numpy would convert it first.
         if isinstance(data, np.ndarray) and np.may_share_memory(flat, data):
             flat = flat.copy()
@@ -405,11 +397,14 @@ class Hypermatrix(_Frozen):
     def _filled(self, dims: tuple[int, ...], flat: np.ndarray, kind: str | None):
         """The one fill step: the slots from an array of ``dims``' entries that no caller holds.
 
-        Int entries (object ones must be Python ints) go to one store;
+        Int entries (object ones are Python ints, checked or library-made) go
+        to one store, or straight to binary64 when ``kind`` asks for float;
         other data takes the scalar policy.  ``astype`` wraps a uint64 entry
         past 2**63 - 1 silently, so an unsigned maximum is read first.
         """
-        if flat.dtype.kind not in "iuO" or kind not in (None, "int"):
+        if flat.dtype == object and kind == "float":
+            flat = flat.astype(np.float64)
+        elif flat.dtype.kind not in "iuO" or kind not in (None, "int"):
             flat, kind = as_scalars(flat, kind)
         flat = flat.reshape(-1)
         if flat.size != size_of(dims):

@@ -8,14 +8,14 @@ expressions (and the vector form) is one ``permutation._relayout``, and
 ``sigma_transpose_via_perm`` one ``perm_gather``, its checked public
 entry: a row gather through the index of one permutation matrix, for any
 axis order on either side, with no ``Permutation`` or ``LogicalMatrix``
-built.  A re-layout reads no entry: ``as_scalars`` takes an object vector
-unread.  The conversions are verified against direct index-shuffle
-construction.  That index shuffle is one helper, ``_lay_out``:
+built.  A re-layout of a value's ``data`` reads no entry: ``as_scalars``
+takes what a value handed out unread.  The conversions are verified
+against direct index-shuffle construction.  That index shuffle is one helper, ``_lay_out``:
 ``matrix_expression``, the sigma-transpose, ``expression_to_hypermatrix``
 and the expression contraction route all lay data out through it.  The
-public ``MatrixExpression`` constructor is the one check of an
-expression's matrix, by the ``Hypermatrix`` constructor's rule; results
-come through the trusted ``core._stored`` and ``_expression``.
+public ``MatrixExpression`` constructor and ``vec_to_matrix_form`` check
+a caller's matrix or vector by ``as_scalars``; results come through the
+trusted ``core._stored`` and ``_expression``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    _INT64_MAX, Hypermatrix, _checked_int, _checked_ints, _Frozen, _is_value_data, _stored, as_scalars, check_dims,
-    size_of,
-)
+from .core import _INT64_MAX, Hypermatrix, _checked_int, _Frozen, _stored, as_scalars, check_dims, size_of
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import Permutation, _checked_perm, _relayout, build_perm_matrix, perm_gather  # noqa: F401
@@ -109,9 +106,7 @@ class MatrixExpression(_Frozen):
     def __init__(self, mat, row_axes, col_axes, dims, kind: str):
         dims = check_dims(dims)
         row_axes, col_axes = _check_partition(len(dims), row_axes, col_axes)
-        if isinstance(mat, np.ndarray):
-            mat = _checked_ints(np.array(mat)) if mat.dtype == object else np.array(mat)
-        mat, kind = as_scalars(mat, kind)
+        mat, kind = as_scalars(np.array(mat) if isinstance(mat, np.ndarray) else mat, kind)
         s = math.prod(dims[r - 1] for r in row_axes)
         t = math.prod(dims[c - 1] for c in col_axes)
         if mat.shape != (s, t):
@@ -170,15 +165,12 @@ def vec_to_matrix_form(v, dims, rows, kind: str | None = None) -> MatrixExpressi
 
     Re-lays the flat vector from natural axis order to ``rows`` followed
     by their increasing complement, and reshapes with one row per row-axis
-    index combination.  ``rows`` may list axes in any order.  An object
-    ``v`` is checked as the constructor checks it, except a value's own
-    ``data``, whose entries are Python ints by construction: no entry of
-    it is read.
+    index combination.  ``rows`` may list axes in any order.  ``v`` is
+    checked by ``as_scalars``, which reads no entry of a value's own
+    ``data``.
     """
     dims = check_dims(dims)
     rows, cols = _check_partition(len(dims), rows)
-    if isinstance(v, np.ndarray) and v.dtype == object and not _is_value_data(v):
-        v = _checked_ints(v)
     flat, kind = as_scalars(v, kind)
     if flat.size != size_of(dims):
         raise ValueError(f"vector of length {flat.size} for shape {dims}")

@@ -52,13 +52,17 @@ class Permutation(_Frozen):
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
-        return cls(range(1, d + 1))
+        return cls(range(1, _checked_int(d) + 1))
 
     @property
     def degree(self) -> int:
         return len(self.image)
 
     def __call__(self, k: int) -> int:
+        """sigma(k) for an integer k (``_checked_int``) in [1, d]; out of range raises ``IndexError`` naming it."""
+        k = _checked_int(k)
+        if not 1 <= k <= len(self.image):
+            raise IndexError(f"index {k} out of range [1, {len(self.image)}]")
         return self.image[k - 1]
 
     def __eq__(self, other):

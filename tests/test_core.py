@@ -15,12 +15,16 @@ from hyperstp import (
     MatrixExpression,
     Permutation,
     YbeInstance,
+    appendix_labels,
+    appendix_sigma,
+    appendix_table,
     build_perm_matrix,
     check_dims,
     contract,
     contract_via_expression,
     delinearize,
     delta_I,
+    example_table,
     iter_indices,
     linearize,
     matrix_expression,
@@ -286,6 +290,13 @@ INDEX_ENTRIES = {
     "delinearize rank": lambda v: delinearize((2, 3), v),
     "YbeInstance n": lambda v: YbeInstance(v, Hypermatrix((2,) * 4, [0] * 16)),
     "delta_I n": lambda v: delta_I(v),
+    "Permutation call": lambda v: Permutation((2, 3, 1))(v),
+    "Permutation.identity d": lambda v: Permutation.identity(v),
+    "appendix_labels n": lambda v: appendix_labels(3, v),
+    "appendix_table n": lambda v: appendix_table(3, v, 1),
+    "appendix_table label": lambda v: appendix_table(3, 2, v),
+    "appendix_sigma label": lambda v: appendix_sigma(3, v),
+    "example_table label": lambda v: example_table(v),
 }
 
 
@@ -297,6 +308,24 @@ def test_index_arguments_refuse_floats_and_booleans(entry, bad):
         contract(_SQUARE, _COLUMN, axes, (1,))
     with pytest.raises(TypeError, match=re.escape(f"{bad!r} is not an integer")):
         INDEX_ENTRIES[entry](bad)
+
+
+def test_appendix_degrees_are_integers():
+    # The bundled degrees are 3 and 4, so the degree slot cannot take the shared value 2.
+    for read in (lambda v: appendix_labels(v, 2), lambda v: appendix_table(v, 2, 1), lambda v: appendix_sigma(v, 1)):
+        for bad in (3.0, True, np.float64(3.0), np.bool_(True)):
+            with pytest.raises(TypeError, match=f"^{re.escape(repr(bad))} is not an integer$"):
+                read(bad)
+        assert read(np.int64(3)) == read(3)
+
+
+def test_permutation_call_is_one_based_and_range_checked():
+    # Once read as a tuple index: p(0) gave sigma(3), p(-1) sigma(2), p(4) a bare IndexError.
+    p = Permutation((2, 3, 1))
+    assert [p(k) for k in (1, 2, 3)] == [2, 3, 1]
+    for k in (0, -1, 4):
+        with pytest.raises(IndexError, match=rf"^index {k} out of range \[1, 3\]$"):
+            p(k)
 
 
 def test_entry_reads_name_a_float_or_bool_index():

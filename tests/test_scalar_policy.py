@@ -33,6 +33,7 @@ from hyperstp import (
     mm_stp,
     mv_stp,
     stp_inner,
+    stp_norm,
     vec_oplus,
     vec_to_matrix_form,
     vv_stp,
@@ -140,6 +141,10 @@ RAW_ENTRIES = {
     # A caller's object vector, unlike a value's read-only data, is checked even without a kind:
     # the expression it makes is trusted by every reader.
     "vec_to_matrix_form": lambda x: vec_to_matrix_form(x, (2,), ()),
+    # The policy itself, asked for either backend: object data is int data.
+    "as_scalars": lambda x: as_scalars(x),
+    "as_scalars float": lambda x: as_scalars(x, "float"),
+    "stp_norm": lambda x: stp_norm(x),
 }
 
 
@@ -210,11 +215,36 @@ def test_vec_to_matrix_form_checks_a_read_only_object_array_that_no_value_handed
     assert scans == []
 
 
+def test_each_raw_operand_is_scanned_once_and_nothing_the_library_made(monkeypatch):
+    h = Hypermatrix((2, 2), [1, 2, 3, 4])
+    omega = Hypermatrix((2, 2), [1, 2, 3, 4])
+    calls = [
+        # A value's own data is Python ints by construction: no entry is read.
+        (lambda: vv_stp(h.data, h.data), []),
+        (lambda: Hypermatrix((4,), h.data), []),
+        (lambda: vec_to_matrix_form(h.data, (2, 2), (1,)), []),
+        # Each raw operand once; what the library then makes of it is not scanned again.
+        (lambda: hypervector_expand([ints([1, 2]), ints([3, 4])], kind="float"), [2, 2]),
+        (lambda: cross_product([1.0, 2, 3], [1, 2, 3]), [3, 3]),
+        (lambda: eval_tensor(omega, [ints([1, 0])], [np.array([0.5, 1])]), [2]),
+        (lambda: mm_stp(ints([1, 2]).reshape(1, 2), np.array([[0.5], [1.0]])), [2]),
+    ]
+    scans, real = [], core._scanned
+    monkeypatch.setattr(core, "_scanned", lambda arr: scans.append(arr.size) or real(arr))
+    for call, want in calls:
+        scans.clear()
+        call()
+        assert scans == want
+
+
 def test_a_boolean_in_a_bracket_argument_is_refused():
     with pytest.raises(TypeError, match="True at position 1 is not a scalar"):
         gl2_bracket([[True, 0], [0, 1]], [[0, 1], [0, 0]])
     with pytest.raises(TypeError, match="True at position 2 is not a scalar"):
         gl2_bracket([[0, 1], [0, 0]], [[1, True], [0, 1]])
+    # An object matrix is checked where it enters: the position is row-major in the caller's matrix.
+    with pytest.raises(TypeError, match=r"float 0\.5 at position 2 "):
+        gl2_bracket(np.array([[1, 0.5], [0, 1]], dtype=object), [[0, 1], [0, 0]])
     assert gl2_bracket([[1, 0], [0, 2]], [[0, 1], [0, 0]]).tolist() == [[0, -1], [0, 0]]
 
 
