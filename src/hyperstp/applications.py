@@ -2,8 +2,13 @@
 
 Each application packages a structure-constant fixture plus an evaluator:
 the cross product on R^3, the commutator bracket on 2x2 matrices, finite
-game payoffs, and both sides of the Yang-Baxter constraint as nested
-``contract`` calls on any contraction route.
+game payoffs, and both sides of the Yang-Baxter constraint.  On the
+``matrix`` route each side is one batched product and one dot, written
+from its index sum: the order-6 intermediate is made in the layout the
+dot reads, on one tier for the chain bounded by n³·max|r|³, so a side
+holds two n⁶ arrays.  The ``stp`` and ``bruteforce`` routes run the
+sides as nested ``contract`` calls sharing ``t = r (4)x(1) r``; they
+are the chain's independent checks.
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, Hypermatrix, _checked_int, as_scalars
-from .contraction import contract, eval_multilinear_scalar, eval_multilinear_vector
+from .core import (
+    _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint,
+)
+from .contraction import (
+    _EXPRESSION_NAMES, _fold_checked, contract, eval_multilinear_scalar, eval_multilinear_vector,
+)
 from .expression import MatrixExpression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
@@ -82,10 +91,12 @@ def gl2_bracket(x, y) -> np.ndarray:
     the column stackings of the arguments; it must (and does) equal
     ``x @ y - y @ x``.
     """
-    x, y = as_scalars(x)[0], as_scalars(y)[0]
+    expr = _gl2_expression()
+    (x, y), chain = as_scalars_joint(x, y, kind=expr.kind)
     if x.shape != (2, 2) or y.shape != (2, 2):
         raise ValueError("bracket takes two 2x2 matrices")
-    return vcs(eval_multilinear_vector(_gl2_expression(), [vc(x), vc(y)]), 2)
+    # Each matrix was checked once, just above, so the fold takes its column stacking unread.
+    return vcs(_fold_checked(expr.mat, expr.kind, chain, [vc(x), vc(y)]), 2)
 
 
 @functools.cache
@@ -196,17 +207,21 @@ class YbeInstance:
 def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatrix:
     """One side of the Yang-Baxter constraint, order 6 over dimension n.
 
-    Both sides are nested contracted products: the pairing
-    ``t = r (4)x(1) r`` of two copies, then ``t (2,6)x(3,4) r`` for the
-    left side and ``r (1,2)x(3,4) t`` for the right.  Summing over x, y, z,
+    Summing over x, y, z,
     lhs(p) = r[p1,y,p2,x] r[x,p3,p4,z] r[p5,p6,y,z] and
     rhs(p) = r[y,z,p1,p2] r[p3,p4,y,x] r[x,z,p5,p6].  The textbook
     R12 R13 R23 = R23 R13 R12 is another relation, summing over a, b, c:
     r[i,j,a,b] r[a,k,l,c] r[b,c,m,n] = r[j,k,b,c] r[i,c,a,n] r[a,b,l,m].
-    Each side is one ``contract(..., method)`` call, so ``method`` names
-    any contraction route: ``matrix`` (the default), ``stp``, or the
-    oracle ``bruteforce`` (``brute``) kept for tests and the CLI's
-    ``--method brute``.  The routes agree entry for entry on int data.
+    ``method`` names a contraction route.  ``matrix`` (the default, like
+    ``expression`` and ``expr``) runs each side as one chain of two
+    products, both read off its index sum: a batched product makes the
+    order-6 intermediate in the layout the final dot reads
+    (``_ybe_chain``).  ``stp`` and the oracle ``bruteforce`` (``brute``,
+    kept for tests and the CLI's ``--method brute``) are the chain's
+    independent checks: each side is two ``contract`` calls on that route,
+    the pairing ``t = r (4)x(1) r`` of two copies, then
+    ``t (2,6)x(3,4) r`` for the left side and ``r (1,2)x(3,4) t`` for
+    the right.  The routes agree entry for entry on int data.
     """
     side = side.lower()
     if side not in ("lhs", "rhs"):
@@ -215,22 +230,63 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatr
 
 
 def _ybe_sides(r: Hypermatrix, sides, method: str) -> list[Hypermatrix]:
-    """The named sides, sharing one ``t = r (4)x(1) r``."""
+    """The named sides: one chain each on the expression route, else sharing one ``t = r (4)x(1) r``."""
+    if method in _EXPRESSION_NAMES:
+        return [_ybe_chain(r, side) for side in sides]
     t = contract(r, r, (4,), (1,), method)
     pairings = {"lhs": (t, r, (2, 6), (3, 4)), "rhs": (r, t, (1, 2), (3, 4))}
     return [contract(*pairings[side], method) for side in sides]
 
 
+def _ybe_chain(r: Hypermatrix, side: str) -> Hypermatrix:
+    """One side as one batched product and one dot, written from its index sum.
+
+    lhs(p) = Σ_{y,x} r[p1,y,p2,x] W[y,x,p3,p4,p5,p6], W[y,x,…] = Σ_z r[x,p3,p4,z] r[p5,p6,y,z];
+    rhs(p) = Σ_{y,z} r[y,z,p1,p2] W[y,z,p3,p4,p5,p6], W[y,z,…] = Σ_x r[p3,p4,y,x] r[x,z,p5,p6].
+    ``W`` is one ``np.matmul`` over the n² summed pairs, each an n² x n
+    view of r by an n x n² view.  It lands in (summed, free) order, so
+    the dot reads it as an n² x n⁴ matrix without a copy; the other
+    factor is an n⁴-entry layout of r, and the dot's result is in natural
+    order.  Every partial sum of both steps is at most n³·max|r|³
+    (``max|r|`` times ``max|r|²`` over n³ terms), so ``core._tier`` picks
+    one tier for the chain from that bound; an int R past int64 runs on
+    Python ints, a float R in binary64.  ``W`` stays in the tier's dtype
+    and a float64-tier result is cast back in its own buffer, so a side
+    holds two n⁶ arrays, ``W`` and the result, each within the entry
+    budget, which is checked before either is made.
+    """
+    n = r.dims[0]
+    nn = n * n
+    _check_budget(n ** 6, "Yang-Baxter side of shape {}", (n,) * 6)
+    m = r._max_abs()
+    if r.kind == "float":
+        dtype = np.float64
+    else:
+        dtype = object if m is None else _tier(n ** 3 * m ** 3)
+    f = r._flat().astype(dtype, copy=False)
+    if side == "lhs":
+        w = np.matmul(f.reshape(1, n, nn, n), f.reshape(nn, n, n).transpose(1, 2, 0)[:, None])
+        v = f.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn)
+    else:
+        w = np.matmul(f.reshape(nn, n, n).transpose(1, 0, 2)[:, None], f.reshape(n, n, nn).transpose(1, 0, 2))
+        v = f.reshape(nn, nn).T
+    out = np.dot(v, w.reshape(nn, -1))
+    if dtype is np.float64 and r.kind == "int":
+        out = _float64_ints(out)
+    return _stored((n,) * 6, out, r.kind)
+
+
 def ybe_residual(inst: YbeInstance, method: str = "matrix"):
     """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``.
 
-    The sides share ``t``.  When both hold int64 forms whose difference
-    cannot wrap (``max|lhs| + max|rhs| <= 2**63 - 1``, read from their
-    kept magnitudes), it is taken in int64 and returned as a Python int;
-    otherwise over ``data``.
+    When both hold int64 forms whose difference cannot wrap
+    (``max|lhs| + max|rhs| <= 2**63 - 1``, read from their kept
+    magnitudes), it is taken in int64, in one buffer, and returned as a
+    Python int; otherwise over ``data``.
     """
     lhs, rhs = _ybe_sides(inst.r, ("lhs", "rhs"), method)
     ma, mb = lhs._max_abs(), rhs._max_abs()
     if ma is not None and mb is not None and ma + mb <= _INT64_MAX:
-        return int(np.abs(lhs._int64 - rhs._int64).max())
+        diff = lhs._int64 - rhs._int64
+        return int(np.abs(diff, out=diff).max())
     return np.abs(lhs.data - rhs.data).max()

@@ -23,8 +23,9 @@ and matrix shapes) is planned once per (dims, dims, axes, axes) key by
 arithmetic, not for re-deriving its layout.  The plan also checks the
 result's size against ``core.MAX_ENTRIES``, so all three routes refuse
 the same pairings before allocating anything.  ``contract`` is the one
-table from method name to route: ``onto_contract`` and the Yang-Baxter sides
-in ``applications`` call it, and the block operators chain the
+table from method name to route: ``onto_contract`` and the Yang-Baxter sides'
+checks in ``applications`` call it, that module reads its expression-route
+names to pick its own chain, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation
 complete the module: a semi-tensor chain (``_fold``) runs on the
 evaluated value's store or expression's matrix, checks each raw argument
@@ -195,12 +196,16 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     return _stored(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
 
 
+# The names of the expression route, which ``applications`` also reads to pick the Yang-Baxter chain.
+_EXPRESSION_NAMES = ("expression", "expr", "matrix")
+
+
 def contract(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes, method: str = "expression") -> Hypermatrix:
     """Contracted product on the route ``method`` names, the only such table.
 
     Names resolve at call time, so a rebound module global is what runs.
     """
-    if method in ("expression", "expr", "matrix"):
+    if method in _EXPRESSION_NAMES:
         return contract_via_expression(a, b, a_axes, b_axes)
     if method == "stp":
         return _contract_stp(a, b, a_axes, b_axes)
@@ -276,9 +281,19 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.nda
     for k, (n, x) in enumerate(zip(dims, raw[s:]), start=1):
         if x.size != n:
             raise ValueError(f"argument {k} has length {x.size}, expected {n}")
+    return _fold_checked(acc, kind, chain, raw[s:], m_acc, raw[:s])
+
+
+def _fold_checked(acc, kind: str, chain: str, xs, m_acc: int | None = None, rows=()) -> np.ndarray:
+    """``_fold`` past its check: the factors are already on the backend ``chain`` and of the right lengths.
+
+    The one way in for arguments a caller checked itself
+    (``applications.gl2_bracket``), so they are not read a second time.
+    """
     if chain != kind:
         acc = acc.astype(np.float64)
-    factors = [w.reshape(1, -1) for w in raw[:s]] + [acc] + [x.reshape(-1, 1) for x in raw[s:]]
+    s = len(rows)
+    factors = [w.reshape(1, -1) for w in rows] + [acc] + [x.reshape(-1, 1) for x in xs]
     mags = [None] * s + [m_acc] + [None] * len(xs)
     acc, m_acc = factors[0], mags[0]
     for f, m in zip(factors[1:], mags[1:]):

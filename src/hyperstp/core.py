@@ -277,8 +277,8 @@ def narrow(
     * at most 2**63 - 1: int64;
     * otherwise object arrays of Python ints.
 
-    This is the only place a tier is chosen, and it only chooses: it
-    trusts its callers, whose factors ``as_scalars`` checked where they
+    The thresholds are ``_tier``'s, the one place a bound becomes a tier,
+    and ``narrow`` only chooses: it trusts its callers, whose factors ``as_scalars`` checked where they
     entered (a value's data at its constructor, a raw operand at the call
     that takes it), so an object factor holds Python ints.  ``ma`` and
     ``mb`` are ``max|a|`` and ``max|b|`` of int64 factors whose value
@@ -295,9 +295,27 @@ def narrow(
     except OverflowError:
         return a, b, object
     bound = (_magnitude(a) if ma is None else ma) * (_magnitude(b) if mb is None else mb) * inner
+    return a, b, _tier(bound)
+
+
+def _tier(bound: int) -> type:
+    """The narrowest scalar type holding exactly every int partial sum of magnitude at most ``bound``.
+
+    ``narrow``'s thresholds, read by it and by a chain of products that
+    bounds all its steps at once (``applications._ybe_chain``).
+    """
     if bound > _INT64_MAX:
-        return a, b, object
-    return a, b, np.int64 if bound > _FLOAT64_EXACT else np.float64
+        return object
+    return np.int64 if bound > _FLOAT64_EXACT else np.float64
+
+
+def _float64_ints(out: np.ndarray) -> np.ndarray:
+    """A float64-tier int product as int64, cast exactly inside its own buffer."""
+    flat = out.reshape(-1)
+    ints = flat.view(np.int64)
+    # A 1-D copy between equal itemsizes over the same memory runs in place.
+    np.copyto(ints, flat, casting="unsafe")
+    return ints.reshape(out.shape)
 
 
 def checked_product(
@@ -316,11 +334,7 @@ def checked_product(
     na, nb, dtype = narrow(a, b, inner, ma, mb)
     out = op(na, nb, dtype)
     if dtype is np.float64 and a.dtype.kind != "f":
-        flat = out.reshape(-1)
-        ints = flat.view(np.int64)
-        # A 1-D copy between equal itemsizes over the same memory runs in place.
-        np.copyto(ints, flat, casting="unsafe")
-        return ints.reshape(out.shape)
+        return _float64_ints(out)
     return out
 
 

@@ -45,7 +45,7 @@ def vc(mat) -> np.ndarray:
 
 def vrs(x, s: int) -> np.ndarray:
     """s-row stacking: lay the (row-stacked) entries out s per row."""
-    flat = vr(x)
+    flat, s = vr(x), _checked_int(s)
     if s < 1 or flat.size % s:
         raise ValueError(f"{s} does not divide the {flat.size} entries")
     return flat.reshape(-1, s)
@@ -53,7 +53,7 @@ def vrs(x, s: int) -> np.ndarray:
 
 def vcs(x, s: int) -> np.ndarray:
     """s-column stacking: lay the (column-stacked) entries out s per column."""
-    flat = vc(x)
+    flat, s = vc(x), _checked_int(s)
     if s < 1 or flat.size % s:
         raise ValueError(f"{s} does not divide the {flat.size} entries")
     return flat.reshape(s, -1, order="F")

@@ -2,7 +2,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import hyperstp.applications as applications
 import hyperstp.core as core
 from hyperstp import (
     GamePayoff,
@@ -22,7 +24,7 @@ from hyperstp import (
     ybe_sides,
 )
 
-from conftest import assert_same_result, basis_vec, random_hm, stp_chain
+from conftest import assert_same_result, basis_vec, random_hm, signed, stp_chain
 
 
 def classical_cross(x, y):
@@ -326,6 +328,62 @@ def test_both_fast_routes_compute_the_n6_library_index_sums_in_int64(rng):
             assert ybe_sides(inst, side, method).data.tolist() == expected, (side, method)
 
 
+def _icbrt(x: int) -> int:
+    """The largest m with m**3 <= x."""
+    m = round(x ** (1 / 3))
+    while m ** 3 > x:
+        m -= 1
+    while (m + 1) ** 3 <= x:
+        m += 1
+    return m
+
+
+# The bounds at which the matrix route's chain leaves a tier: float64 up to the first, int64 up to the second.
+_CHAIN_EDGES = (2 ** 53, 2 ** 63 - 1)
+
+
+@st.composite
+def ybe_tier_cases(draw):
+    """n in 1..6 and r's entries: in [-9, 9], past int64, or with n**3 * max|r|**3 on either side of an edge."""
+    n = draw(st.integers(1, 6))
+    family = draw(st.sampled_from(["small", "past int64", *_CHAIN_EDGES]))
+    if family == "small":
+        values = st.integers(-9, 9)
+    elif family == "past int64":
+        values = signed(st.integers(2 ** 63, 2 ** 63 + 9))
+    else:
+        m = _icbrt(family // n ** 3)
+        values = signed(st.integers(m - 1, m + 1))
+    return n, draw(st.lists(values, min_size=n ** 4, max_size=n ** 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ybe_tier_cases())
+# At n = 1 the bound is max|r|**3: just past 2**53, then just past 2**63 - 1.
+@example((1, [208064]))
+@example((1, [-2097152]))
+def test_the_matrix_route_chain_computes_the_library_index_sums_on_every_tier(case):
+    n, entries = case
+    r = np.array(entries, dtype=object).reshape((n,) * 4)
+    m = max(map(abs, entries))
+    bound = n ** 3 * m ** 3
+    tier = np.float64 if bound <= _CHAIN_EDGES[0] else np.int64 if bound <= _CHAIN_EDGES[1] else object
+    inst = YbeInstance(n, Hypermatrix((n,) * 4, entries))
+    rf = r.astype(np.float64) / m if m else r.astype(np.float64)
+    floats = YbeInstance(n, Hypermatrix((n,) * 4, rf.reshape(-1)))
+    for side, spec in LIBRARY_YBE.items():
+        with pytest.MonkeyPatch.context() as mp:
+            tiers = []
+            mp.setattr(applications, "_tier", lambda b: (t := core._tier(b), tiers.append((b, t)))[0])
+            got = ybe_sides(inst, side, "matrix")
+        # One tier for the whole chain, from n**3 * max|r|**3; an R past int64 runs on Python ints unmeasured.
+        assert tiers == ([] if m > _CHAIN_EDGES[1] else [(bound, tier)])
+        assert got.data.tolist() == np.einsum(spec, r, r, r, optimize=True).reshape(-1).tolist()
+        assert got == ybe_sides(inst, side, "stp")
+        want, scale = np.einsum(spec, rf, rf, rf), np.einsum(spec, *[np.abs(rf)] * 3)
+        assert np.all(np.abs(ybe_sides(floats, side, "matrix").nd - want) <= 1e-9 * scale)
+
+
 @pytest.mark.parametrize("q, residual", [(2, 48), (3, 648)])
 def test_the_scaled_jimbo_r_matrix_solves_the_textbook_relation(q, residual):
     # q times Jimbo's U_q(sl2) R-matrix over the basis 11, 12, 21, 22: rows (i, j), columns (k, l).
@@ -334,6 +392,22 @@ def test_the_scaled_jimbo_r_matrix_solves_the_textbook_relation(q, residual):
     ).reshape((2,) * 4)
     assert solves(jimbo, TEXTBOOK_YBE)
     assert ybe_residual(YbeInstance(2, Hypermatrix((2,) * 4, jimbo.reshape(-1)))) == residual
+
+
+@pytest.mark.parametrize("method", ["matrix", "expr", "stp", "bruteforce"])
+def test_a_ybe_side_past_the_entry_budget_is_refused_before_any_product(monkeypatch, method):
+    # At n = 17 a side has 17**6 entries, past the budget of 2**24: every route refuses it, no product runs.
+    n = 17
+    assert n ** 6 > core.MAX_ENTRIES >= n ** 4
+    inst = YbeInstance(n, Hypermatrix.zeros((n,) * 4))
+    for name in ("dot", "matmul"):
+        monkeypatch.setattr(np, name, lambda *args, **kwargs: pytest.fail("a product ran past the entry budget"))
+    budget = f"has {n ** 6} entries, above the budget of {core.MAX_ENTRIES}"
+    for side in ("lhs", "rhs"):
+        with pytest.raises(OverflowError, match=budget):
+            ybe_sides(inst, side, method)
+    with pytest.raises(OverflowError, match=budget):
+        ybe_residual(inst, method)
 
 
 def test_ybe_validation(rng):

@@ -31,6 +31,8 @@ from hyperstp import (
     onto_contract,
     sigma_transpose,
     size_of,
+    vcs,
+    vrs,
 )
 
 from conftest import random_hm
@@ -297,6 +299,8 @@ INDEX_ENTRIES = {
     "appendix_table label": lambda v: appendix_table(3, 2, v),
     "appendix_sigma label": lambda v: appendix_sigma(3, v),
     "example_table label": lambda v: example_table(v),
+    "vrs s": lambda v: vrs([1, 2, 3, 4], v),
+    "vcs s": lambda v: vcs([1, 2, 3, 4], v),
 }
 
 

@@ -325,6 +325,7 @@ CI_DOCS = {
     "FY.hm": '{"shape":[6],"data":[-4.125,1e-3,0.5,2.0,-1.0,0.25],"scalar_kind":"float"}',
     "MX.hm": '{"shape":[2],"data":[1600000000,1600000000],"scalar_kind":"int"}',
     "MY.hm": '{"shape":[3],"data":[1600000000,1600000000,1600000000],"scalar_kind":"int"}',
+    "signed.hm": '{"shape":[2,2,2,2],"data":[3,-1,4,-5,9,-2,6,-8,7,-11,10,-13,12,-15,14,-16],"scalar_kind":"int"}',
 }
 
 
@@ -345,6 +346,9 @@ CI_DOCS = {
     ("stp --op vv FX.hm FY.hm", "1f943a883f1c47213dfdf73d30a2f8b8"),
     # The CI step compares the text 15360000000000000000, 6·M² past 2**63; this is the md5 of its line.
     ("stp --op vv MX.hm MY.hm", "12cec223bd2ab232fac5b1d52179ffc4"),
+    ("ybe --r signed.hm --side lhs --method matrix", "ba34c0a1ec6eb7b97678684fc7c8a3fc"),
+    ("ybe --r signed.hm --side rhs --method matrix", "4dd40e3eb059875686e5b9f59d5d1eb9"),
+    ("ybe --r signed.hm --method matrix", "f319173c01cc489b4ce5975911b1a546"),
 ])
 def test_cli_output_has_the_ci_md5(tmp_path, capsys, argv, md5):
     # The in-process twin of a CI byte-stability step: OUT is the file written in place of /dev/stdout.

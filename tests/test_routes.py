@@ -93,7 +93,8 @@ def test_ybe_residual_computes_t_once(rng, monkeypatch):
         return contract(*args)
 
     monkeypatch.setattr(applications, "contract", spy)
-    ybe_residual(YbeInstance(3, random_hm(rng, (3,) * 4)))
+    # The stp route shares t between the sides; the matrix route makes no t.
+    ybe_residual(YbeInstance(3, random_hm(rng, (3,) * 4)), "stp")
     assert sorted(calls) == [((1, 2), (3, 4)), ((2, 6), (3, 4)), ((4,), (1,))]
 
 

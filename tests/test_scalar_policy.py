@@ -229,6 +229,13 @@ def test_each_raw_operand_is_scanned_once_and_nothing_the_library_made(monkeypat
         (lambda: eval_tensor(omega, [ints([1, 0])], [np.array([0.5, 1])]), [2]),
         (lambda: mm_stp(ints([1, 2]).reshape(1, 2), np.array([[0.5], [1.0]])), [2]),
     ]
+    # The bracket's structure expression is built, and scanned, on the first call alone.
+    gl2_bracket([[1, 0], [0, 1]], [[0, 1], [0, 0]])
+    calls += [
+        # Each matrix once, where it enters; its column stacking is not scanned again, past int64 too.
+        (lambda: gl2_bracket(ints([1, 2, 3, 4]).reshape(2, 2), [[0, 1], [0, 0]]), [4, 4]),
+        (lambda: gl2_bracket(ints([2 ** 70, 2, 3, 4]).reshape(2, 2), [[0.5, 1], [0, 0]]), [4, 4]),
+    ]
     scans, real = [], core._scanned
     monkeypatch.setattr(core, "_scanned", lambda arr: scans.append(arr.size) or real(arr))
     for call, want in calls:
