@@ -10,7 +10,6 @@ reported rather than trusted -- and rather than failing the build.
 
 from __future__ import annotations
 
-import difflib
 import itertools
 import json
 from dataclasses import dataclass
@@ -99,6 +98,8 @@ class TableReport:
 
     def diff_lines(self) -> list[str]:
         """Unified diff of published vs regenerated column indices."""
+        import difflib  # only a mismatch needs it, so importing the module does not load it
+
         pub = [str(c) for c in self.published]
         gen = [str(c) for c in self.generated]
         return list(difflib.unified_diff(pub, gen, "published", "generated", lineterm=""))

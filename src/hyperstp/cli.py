@@ -4,7 +4,9 @@ Subcommands: ``permmat``, ``transpose``, ``mexpr``, ``contract``,
 ``stp``, ``ybe``, ``verify-appendix``.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 verification failure.  All output is ASCII with
 ``.`` as the decimal separator and is byte-stable across runs; a warning
-goes to stderr as ``warning: <message>``.
+goes to stderr as ``warning: <message>``.  ``ybe`` and ``verify-appendix``
+import ``applications`` and ``appendix`` when they run, so no other
+command loads them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import warnings
 
 import numpy as np
 
-from .appendix import verification_ok, verify_appendix
-from .applications import YbeInstance, ybe_residual, ybe_sides
 from .contraction import _agreement_bound, contract
 from .core import Hypermatrix, _stored, same_kind
 from .expression import matrix_expression, sigma_transpose
@@ -200,6 +200,8 @@ def _cmd_stp(args) -> int:
 
 
 def _cmd_ybe(args) -> int:
+    from .applications import YbeInstance, ybe_residual, ybe_sides
+
     r = read_hm(args.r)
     inst = YbeInstance(r.dims[0] if r.dims else 1, r)
     if args.side:
@@ -210,6 +212,8 @@ def _cmd_ybe(args) -> int:
 
 
 def _cmd_verify_appendix(_args) -> int:
+    from .appendix import verification_ok, verify_appendix
+
     reports = verify_appendix()
     for rep in reports:
         line = f"{rep.status} d={rep.d} n={rep.n} label={rep.label} sigma={list(rep.sigma)}"

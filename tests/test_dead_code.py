@@ -1,8 +1,10 @@
 """Every module-level function and class in ``src/hyperstp`` has a user, and every import a reader.
 
-A definition counts as used when ``hyperstp/__init__`` imports it or any
-module of the package names it outside its own body.  Code that only
-tests call is dead to the library, and this test names it.  An import
+A definition counts as used when ``hyperstp/__init__`` exports it (imports
+it, or names it in ``_LAZY``, its table of names served on first use) or
+any module of the package names it outside its own body.  A module-level
+dunder such as ``__getattr__`` is called by Python, so it counts as used.
+Code that only tests call is dead to the library, and this test names it.  An import
 that its module never reads is named too, except in ``__init__`` (which
 re-exports) and on lines marked ``# noqa: F401``.
 """
@@ -25,14 +27,30 @@ def _names(node: ast.AST):
             yield sub.name
 
 
+def _lazy_exports(tree: ast.Module) -> list[str]:
+    """Every string in the ``_LAZY`` table: the names served on first use and their modules."""
+    tables = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_LAZY" for t in node.targets)
+    ]
+    strings = (c.value for table in tables for c in ast.walk(table) if isinstance(c, ast.Constant))
+    return [v for v in strings if isinstance(v, str)]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_module_level_definition_is_exported_or_used():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     refs = Counter(name for tree in trees.values() for name in _names(tree))
+    refs.update(_lazy_exports(trees["__init__.py"]))
     unused = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not _is_dunder(node.name)
         and refs[node.name] == Counter(_names(node))[node.name]
     ]
     assert unused == []
