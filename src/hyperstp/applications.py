@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint,
+    _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint, same_kind,
 )
 from .contraction import (
-    _EXPRESSION_NAMES, _fold_checked, contract, eval_multilinear_scalar, eval_multilinear_vector,
+    _EXPRESSION_NAMES, _fold, _fold_checked, contract, eval_multilinear_vector,
 )
 from .expression import MatrixExpression, vc, vcs, vr, vrs
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
@@ -162,7 +162,11 @@ def gl2_published_errata() -> list[dict]:
 
 @dataclass(frozen=True)
 class GamePayoff:
-    """Per-player payoff hypermatrices over the joint strategy space."""
+    """Per-player payoff hypermatrices over the joint strategy space.
+
+    Every payoff is a ``Hypermatrix`` of shape ``strategy_counts``, and all
+    are of one scalar kind: ``game_payoff`` folds them as one chain.
+    """
 
     strategy_counts: tuple[int, ...]
     payoffs: tuple[Hypermatrix, ...]
@@ -171,21 +175,32 @@ class GamePayoff:
         object.__setattr__(self, "strategy_counts", tuple(map(_checked_int, self.strategy_counts)))
         object.__setattr__(self, "payoffs", tuple(self.payoffs))
         for i, d in enumerate(self.payoffs, start=1):
+            if not isinstance(d, Hypermatrix):
+                raise TypeError(f"payoff {i} is a {type(d).__name__}, not a Hypermatrix")
             if d.dims != self.strategy_counts:
                 raise ValueError(f"payoff {i} has shape {d.dims}, expected {self.strategy_counts}")
+            same_kind(self.payoffs[0], d)
 
 
 def game_payoff(game: GamePayoff, xs: Sequence) -> list:
     """Expected payoff of every player under the given strategy vectors.
 
-    Player i's payoff is ``sum_{s_1..s_N} d_i[s_1, ..., s_N] x_1[s_1] ... x_N[s_N]``.
-    Pure strategies are basis vectors (the evaluation then reads entries
-    directly); mixed strategies are arbitrary distributions.
+    Player i's payoff is ``sum_{s_1..s_N} d_i[s_1, ..., s_N] x_1[s_1] ... x_N[s_N]``,
+    the structure row V_i folded as ``V_i ⋉ x_1 ⋉ ... ⋉ x_N``.  The rows
+    stack into the game's structure matrix, one row per payoff, which is
+    folded once: each strategy vector is checked once, whatever the number
+    of players, and the chain's first tier comes from the largest kept
+    magnitude.  Pure strategies are basis vectors (the evaluation then
+    reads entries directly); mixed strategies are arbitrary distributions.
     """
     xs = list(xs)
     if len(xs) != len(game.strategy_counts):
         raise ValueError(f"{len(xs)} strategy vectors for {len(game.strategy_counts)} players")
-    return [eval_multilinear_scalar(d, xs) for d in game.payoffs]
+    if not game.payoffs:
+        return []
+    mags = [d._max_abs() for d in game.payoffs]
+    structure = np.stack([d._flat() for d in game.payoffs])
+    return list(_fold(structure, game.payoffs[0].kind, xs, game.strategy_counts, None if None in mags else max(mags)))
 
 
 # -- Yang-Baxter -----------------------------------------------------------
@@ -223,7 +238,7 @@ def ybe_sides(inst: YbeInstance, side: str, method: str = "matrix") -> Hypermatr
     ``t (2,6)x(3,4) r`` for the left side and ``r (1,2)x(3,4) t`` for
     the right.  The routes agree entry for entry on int data.
     """
-    side = side.lower()
+    side = side.lower() if isinstance(side, str) else side
     if side not in ("lhs", "rhs"):
         raise ValueError(f"side must be 'lhs' or 'rhs', got {side!r}")
     return _ybe_sides(inst.r, (side,), method)[0]

@@ -27,10 +27,12 @@ table from method name to route: ``onto_contract`` and the Yang-Baxter sides'
 checks in ``applications`` call it, that module reads its expression-route
 names to pick its own chain, and the block operators chain the
 expression route.  Rank-one hypervectors and multilinear evaluation
-complete the module: a semi-tensor chain (``_fold``) runs on the
-evaluated value's store or expression's matrix, checks each raw argument
-once, keeps each int product in its tier between steps and widens once,
-at the end.  Each route fills its result unscanned.
+complete the module: one column chain (``_fold``, ``acc ⋉ x_1 ⋉ ... ⋉
+x_k``) runs on the evaluated value's store, an expression's matrix or a
+game's stacked payoff stores (``applications.game_payoff``), checks each
+raw argument once, keeps each int product in its tier between steps and
+widens once, at the end; a mixed tensor is the scalar form on its r + s
+slots.  Each route fills its result unscanned.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .core import (
     Hypermatrix, _check_budget, _checked_int, _owned, _stored, as_scalars_joint, check_dims, checked_product,
     same_kind, widen,
 )
-from .expression import MatrixExpression, _laid_out, _lay_out
+from .expression import MatrixExpression, _laid_out
 # build_perm_matrix stays bound here for perfbench/smoke.py, which checks that
 # the benchmark's tracer patches it in every module that binds it.
 from .permutation import _relayout, build_perm_matrix  # noqa: F401
@@ -260,14 +262,15 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     return _stored(dims, kron_chain(factors), kind)
 
 
-def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.ndarray:
-    """Semi-tensor chain ``rows ⋉ acc ⋉ x_1 ⋉ ... ⋉ x_d`` on the store ``acc``, widened once.
+def _fold(acc, kind: str, xs, dims, m_acc: int | None = None) -> np.ndarray:
+    """Semi-tensor chain ``acc ⋉ x_1 ⋉ ... ⋉ x_d`` on the store ``acc``, widened once.
 
-    Argument column k must have length ``dims[k]``; each peels one axis.
-    The raw factors (the row factors ``rows`` and the arguments) are
+    ``acc`` has one row per result entry (a flat store, an expression's
+    matrix, a game's stacked payoffs) and argument column k, of length
+    ``dims[k]``, peels one axis off every row.  The raw arguments are
     checked once, by ``as_scalars_joint``, which also decides the chain's
     kind from theirs and the store's ``kind``; ``acc``, checked or made by
-    the library, converts directly, and only when a float factor puts an
+    the library, converts directly, and only when a float argument puts an
     int chain on binary64.  Each step is one ``_stp_dot`` whose ``narrow``
     picks the tier (the first from ``acc``'s kept magnitude ``m_acc``), and
     an int product stays int64, or Python ints past it, until the chain
@@ -276,28 +279,23 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None, rows=()) -> np.nda
     xs = list(xs)
     if len(xs) != len(dims):
         raise ValueError(f"{len(xs)} arguments for {len(dims)} axes")
-    raw, chain = as_scalars_joint(*rows, *xs, kind=kind)
-    s = len(rows)
-    for k, (n, x) in enumerate(zip(dims, raw[s:]), start=1):
+    xs, chain = as_scalars_joint(*xs, kind=kind)
+    for k, (n, x) in enumerate(zip(dims, xs), start=1):
         if x.size != n:
             raise ValueError(f"argument {k} has length {x.size}, expected {n}")
-    return _fold_checked(acc, kind, chain, raw[s:], m_acc, raw[:s])
+    return _fold_checked(acc, kind, chain, xs, m_acc)
 
 
-def _fold_checked(acc, kind: str, chain: str, xs, m_acc: int | None = None, rows=()) -> np.ndarray:
-    """``_fold`` past its check: the factors are already on the backend ``chain`` and of the right lengths.
+def _fold_checked(acc, kind: str, chain: str, xs, m_acc: int | None = None) -> np.ndarray:
+    """``_fold`` past its check: the arguments are already on the backend ``chain`` and of the right lengths.
 
     The one way in for arguments a caller checked itself
     (``applications.gl2_bracket``), so they are not read a second time.
     """
     if chain != kind:
         acc = acc.astype(np.float64)
-    s = len(rows)
-    factors = [w.reshape(1, -1) for w in rows] + [acc] + [x.reshape(-1, 1) for x in xs]
-    mags = [None] * s + [m_acc] + [None] * len(xs)
-    acc, m_acc = factors[0], mags[0]
-    for f, m in zip(factors[1:], mags[1:]):
-        acc, m_acc = _stp_dot(acc, f, m_acc, m), None
+    for x in xs:
+        acc, m_acc = _stp_dot(acc, x.reshape(-1, 1), m_acc), None
     return widen(acc.reshape(-1))
 
 
@@ -324,13 +322,12 @@ def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:
 
 
 def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
-    """Mixed tensor evaluation through the general matrix expression.
+    """Mixed tensor evaluation: the scalar multilinear form on its r + s slots.
 
     ``omega`` has order r+s over one dimension n, with the first r axes
     fed by column vectors and the last s by row covectors, so the value is
-    ``sum_{i,j} omega[i_1..i_r, j_1..j_s] x_1[i_1] ... x_r[i_r] w_1[j_1] ... w_s[j_s]``.
-    The covector chain is folded right to left (a row semi-tensor chain
-    reverses the Kronecker order) around the expression of ``omega``'s store.
+    ``sum_{i,j} omega[i_1..i_r, j_1..j_s] x_1[i_1] ... x_r[i_r] w_1[j_1] ... w_s[j_s]``,
+    which is ``eval_multilinear_scalar(omega, vectors + covectors)``.
     """
     covectors, vectors = list(covectors), list(vectors)
     r, s = len(vectors), len(covectors)
@@ -338,12 +335,7 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
         raise ValueError(f"order {omega.order} tensor with {r} vectors and {s} covectors")
     if omega.order and len(set(omega.dims)) != 1:
         raise ValueError(f"shape {omega.dims} is not hypercubic")
-    n = omega.dims[0] if omega.order else 1
-    for w in covectors:
-        if np.size(w) != n:
-            raise ValueError(f"argument of length {np.size(w)}, expected {n}")
-    mat = _lay_out(omega._flat(), omega.dims, tuple(range(r + 1, r + s + 1)), tuple(range(1, r + 1)))
-    return _fold(mat, omega.kind, vectors, (n,) * r, omega._max_abs(), covectors[::-1])[0]
+    return eval_multilinear_scalar(omega, vectors + covectors)
 
 
 # -- block operators -----------------------------------------------------

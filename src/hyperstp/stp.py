@@ -164,7 +164,7 @@ def vec_oplus(x, y, sign: int = +1) -> np.ndarray:
     Both vectors are ones-replicated up to the lcm of their lengths and
     then combined entrywise.
     """
-    if sign not in (+1, -1):
+    if _checked_int(sign) not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     x, y, _ = _vectors(x, y)
     t = _checked_lcm(x.size, y.size)

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from hyperstp import (
     YbeInstance,
     cross_product,
     cross_product_expression,
+    eval_multilinear_scalar,
     game_payoff,
     gl2_bracket,
     gl2_published_errata,
@@ -24,7 +26,7 @@ from hyperstp import (
     ybe_sides,
 )
 
-from conftest import assert_same_result, basis_vec, random_hm, signed, stp_chain
+from conftest import assert_same_result, basis_vec, random_hm, signed, stp_chain, tier_values
 
 
 def classical_cross(x, y):
@@ -184,11 +186,51 @@ def test_game_payoff_reads_each_payoff_store_unwidened(rng, monkeypatch):
     monkeypatch.setattr(core, "_scanned", lambda arr: (seen.append(arr.size), scanned(arr))[1])
     got = game_payoff(game, xs)
     monkeypatch.undo()
-    # Each player's chain scans the three strategies, and no payoff store is widened.
-    assert seen == [4, 5, 3] * 2
+    # One chain for both players scans each strategy once, and no payoff store is widened.
+    assert seen == [4, 5, 3]
     assert all(p._data is None for p in game.payoffs)
     expected = [int(np.einsum("abc,a,b,c->", p, *(x.astype(np.int64) for x in xs))) for p in payoffs_np]
     assert got == expected and all(type(v) is int for v in got)
+
+
+@st.composite
+def games(draw):
+    """1-4 int payoffs over an order 1-4 shape, each from its own ``tier_values`` family, and strategies."""
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    size = math.prod(counts)
+    payoffs = tuple(
+        Hypermatrix(counts, draw(st.lists(draw(tier_values()), min_size=size, max_size=size)))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    entries = st.floats(-9, 9) if draw(st.booleans()) else draw(tier_values())
+    return GamePayoff(counts, payoffs), [draw(st.lists(entries, min_size=n, max_size=n)) for n in counts]
+
+
+@settings(max_examples=80, deadline=None)
+@given(games())
+def test_one_chain_equals_a_chain_per_player(case):
+    # int64 and past-int64 stores mix across players, so the stacked structure matrix can take any tier.
+    game, xs = case
+    got = game_payoff(game, xs)
+    want = [eval_multilinear_scalar(d, xs) for d in game.payoffs]
+    if all(type(v) is int for v in want):
+        assert got == want and all(type(v) is int for v in got)
+    else:
+        scale = [eval_multilinear_scalar(Hypermatrix(game.strategy_counts, np.abs(d.data)), [np.abs(x) for x in xs])
+                 for d in game.payoffs]
+        assert all(abs(a - b) <= 1e-9 * max(1, float(m)) for a, b, m in zip(got, want, scale))
+
+
+def test_a_game_is_of_one_kind_and_may_have_no_payoffs():
+    ints, floats = Hypermatrix((2,), [1, 2]), Hypermatrix((2,), [1.0, 2.0])
+    with pytest.raises(ValueError, match="^scalar kind mismatch: int vs float$"):
+        GamePayoff((2,), (ints, floats))
+    with pytest.raises(TypeError, match="^payoff 2 is a list, not a Hypermatrix$"):
+        GamePayoff((2,), (ints, [1, 2]))
+    empty = GamePayoff((2, 3), ())
+    assert game_payoff(empty, [[1, 2], [1, 2, 3]]) == []
+    with pytest.raises(ValueError, match="^1 strategy vectors for 2 players$"):
+        game_payoff(empty, [[1, 2]])
 
 
 @pytest.mark.parametrize("kind", ["int", "float"])
@@ -220,6 +262,13 @@ def test_ybe_methods_agree_exact_int(rng):
             inst = YbeInstance(n, r)
             for side in ("lhs", "rhs"):
                 assert ybe_sides(inst, side, "matrix") == ybe_sides(inst, side, "bruteforce")
+
+
+def test_ybe_side_must_be_named():
+    inst = YbeInstance(2, Hypermatrix.zeros((2,) * 4))
+    for bad in (None, "middle"):
+        with pytest.raises(ValueError, match=f"^side must be 'lhs' or 'rhs', got {bad!r}$"):
+            ybe_sides(inst, bad)
 
 
 def test_ybe_stp_route_matches_matrix_route(rng):

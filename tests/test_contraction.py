@@ -615,16 +615,15 @@ def test_chains_match_the_public_stp_fold(case):
     pi = Hypermatrix(dims, draw(size_of(dims)), kind)
     xs = [draw(n) for n in dims]
     cols = [x.reshape(-1, 1) for x in xs]
+    ref = stp_chain([pi.data.reshape(1, -1)] + cols)[0]
     got = eval_multilinear_scalar(pi, [list(x) for x in xs])
-    assert_same_result(got, stp_chain([pi.data.reshape(1, -1)] + cols)[0], kind)
+    assert_same_result(got, ref, kind)
     m = matrix_expression(pi, rows=(1,))
     assert_same_result(eval_multilinear_vector(m, xs[1:]), stp_chain([m.mat] + cols[1:]), kind)
     if len(set(dims)) == 1:
-        # The first r axes take vectors, the rest covectors, folded in right to left.
+        # The first r axes take vectors, the rest covectors: the scalar form on all r + s slots.
         r = int(rng.integers(0, len(dims) + 1))
-        m = matrix_expression(pi, rows=tuple(range(r + 1, len(dims) + 1)), cols=tuple(range(1, r + 1)))
-        rows = [w.reshape(1, -1) for w in xs[r:][::-1]]
-        assert_same_result(eval_tensor(pi, xs[r:], xs[:r]), stp_chain(rows + [m.mat] + cols[:r])[0], kind)
+        assert_same_result(eval_tensor(pi, xs[r:], xs[:r]), ref, kind)
 
 
 def test_int_chain_crosses_every_tier(monkeypatch):

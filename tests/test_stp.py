@@ -211,6 +211,16 @@ def test_vec_oplus_examples():
     assert list(vec_oplus(x, x, -1)) == [0, 0]
 
 
+def test_vec_oplus_sign_is_an_integer():
+    # True and 1.0 once added as +1.
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match=f"^{bad!r} is not an integer$"):
+            vec_oplus([1], [2], bad)
+    assert list(vec_oplus([1], [2], np.int64(-1))) == [-1]
+    with pytest.raises(ValueError, match="sign must be"):
+        vec_oplus([1], [2], 2)
+
+
 def test_vec_oplus_commutes(rng):
     x = np.array([int(v) for v in rng.integers(-9, 10, 4)], dtype=object)
     y = np.array([int(v) for v in rng.integers(-9, 10, 6)], dtype=object)
