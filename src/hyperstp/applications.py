@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint, same_kind,
+    _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint,
 )
 from .contraction import (
     _EXPRESSION_NAMES, _fold, _fold_checked, contract, eval_multilinear_vector,
@@ -164,8 +164,8 @@ def gl2_published_errata() -> list[dict]:
 class GamePayoff:
     """Per-player payoff hypermatrices over the joint strategy space.
 
-    Every payoff is a ``Hypermatrix`` of shape ``strategy_counts``, and all
-    are of one scalar kind: ``game_payoff`` folds them as one chain.
+    Every payoff is a ``Hypermatrix`` of shape ``strategy_counts``; payoffs
+    whose stores are alike are folded by ``game_payoff`` as one chain.
     """
 
     strategy_counts: tuple[int, ...]
@@ -179,7 +179,6 @@ class GamePayoff:
                 raise TypeError(f"payoff {i} is a {type(d).__name__}, not a Hypermatrix")
             if d.dims != self.strategy_counts:
                 raise ValueError(f"payoff {i} has shape {d.dims}, expected {self.strategy_counts}")
-            same_kind(self.payoffs[0], d)
 
 
 def game_payoff(game: GamePayoff, xs: Sequence) -> list:
@@ -187,20 +186,24 @@ def game_payoff(game: GamePayoff, xs: Sequence) -> list:
 
     Player i's payoff is ``sum_{s_1..s_N} d_i[s_1, ..., s_N] x_1[s_1] ... x_N[s_N]``,
     the structure row V_i folded as ``V_i ⋉ x_1 ⋉ ... ⋉ x_N``.  The rows
-    stack into the game's structure matrix, one row per payoff, which is
-    folded once: each strategy vector is checked once, whatever the number
-    of players, and the chain's first tier comes from the largest kept
-    magnitude.  Pure strategies are basis vectors (the evaluation then
+    whose stores share a kind and a dtype stack into a structure matrix,
+    one row per payoff, which is folded once, its first tier from the
+    largest kept magnitude: no store is widened to stack, and a game whose
+    stores are alike checks each strategy vector once, whatever the number
+    of players.  Pure strategies are basis vectors (the evaluation then
     reads entries directly); mixed strategies are arbitrary distributions.
     """
     xs = list(xs)
     if len(xs) != len(game.strategy_counts):
         raise ValueError(f"{len(xs)} strategy vectors for {len(game.strategy_counts)} players")
-    if not game.payoffs:
-        return []
-    mags = [d._max_abs() for d in game.payoffs]
-    structure = np.stack([d._flat() for d in game.payoffs])
-    return list(_fold(structure, game.payoffs[0].kind, xs, game.strategy_counts, None if None in mags else max(mags)))
+    groups, out = {}, {}
+    for i, d in enumerate(game.payoffs):
+        groups.setdefault((d.kind, d._flat().dtype), []).append(i)
+    for (kind, _), rows in groups.items():
+        mags = [game.payoffs[i]._max_abs() for i in rows]
+        structure = np.stack([game.payoffs[i]._flat() for i in rows])
+        out.update(zip(rows, _fold(structure, kind, xs, game.strategy_counts, None if None in mags else max(mags))))
+    return [out[i] for i in range(len(game.payoffs))]
 
 
 # -- Yang-Baxter -----------------------------------------------------------

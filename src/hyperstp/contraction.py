@@ -330,9 +330,8 @@ def eval_tensor(omega: Hypermatrix, covectors, vectors) -> object:
     which is ``eval_multilinear_scalar(omega, vectors + covectors)``.
     """
     covectors, vectors = list(covectors), list(vectors)
-    r, s = len(vectors), len(covectors)
-    if omega.order != r + s:
-        raise ValueError(f"order {omega.order} tensor with {r} vectors and {s} covectors")
+    if omega.order != len(vectors) + len(covectors):
+        raise ValueError(f"order {omega.order} tensor with {len(vectors)} vectors and {len(covectors)} covectors")
     if omega.order and len(set(omega.dims)) != 1:
         raise ValueError(f"shape {omega.dims} is not hypercubic")
     return eval_multilinear_scalar(omega, vectors + covectors)

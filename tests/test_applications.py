@@ -195,11 +195,12 @@ def test_game_payoff_reads_each_payoff_store_unwidened(rng, monkeypatch):
 
 @st.composite
 def games(draw):
-    """1-4 int payoffs over an order 1-4 shape, each from its own ``tier_values`` family, and strategies."""
+    """1-4 payoffs over an order 1-4 shape, each int from its own ``tier_values`` family or float, and strategies."""
     counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
     size = math.prod(counts)
     payoffs = tuple(
-        Hypermatrix(counts, draw(st.lists(draw(tier_values()), min_size=size, max_size=size)))
+        Hypermatrix(counts, draw(st.lists(draw(st.one_of(tier_values(), st.just(st.floats(-9, 9)))),
+                                          min_size=size, max_size=size)))
         for _ in range(draw(st.integers(1, 4)))
     )
     entries = st.floats(-9, 9) if draw(st.booleans()) else draw(tier_values())
@@ -209,22 +210,24 @@ def games(draw):
 @settings(max_examples=80, deadline=None)
 @given(games())
 def test_one_chain_equals_a_chain_per_player(case):
-    # int64 and past-int64 stores mix across players, so the stacked structure matrix can take any tier.
+    # int64, past-int64 and float stores mix across players, so each kind's structure matrix can take any tier.
     game, xs = case
     got = game_payoff(game, xs)
     want = [eval_multilinear_scalar(d, xs) for d in game.payoffs]
-    if all(type(v) is int for v in want):
-        assert got == want and all(type(v) is int for v in got)
-    else:
-        scale = [eval_multilinear_scalar(Hypermatrix(game.strategy_counts, np.abs(d.data)), [np.abs(x) for x in xs])
-                 for d in game.payoffs]
-        assert all(abs(a - b) <= 1e-9 * max(1, float(m)) for a, b, m in zip(got, want, scale))
+    assert len(got) == len(want)
+    for a, b, d in zip(got, want, game.payoffs):
+        if type(b) is int:
+            assert a == b and type(a) is int
+        else:
+            scale = eval_multilinear_scalar(Hypermatrix(d.dims, np.abs(d.data)), [np.abs(x) for x in xs])
+            assert abs(a - b) <= 1e-9 * max(1, float(scale))
 
 
-def test_a_game_is_of_one_kind_and_may_have_no_payoffs():
-    ints, floats = Hypermatrix((2,), [1, 2]), Hypermatrix((2,), [1.0, 2.0])
-    with pytest.raises(ValueError, match="^scalar kind mismatch: int vs float$"):
-        GamePayoff((2,), (ints, floats))
+def test_a_game_may_mix_kinds_and_may_have_no_payoffs():
+    # Each kind folds as its own chain, so an int player keeps an int result next to a float one.
+    ints, floats = Hypermatrix((2,), [1, 2]), Hypermatrix((2,), [0.5, 2.0])
+    got = game_payoff(GamePayoff((2,), (ints, floats, ints)), [[3, 1]])
+    assert got == [5, 3.5, 5] and [type(v) for v in got] == [int, np.float64, int]
     with pytest.raises(TypeError, match="^payoff 2 is a list, not a Hypermatrix$"):
         GamePayoff((2,), (ints, [1, 2]))
     empty = GamePayoff((2, 3), ())

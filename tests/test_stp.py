@@ -212,7 +212,7 @@ def test_vec_oplus_examples():
 
 
 def test_vec_oplus_sign_is_an_integer():
-    # True and 1.0 once added as +1.
+    # True and 1.0 once added as +1.  The slot refuses 2, so it cannot join test_core's INDEX_ENTRIES table.
     for bad in (True, 1.0):
         with pytest.raises(TypeError, match=f"^{bad!r} is not an integer$"):
             vec_oplus([1], [2], bad)

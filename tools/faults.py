@@ -2,9 +2,8 @@
 
 Run from the root of a checkout:
 
-    python3 tools/faults.py                  # every case, 2000 ops each
+    python3 tools/faults.py              # every case, 2000 ops each
     python3 tools/faults.py --ops 5000
-    python3 tools/faults.py --tiny --ops 3   # small shapes, a quick check
 
 Each case runs ``--ops`` ops in a loop shaped like the benchmark's: the
 operands are built fresh for every op (a fresh int R in [-9, 9] for the
@@ -16,10 +15,13 @@ case:
 * ``p50_us``, ``p90_us``: percentiles of the per-op call time;
 * ``minflt_per_op``: ``ru_minflt`` over the whole loop, building
   included, divided by the number of ops;
-* ``peak_results``: the ``tracemalloc`` peak of one extra call (its
-  operands built before tracing starts) divided by ``result_bytes``, the
-  size of the op's result store (for the residual, one side's).  Every
-  result-sized buffer the op holds at once counts one.
+* ``peak_bytes``: the ``tracemalloc`` peak of one extra call, its
+  operands built before tracing starts;
+* ``peak_results``: ``peak_bytes`` divided by ``result_bytes``, the size
+  of the op's result store as int64 (for the residual, one side's), so
+  every result-sized buffer the op holds at once counts one.  Both are
+  null for ``game_payoff`` and ``eval_tensor``, whose results are Python
+  scalars, not a store.
 
 BLAS is pinned to one thread before numpy loads, and the package is
 imported from this checkout's ``src``.
@@ -76,7 +78,7 @@ def _game(counts: tuple[int, ...], players: int):
         xs = [_ints(rng, n) for n in counts]
         return lambda: hs.game_payoff(game, xs)
 
-    return make, players * 8
+    return make, None
 
 
 def _tensor(n: int, r: int, s: int):
@@ -87,22 +89,19 @@ def _tensor(n: int, r: int, s: int):
         vectors, covectors = [_ints(rng, n) for _ in range(r)], [_ints(rng, n) for _ in range(s)]
         return lambda: hs.eval_tensor(omega, covectors, vectors)
 
-    return make, 8
+    return make, None
 
 
-def cases(tiny: bool) -> dict:
-    """Each case's op maker and result size, at full or at tiny shapes."""
-    n4, n6 = (2, 3) if tiny else (4, 6)
-    return {
-        "ybe_matrix_n4": _ybe(n4, False),
-        "ybe_matrix_n6": _ybe(n6, False),
-        "ybe_residual_n4": _ybe(n4, True),
-        "game_payoff": _game((2, 3), 2) if tiny else _game((4, 5, 3), 3),
-        "eval_tensor": _tensor(2, 1, 1) if tiny else _tensor(6, 2, 3),
-    }
+CASES = {
+    "ybe_matrix_n4": _ybe(4, False),
+    "ybe_matrix_n6": _ybe(6, False),
+    "ybe_residual_n4": _ybe(4, True),
+    "game_payoff": _game((4, 5, 3), 3),
+    "eval_tensor": _tensor(6, 2, 3),
+}
 
 
-def measure(name: str, make, result_bytes: int, ops: int) -> dict:
+def measure(name: str, make, result_bytes: int | None, ops: int) -> dict:
     rng = np.random.default_rng(1)
     make(rng, 0)()  # warm-up: first-use imports and memos stay out of the counts
     times = []
@@ -129,19 +128,19 @@ def measure(name: str, make, result_bytes: int, ops: int) -> dict:
         "p50_us": round(statistics.median(times) * 1e6, 2),
         "p90_us": round(deciles[8] * 1e6, 2),
         "minflt_per_op": round(faults / ops, 2),
+        "peak_bytes": peak,
         "result_bytes": result_bytes,
-        "peak_results": round(peak / result_bytes, 2),
+        "peak_results": round(peak / result_bytes, 2) if result_bytes else None,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ops", type=int, default=2000, help="ops per case (default 2000)")
-    parser.add_argument("--tiny", action="store_true", help="small shapes, for a quick check")
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be at least 1")
-    for name, (make, result_bytes) in cases(args.tiny).items():
+    for name, (make, result_bytes) in CASES.items():
         print(json.dumps(measure(name, make, result_bytes, args.ops)), flush=True)
     return 0
 
