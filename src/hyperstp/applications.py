@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint,
+    check_dims,
 )
 from .contraction import (
     _EXPRESSION_NAMES, _fold, _fold_checked, contract, eval_multilinear_vector,
@@ -164,7 +165,8 @@ def gl2_published_errata() -> list[dict]:
 class GamePayoff:
     """Per-player payoff hypermatrices over the joint strategy space.
 
-    Every payoff is a ``Hypermatrix`` of shape ``strategy_counts``; payoffs
+    Every strategy count is a positive integer (``core.check_dims``) and
+    every payoff a ``Hypermatrix`` of shape ``strategy_counts``; payoffs
     whose stores are alike are folded by ``game_payoff`` as one chain.
     """
 
@@ -172,7 +174,7 @@ class GamePayoff:
     payoffs: tuple[Hypermatrix, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "strategy_counts", tuple(map(_checked_int, self.strategy_counts)))
+        object.__setattr__(self, "strategy_counts", check_dims(self.strategy_counts))
         object.__setattr__(self, "payoffs", tuple(self.payoffs))
         for i, d in enumerate(self.payoffs, start=1):
             if not isinstance(d, Hypermatrix):
@@ -187,11 +189,11 @@ def game_payoff(game: GamePayoff, xs: Sequence) -> list:
     Player i's payoff is ``sum_{s_1..s_N} d_i[s_1, ..., s_N] x_1[s_1] ... x_N[s_N]``,
     the structure row V_i folded as ``V_i ⋉ x_1 ⋉ ... ⋉ x_N``.  The rows
     whose stores share a kind and a dtype stack into a structure matrix,
-    one row per payoff, which is folded once, its first tier from the
-    largest kept magnitude: no store is widened to stack, and a game whose
-    stores are alike checks each strategy vector once, whatever the number
-    of players.  Pure strategies are basis vectors (the evaluation then
-    reads entries directly); mixed strategies are arbitrary distributions.
+    one row per payoff, which is folded once: no store is widened to
+    stack, and a game whose stores are alike checks each strategy vector
+    once, whatever the number of players.  Pure strategies are basis
+    vectors (the evaluation then reads entries directly); mixed strategies
+    are arbitrary distributions.
     """
     xs = list(xs)
     if len(xs) != len(game.strategy_counts):
@@ -200,9 +202,8 @@ def game_payoff(game: GamePayoff, xs: Sequence) -> list:
     for i, d in enumerate(game.payoffs):
         groups.setdefault((d.kind, d._flat().dtype), []).append(i)
     for (kind, _), rows in groups.items():
-        mags = [game.payoffs[i]._max_abs() for i in rows]
         structure = np.stack([game.payoffs[i]._flat() for i in rows])
-        out.update(zip(rows, _fold(structure, kind, xs, game.strategy_counts, None if None in mags else max(mags))))
+        out.update(zip(rows, _fold(structure, kind, xs, game.strategy_counts)))
     return [out[i] for i in range(len(game.payoffs))]
 
 
@@ -218,6 +219,8 @@ class YbeInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _checked_int(self.n))
+        if not isinstance(self.r, Hypermatrix):
+            raise TypeError(f"r is a {type(self.r).__name__}, not a Hypermatrix")
         if self.r.dims != (self.n,) * 4:
             raise ValueError(f"shape {self.r.dims} is not ({self.n},)*4")
 
@@ -301,9 +304,9 @@ def ybe_residual(inst: YbeInstance, method: str = "matrix"):
     """Largest absolute entry of LHS minus RHS, both sides by ``ybe_sides(..., method)``.
 
     When both hold int64 forms whose difference cannot wrap
-    (``max|lhs| + max|rhs| <= 2**63 - 1``, read from their kept
-    magnitudes), it is taken in int64, in one buffer, and returned as a
-    Python int; otherwise over ``data``.
+    (``max|lhs| + max|rhs| <= 2**63 - 1``, each measured from its int64
+    form), it is taken in int64, in one buffer, and returned as a Python
+    int; otherwise over ``data``.
     """
     lhs, rhs = _ybe_sides(inst.r, ("lhs", "rhs"), method)
     ma, mb = lhs._max_abs(), rhs._max_abs()

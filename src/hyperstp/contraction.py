@@ -15,12 +15,12 @@ the layout, which the expression route then copies straight into the
 tier's dtype; a float64 product is cast back to int64 in its own
 buffer.  Every int value that fits int64 holds only its int64 form,
 and the next product on either route reads it instead of scanning and
-re-casting ``data``; each value's ``max|v|`` is kept too, so no product
-measures it twice.  What a pairing fixes whatever the values (the checked
-axes, the output dims, the inner size and both operands' transpose orders
-and matrix shapes) is planned once per (dims, dims, axes, axes) key by
-``_plan`` and kept in a bounded memo, so a small product pays for its
-arithmetic, not for re-deriving its layout.  The plan also checks the
+re-casting ``data``; ``narrow`` measures both forms, on every product,
+and no value keeps a magnitude.  What a pairing fixes whatever the
+values (the checked axes, the output dims, the inner size and both
+operands' transpose orders and matrix shapes) is planned once per (dims,
+dims, axes, axes) key by ``_plan`` and kept in a bounded memo, so a
+small product pays for its arithmetic, not for re-deriving its layout.  The plan also checks the
 result's size against ``core.MAX_ENTRIES``, so all three routes refuse
 the same pairings before allocating anything.  ``contract`` is the one
 table from method name to route: ``onto_contract`` and the Yang-Baxter sides'
@@ -169,9 +169,9 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
     listed order) as columns, ``b`` the other way round, multiplies, and
     reads the product off as the output's row-major data.  The pairing's
     plan (``_plan``) gives both layouts; the tier is picked from the
-    operands' int64 forms and kept magnitudes (``Hypermatrix._flat``,
-    ``Hypermatrix._max_abs``) and each is laid out straight in the tier's
-    dtype; an int64 product is kept as the result's int64 form.
+    operands' int64 forms (``Hypermatrix._flat``), measured by ``narrow``,
+    and each is laid out straight in the tier's dtype; an int64 product is
+    kept as the result's int64 form.
     """
     p = _layout(a, b, a_axes, b_axes)
 
@@ -179,7 +179,7 @@ def contract_via_expression(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> H
         fa = _laid_out(fa, a.dims, p.a_order, p.a_shape, dtype)
         return np.dot(fa, _laid_out(fb, b.dims, p.b_order, p.b_shape, dtype))
 
-    out = checked_product(dot, a._flat(), b._flat(), p.inner, a._max_abs(), b._max_abs())
+    out = checked_product(dot, a._flat(), b._flat(), p.inner)
     return _stored(p.out_dims, out, a.kind)
 
 
@@ -189,13 +189,13 @@ def _contract_stp(a: Hypermatrix, b: Hypermatrix, a_axes, b_axes) -> Hypermatrix
     ``M_A`` is a's data re-laid to ``a_free + a_axes`` with one row per
     free index, ``V(B)`` b's data re-laid to ``b_axes + b_free`` as one
     column; their product is the output data, already in order.  ``M_A``
-    has K columns, so like the expression route it takes K's tier and
-    reads and keeps int64 forms; the gathers keep their sources' magnitudes.
+    has K columns, so like the expression route it takes K's tier, read
+    from the gathered int64 forms, and keeps an int64 product.
     """
     p = _layout(a, b, a_axes, b_axes)
     m_a = _relayout(a._flat(), a.dims, tuple(range(1, a.order + 1)), p.a_free + p.a_axes).reshape(p.a_shape)
     v_b = _relayout(b._flat(), b.dims, tuple(range(1, b.order + 1)), p.b_axes + p.b_free).reshape(-1, 1)
-    return _stored(p.out_dims, _stp_dot(m_a, v_b, a._max_abs(), b._max_abs()), a.kind)
+    return _stored(p.out_dims, _stp_dot(m_a, v_b), a.kind)
 
 
 # The names of the expression route, which ``applications`` also reads to pick the Yang-Baxter chain.
@@ -262,7 +262,7 @@ def hypervector_expand(factors, kind: str | None = None) -> Hypermatrix:
     return _stored(dims, kron_chain(factors), kind)
 
 
-def _fold(acc, kind: str, xs, dims, m_acc: int | None = None) -> np.ndarray:
+def _fold(acc, kind: str, xs, dims) -> np.ndarray:
     """Semi-tensor chain ``acc ⋉ x_1 ⋉ ... ⋉ x_d`` on the store ``acc``, widened once.
 
     ``acc`` has one row per result entry (a flat store, an expression's
@@ -272,9 +272,8 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None) -> np.ndarray:
     kind from theirs and the store's ``kind``; ``acc``, checked or made by
     the library, converts directly, and only when a float argument puts an
     int chain on binary64.  Each step is one ``_stp_dot`` whose ``narrow``
-    picks the tier (the first from ``acc``'s kept magnitude ``m_acc``), and
-    an int product stays int64, or Python ints past it, until the chain
-    ends.
+    picks the tier from both factors, and an int product stays int64, or
+    Python ints past it, until the chain ends.
     """
     xs = list(xs)
     if len(xs) != len(dims):
@@ -283,10 +282,10 @@ def _fold(acc, kind: str, xs, dims, m_acc: int | None = None) -> np.ndarray:
     for k, (n, x) in enumerate(zip(dims, xs), start=1):
         if x.size != n:
             raise ValueError(f"argument {k} has length {x.size}, expected {n}")
-    return _fold_checked(acc, kind, chain, xs, m_acc)
+    return _fold_checked(acc, kind, chain, xs)
 
 
-def _fold_checked(acc, kind: str, chain: str, xs, m_acc: int | None = None) -> np.ndarray:
+def _fold_checked(acc, kind: str, chain: str, xs) -> np.ndarray:
     """``_fold`` past its check: the arguments are already on the backend ``chain`` and of the right lengths.
 
     The one way in for arguments a caller checked itself
@@ -295,7 +294,7 @@ def _fold_checked(acc, kind: str, chain: str, xs, m_acc: int | None = None) -> n
     if chain != kind:
         acc = acc.astype(np.float64)
     for x in xs:
-        acc, m_acc = _stp_dot(acc, x.reshape(-1, 1), m_acc), None
+        acc = _stp_dot(acc, x.reshape(-1, 1))
     return widen(acc.reshape(-1))
 
 
@@ -306,7 +305,7 @@ def eval_multilinear_scalar(pi: Hypermatrix, xs) -> object:
     columns peels one axis per factor; with basis arguments it reads the
     coefficient entries straight off.
     """
-    return _fold(pi._flat().reshape(1, -1), pi.kind, xs, pi.dims, pi._max_abs())[0]
+    return _fold(pi._flat().reshape(1, -1), pi.kind, xs, pi.dims)[0]
 
 
 def eval_multilinear_vector(m: MatrixExpression, xs) -> np.ndarray:

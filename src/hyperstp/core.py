@@ -38,10 +38,9 @@ holds.  Every value, built or a library result, is filled by one step,
 ``Hypermatrix._filled``: an int value holds one store, its read-only
 int64 form when every entry fits int64, else its object array of Python
 ints.  Products, gathers, comparisons and one-entry reads read the store;
-only ``data``, ``nd`` and ``repr`` widen an int64 form, once.  A value's
-``max|v|`` has one writer, ``Hypermatrix._max_abs``, at its first
-product; ``checked_product`` hands it to ``narrow``, so a value is
-measured once however many products read it.
+only ``data``, ``nd`` and ``repr`` widen an int64 form, once.  No value
+keeps its ``max|v|``: ``narrow`` measures both int64 factors of every
+product, and only ``core`` measures a magnitude.
 
 One entry budget, ``MAX_ENTRIES``, bounds every array the library sizes
 from its inputs rather than from data it was given: a permutation or
@@ -263,9 +262,7 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
-def narrow(
-    a: np.ndarray, b: np.ndarray, inner: int, ma: int | None = None, mb: int | None = None
-) -> tuple[np.ndarray, np.ndarray, type]:
+def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.ndarray, type]:
     """Both factors of a product, and the narrowest scalar type that keeps it exact.
 
     For int factors whose products sum ``inner`` terms at most, the bound
@@ -280,10 +277,8 @@ def narrow(
     The thresholds are ``_tier``'s, the one place a bound becomes a tier,
     and ``narrow`` only chooses: it trusts its callers, whose factors ``as_scalars`` checked where they
     entered (a value's data at its constructor, a raw operand at the call
-    that takes it), so an object factor holds Python ints.  ``ma`` and
-    ``mb`` are ``max|a|`` and ``max|b|`` of int64 factors whose value
-    keeps them (``Hypermatrix._max_abs``); a factor without one is
-    measured here.
+    that takes it), so an object factor holds Python ints.  Both int64
+    factors are measured here, on every call.
     Int factors come back int64 or as Python ints, not yet in the tier's
     dtype: the caller lays them out in that dtype, so the cast costs no
     pass of its own.  Float factors come back untouched, with float64.
@@ -294,8 +289,7 @@ def narrow(
         a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     except OverflowError:
         return a, b, object
-    bound = (_magnitude(a) if ma is None else ma) * (_magnitude(b) if mb is None else mb) * inner
-    return a, b, _tier(bound)
+    return a, b, _tier(_magnitude(a) * _magnitude(b) * inner)
 
 
 def _tier(bound: int) -> type:
@@ -318,9 +312,7 @@ def _float64_ints(out: np.ndarray) -> np.ndarray:
     return ints.reshape(out.shape)
 
 
-def checked_product(
-    op, a: np.ndarray, b: np.ndarray, inner: int, ma: int | None = None, mb: int | None = None
-) -> np.ndarray:
+def checked_product(op, a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
     """``op(a, b, dtype)``, the product computed in the dtype ``narrow`` picks for sums of ``inner`` terms.
 
     ``op`` receives the factors as ``narrow`` returns them and must
@@ -328,10 +320,9 @@ def checked_product(
     products come back int64 or as Python ints, not widened: a
     float64-tier product holds integers of magnitude at most 2**53 and
     is cast back to int64 exactly, inside the buffer ``op`` returned.
-    Float factors multiply as they are.  ``ma`` and ``mb`` are the
-    factors' kept magnitudes, if any, handed to ``narrow``.
+    Float factors multiply as they are.
     """
-    na, nb, dtype = narrow(a, b, inner, ma, mb)
+    na, nb, dtype = narrow(a, b, inner)
     out = op(na, nb, dtype)
     if dtype is np.float64 and a.dtype.kind != "f":
         return _float64_ints(out)
@@ -393,11 +384,10 @@ class Hypermatrix(_Frozen):
     value holds one store (``_flat``): its read-only int64 form
     (``_int64``) when every entry fits int64, else the object array of
     Python ints (``_data``).  Over an int64 form, ``data`` is a cache,
-    widened on first read.  ``max |v|`` of the int64 form (``_max``) and
-    the hash are computed on first use and kept.
+    widened on first read; the hash is computed on first use and kept.
     """
 
-    __slots__ = ("dims", "_data", "kind", "_int64", "_max", "_hash")
+    __slots__ = ("dims", "_data", "kind", "_int64", "_hash")
 
     def __init__(self, dims, data, kind: str | None = None):
         dims = check_dims(dims)
@@ -427,10 +417,10 @@ class Hypermatrix(_Frozen):
             if flat.dtype.kind == "u" and flat.max(initial=0) > _INT64_MAX:
                 flat = flat.astype(object)
             try:
-                return self._fill(dims, None, "int", flat.astype(np.int64, copy=False), None, None)
+                return self._fill(dims, None, "int", flat.astype(np.int64, copy=False), None)
             except OverflowError:
                 kind = "int"
-        return self._fill(dims, _handed_out(flat) if kind == "int" else flat, kind, None, None, None)
+        return self._fill(dims, _handed_out(flat) if kind == "int" else flat, kind, None, None)
 
     @property
     def data(self) -> np.ndarray:
@@ -449,14 +439,8 @@ class Hypermatrix(_Frozen):
         return type(self), (self.dims, self._flat(), self.kind)
 
     def _max_abs(self) -> int | None:
-        """``max |v|`` of the int64 form, kept on first use; None without one.
-
-        Every product of the value hands it to ``narrow``, so the value is
-        measured once, however many products read it.
-        """
-        if self._max is None and self._int64 is not None:
-            object.__setattr__(self, "_max", _magnitude(self._int64))
-        return self._max
+        """``max |v|`` of the int64 form, measured on each call; None without one."""
+        return None if self._int64 is None else _magnitude(self._int64)
 
     # -- construction ------------------------------------------------
 

@@ -56,7 +56,7 @@ def _vectors(x, y) -> tuple[np.ndarray, np.ndarray, str]:
     return _vector(x), _vector(y), kind
 
 
-def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None = None) -> np.ndarray:
+def _stp_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(a kron I_α) @ (b kron I_β)``, not widened; t = lcm(n, p), α = t/n, β = t/p.
 
     α and β are coprime, so inner index s feeds only block (s mod α, s mod β):
@@ -68,7 +68,8 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
     read as p × β, one batched product over a's rows with b broadcast, no
     repeat built either.  An entry sums gcd(n, p) products and a row of a
     one-column product n, so with n as inner length an int product comes
-    back, rows summable, as int64 or Python ints (``checked_product``).
+    back, rows summable, as int64 or Python ints (``checked_product``,
+    whose ``narrow`` measures both factors).
     The budget counts the result, m·α × q·β, and only in the general case
     the repeats of a (m × t) and b (t × q) as well.
     """
@@ -93,7 +94,7 @@ def _stp_dot(a: np.ndarray, b: np.ndarray, ma: int | None = None, mb: int | None
         out[:, np.arange(k) % al, :, np.arange(k) % be] = np.matmul(ga, gb)
         return out.reshape(m * al, q * be)
 
-    return checked_product(blocks, a, b, n, ma, mb)
+    return checked_product(blocks, a, b, n)
 
 
 def _checked_lcm(n: int, p: int) -> int:

@@ -174,6 +174,10 @@ def test_game_validation(rng):
     game = GamePayoff((2, 2), (random_hm(rng, (2, 2)),))
     with pytest.raises(ValueError):
         game_payoff(game, [basis_vec(2, 1)])
+    # Strategy counts are dims: a count below 1 is refused even in a game with no payoffs.
+    for counts, axis, got in (((-3, 0), 1, -3), ((2, 0), 2, 0)):
+        with pytest.raises(ValueError, match=f"dimension at axis {axis} must be >= 1, got {got}"):
+            GamePayoff(counts, ())
 
 
 def test_game_payoff_reads_each_payoff_store_unwidened(rng, monkeypatch):
@@ -272,6 +276,13 @@ def test_ybe_side_must_be_named():
     for bad in (None, "middle"):
         with pytest.raises(ValueError, match=f"^side must be 'lhs' or 'rhs', got {bad!r}$"):
             ybe_sides(inst, bad)
+
+
+def test_ybe_instance_takes_an_order_4_hypermatrix():
+    with pytest.raises(TypeError, match="^r is a list, not a Hypermatrix$"):
+        YbeInstance(2, [1, 2])
+    with pytest.raises(ValueError, match=r"^shape \(2, 2\) is not \(2,\)\*4$"):
+        YbeInstance(2, Hypermatrix.zeros((2, 2)))
 
 
 def test_ybe_stp_route_matches_matrix_route(rng):

@@ -12,8 +12,8 @@ reads without a scan, comparisons read in numpy, and ``data`` widens on
 first read; a constructor-built input holds the int64 form its
 constructor made after scanning it once.  A float64-tier product is
 cast back in its own buffer, and an n = 6 Yang-Baxter side holds two
-result-sized arrays at most (four on the ``stp`` route).  Each value's ``max|v|`` is measured once,
-at its first product, and kept, counting negative entries; a gather measures its own.
+result-sized arrays at most (four on the ``stp`` route).  Every product measures both of its
+int64 factors, counting negative entries; no value keeps a magnitude.
 """
 
 import json
@@ -542,13 +542,13 @@ def measured(monkeypatch):
     return seen
 
 
-def test_each_value_is_measured_once_across_a_residual(rng, measured):
-    # r and the two sides, each once; the stp route also measures the t its sides share.
-    for method, ts in (("matrix", 0), ("stp", 1)):
-        r = random_hm(rng, (3,) * 4)
+def test_each_product_measures_its_own_int64_factors(rng, measured):
+    # matrix: each side's chain bound reads r, the wrap check both sides.
+    # stp: t = r (4)x(1) r reads r twice, each side reads t and r, then the wrap check.
+    for method, sizes in (("matrix", [81, 81, 729, 729]), ("stp", [81] * 4 + [729] * 4)):
         measured.clear()
-        ybe_residual(YbeInstance(3, r), method)
-        assert sorted(measured) == [r.size] + [3 ** 6] * (2 + ts), method
+        ybe_residual(YbeInstance(3, random_hm(rng, (3,) * 4)), method)
+        assert sorted(measured) == sizes, method
 
 
 def test_a_kept_magnitude_counts_negative_entries(dots):
@@ -560,12 +560,10 @@ def test_a_kept_magnitude_counts_negative_entries(dots):
         dots.clear()
         assert contract(a, b, (1,), (1,), method).data.tolist() == [-(2 ** 53 + 1), 321]
         assert dots == [(np.int64, np.int64)], method
-    assert a._max == C and b._max == 321
-    # A gather keeps no magnitude of its source: its own first product measures it, still on int64.
+    # A gather's product measures the gathered entries, -C among them, so it stays on int64 too.
     for gather in (sigma_transpose, sigma_transpose_via_perm):
         for method in ("expression", "stp"):
             t = gather(a, (2, 1))
-            assert t._max is None
             dots.clear()
             assert contract(t, b, (2,), (1,), method).data.tolist() == [-(2 ** 53 + 1), 321]
-            assert dots == [(np.int64, np.int64)] and t._max == C, (gather, method)
+            assert dots == [(np.int64, np.int64)], (gather, method)

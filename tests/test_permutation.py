@@ -15,6 +15,7 @@ from hyperstp import (
     Permutation,
     build_perm_matrix,
     contract_bruteforce,
+    densify,
     kron_chain,
     onto_contract,
     perm_compose,
@@ -130,6 +131,24 @@ def test_apply_accumulates_repeated_rows():
 def test_apply_length_mismatch():
     with pytest.raises(ValueError):
         LogicalMatrix.identity(3).apply([1, 2])
+
+
+@pytest.mark.parametrize("permutation", [True, False])
+def test_gather_row_is_the_row_vector_product(rng, permutation):
+    for _ in range(20):
+        rows = int(rng.integers(1, 8))
+        # Any column count but ``rows`` makes a non-permutation, repeats and missed rows included.
+        n_cols = rows if permutation else int(rng.choice([n for n in range(1, 10) if n != rows]))
+        cols = rng.permutation(rows) + 1 if permutation else rng.integers(1, rows + 1, n_cols)
+        w = LogicalMatrix(rows, cols.tolist())
+        assert w.is_permutation() == permutation
+        v = rng.integers(-9, 10, rows)
+        assert w.gather_row(v).tolist() == (v @ densify(w)).tolist()
+
+
+def test_gather_row_length_mismatch():
+    with pytest.raises(ValueError, match="^row vector of length 2 against 3 rows$"):
+        LogicalMatrix.identity(3).gather_row([1, 2])
 
 
 def test_compose_with_inverse_is_identity():
