@@ -4,11 +4,13 @@ Each application packages a structure-constant fixture plus an evaluator:
 the cross product on R^3, the commutator bracket on 2x2 matrices, finite
 game payoffs, and both sides of the Yang-Baxter constraint.  On the
 ``matrix`` route each side is one batched product and one dot, written
-from its index sum: the order-6 intermediate is made in the layout the
-dot reads, on one tier for the chain bounded by n³·max|r|³, so a side
-holds two n⁶ arrays.  The ``stp`` and ``bruteforce`` routes run the
-sides as nested ``contract`` calls sharing ``t = r (4)x(1) r``; they
-are the chain's independent checks.
+from its index sum: the order-6 intermediate ``W`` is made in the layout
+the dot reads, on one tier for the chain bounded by n³·max|r|³ (float32
+for any R in [-9, 9] that the entry budget admits), so a side holds two
+n⁶ arrays at once; ``W`` is dropped before a float tier's result is cast
+back.  The ``stp`` and ``bruteforce`` routes run the sides as nested
+``contract`` calls sharing ``t = r (4)x(1) r``; they are the chain's
+independent checks.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _INT64_MAX, Hypermatrix, _check_budget, _checked_int, _float64_ints, _stored, _tier, as_scalars_joint,
-    check_dims,
+    _INT64_MAX, Hypermatrix, _cast_back, _check_budget, _checked_int, _stored, _tier, as_scalars_joint, check_dims,
 )
 from .contraction import (
     _EXPRESSION_NAMES, _fold, _fold_checked, contract, eval_multilinear_vector,
@@ -271,11 +272,15 @@ def _ybe_chain(r: Hypermatrix, side: str) -> Hypermatrix:
     factor is an n⁴-entry layout of r, and the dot's result is in natural
     order.  Every partial sum of both steps is at most n³·max|r|³
     (``max|r|`` times ``max|r|²`` over n³ terms), so ``core._tier`` picks
-    one tier for the chain from that bound; an int R past int64 runs on
+    one tier for the chain from that bound: float32 up to 2**24, float64
+    up to 2**53, int64 up to 2**63 - 1; an int R past int64 runs on
     Python ints, a float R in binary64.  ``W`` stays in the tier's dtype
-    and a float64-tier result is cast back in its own buffer, so a side
-    holds two n⁶ arrays, ``W`` and the result, each within the entry
-    budget, which is checked before either is made.
+    and is dropped once the dot has read it; ``core._cast_back`` then
+    casts a float64-tier result in its own buffer and a float32-tier one
+    into a fresh int64 store.  So a side holds two n⁶ arrays at once:
+    ``W`` and the result (on binary32 each at half size), then on a
+    float32 tier the result and its int64 store.  Each is within the
+    entry budget, which is checked before any is made.
     """
     n = r.dims[0]
     nn = n * n
@@ -295,9 +300,9 @@ def _ybe_chain(r: Hypermatrix, side: str) -> Hypermatrix:
         w = np.matmul(f.reshape(nn, n, n).transpose(1, 0, 2)[:, None], f.reshape(n, n, nn).transpose(1, 0, 2))
         v = f.reshape(nn, nn).T
     out = np.dot(v, w.reshape(nn, -1))
-    if dtype is np.float64 and r.kind == "int":
-        out = _float64_ints(out)
-    return _stored((n,) * 6, out, r.kind)
+    # Dropped before the cast back, so a float32 side never holds W, its result and the int64 store at once.
+    del w
+    return _stored((n,) * 6, _cast_back(out) if r.kind == "int" else out, r.kind)
 
 
 def ybe_residual(inst: YbeInstance, method: str = "matrix"):

@@ -8,19 +8,19 @@ BLAS's order).  The ``stp`` route is the paper's ``M_A |x V(B)``, whose
 block-form semi-tensor product does the same multiply-adds.  Int products
 on both go through ``core.checked_product``, on the tier that
 ``core.narrow`` picks from ``max|a| * max|b| * K``, K the paired size that
-a result entry sums on either route: float64 BLAS up to 2**53, int64 up
-to 2**63 - 1, Python ints past that; on exact data the three routes agree
-bit for bit.  The tier is picked from the operands' int64 forms before
-the layout, which the expression route then copies straight into the
-tier's dtype; a float64 product is cast back to int64 in its own
-buffer.  Every int value that fits int64 holds only its int64 form,
-and the next product on either route reads it instead of scanning and
-re-casting ``data``; ``narrow`` measures both forms, on every product,
-and no value keeps a magnitude.  What a pairing fixes whatever the
-values (the checked axes, the output dims, the inner size and both
-operands' transpose orders and matrix shapes) is planned once per (dims,
-dims, axes, axes) key by ``_plan`` and kept in a bounded memo, so a
-small product pays for its arithmetic, not for re-deriving its layout.  The plan also checks the
+a result entry sums on either route: float32 BLAS up to 2**24, float64
+BLAS up to 2**53, int64 up to 2**63 - 1, Python ints past that; on exact
+data the three routes agree bit for bit.  The tier is picked from the
+operands' int64 forms before the layout, which the expression route then
+copies straight into the tier's dtype; a float32 product is cast back
+into a fresh int64 store, a float64 one in its own buffer.  Every int
+value that fits int64 holds only its int64 form, and the next product on
+either route reads it instead of scanning and re-casting ``data``;
+``narrow`` measures both forms, on every product, and no value keeps a
+magnitude.  What a pairing fixes whatever the values (the checked axes,
+the output dims, the inner size and both operands' transpose orders and
+matrix shapes) is planned once per (dims, dims, axes, axes) key by
+``_plan`` and kept in a bounded memo, so a small product pays for its arithmetic, not for re-deriving its layout.  The plan also checks the
 result's size against ``core.MAX_ENTRIES``, so all three routes refuse
 the same pairings before allocating anything.  ``contract`` is the one
 table from method name to route: ``onto_contract`` and the Yang-Baxter sides'

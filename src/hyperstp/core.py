@@ -26,19 +26,21 @@ checked or library-made int data that a float puts on binary64 converts
 directly, and ``narrow`` and the gathers trust their callers.
 
 Int products multiply through ``checked_product``, on the tier that
-``narrow`` picks from the bound ``max|a| * max|b| * inner``: float64
-BLAS up to 2**53, where every partial sum is an integer that binary64
-holds exactly, with the product cast back to int64 inside the buffer
-BLAS returned; int64 up to 2**63 - 1; the object array of Python ints
-past that.  ``narrow`` picks the tier before the factors are laid out,
-so the layout copies them straight into the tier's dtype.  Sums of
-vectors stay on the object array.  The value types share one immutable
-base, ``_Frozen``; public constructors copy any array the caller still
-holds.  Every value, built or a library result, is filled by one step,
-``Hypermatrix._filled``: an int value holds one store, its read-only
-int64 form when every entry fits int64, else its object array of Python
-ints.  Products, gathers, comparisons and one-entry reads read the store;
-only ``data``, ``nd`` and ``repr`` widen an int64 form, once.  No value
+``narrow`` picks from the bound ``max|a| * max|b| * inner``: float32
+BLAS up to 2**24 and float64 BLAS up to 2**53, where every partial sum
+is an integer that binary32, or binary64, holds exactly, with the
+product cast back to int64 (a float32 one into a fresh store, a float64
+one inside the buffer BLAS returned); int64 up to 2**63 - 1; the object
+array of Python ints past that.  ``narrow`` picks the tier before the
+factors are laid out, so the layout copies them straight into the tier's
+dtype.  Sums of vectors stay on the object array.  The value types
+share one immutable base, ``_Frozen``; public constructors copy any
+array the caller still holds.  Every value, built or a library result,
+is filled by one step, ``Hypermatrix._filled``: an int value holds one
+store, its read-only int64 form when every entry fits int64, else its
+object array of Python ints.  Products, gathers, comparisons and
+one-entry reads read the store; only ``data``, ``nd`` and ``repr`` widen
+an int64 form, once.  No value
 keeps its ``max|v|``: ``narrow`` measures both int64 factors of every
 product, and only ``core`` measures a magnitude.
 
@@ -238,7 +240,8 @@ def as_scalars_joint(*operands, kind: str = "int") -> tuple[list[np.ndarray], st
 
 
 _INT64_MAX = 2 ** 63 - 1
-# Integers of magnitude at most 2**53 are exact in binary64.
+# Integers of magnitude at most 2**24 are exact in binary32, at most 2**53 in binary64.
+_FLOAT32_EXACT = 2 ** 24
 _FLOAT64_EXACT = 2 ** 53
 
 
@@ -268,20 +271,26 @@ def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.nda
     For int factors whose products sum ``inner`` terms at most, the bound
     ``max|a| * max|b| * inner`` (in Python ints) picks the tier:
 
-    * at most 2**53: float64.  Every partial sum, in any order and with
-      or without FMA, is then an integer of magnitude at most 2**53,
-      which binary64 holds exactly;
+    * at most 2**24: float32;
+    * at most 2**53: float64;
     * at most 2**63 - 1: int64;
     * otherwise object arrays of Python ints.
 
-    The thresholds are ``_tier``'s, the one place a bound becomes a tier,
-    and ``narrow`` only chooses: it trusts its callers, whose factors ``as_scalars`` checked where they
-    entered (a value's data at its constructor, a raw operand at the call
-    that takes it), so an object factor holds Python ints.  Both int64
-    factors are measured here, on every call.
-    Int factors come back int64 or as Python ints, not yet in the tier's
-    dtype: the caller lays them out in that dtype, so the cast costs no
-    pass of its own.  Float factors come back untouched, with float64.
+    A float tier is exact: every partial sum, in any order and with or
+    without FMA, is an integer of magnitude at most the bound, which
+    binary32 (up to 2**24) or binary64 (up to 2**53) holds exactly.  An
+    entry past the tier's exact range, rounded by the layout's cast, can
+    only meet a bound whose other factor's term is 0: it is multiplied by
+    exact zeros.  No int64 magnitude comes near binary32's maximum, so no
+    entry becomes inf.  The thresholds are ``_tier``'s, the one place a
+    bound becomes a tier, and ``narrow`` only chooses: it trusts its
+    callers, whose factors ``as_scalars`` checked where they entered (a
+    value's data at its constructor, a raw operand at the call that takes
+    it), so an object factor holds Python ints.  Both int64 factors are
+    measured here, on every call.  Int factors come back int64 or as
+    Python ints, not yet in the tier's dtype: the caller lays them out in
+    that dtype, so the cast costs no pass of its own.  Float factors come
+    back untouched, with float64.
     """
     if a.dtype.kind == "f" or b.dtype.kind == "f":
         return a, b, np.float64
@@ -295,16 +304,41 @@ def narrow(a: np.ndarray, b: np.ndarray, inner: int) -> tuple[np.ndarray, np.nda
 def _tier(bound: int) -> type:
     """The narrowest scalar type holding exactly every int partial sum of magnitude at most ``bound``.
 
-    ``narrow``'s thresholds, read by it and by a chain of products that
-    bounds all its steps at once (``applications._ybe_chain``).
+    float32 up to 2**24, float64 up to 2**53, int64 up to 2**63 - 1,
+    object past that.  A float tier is exact for a bound ``max|a| *
+    max|b| * inner``:
+
+    * every partial sum, in any order and with or without FMA, is an
+      integer of magnitude at most the bound;
+    * binary32 holds every integer of magnitude at most 2**24 exactly,
+      binary64 every one up to 2**53;
+    * an operand entry past that range, which the cast to the tier
+      rounds, occurs only when the other factor's term of the bound is
+      0, so it is multiplied by exact zeros;
+    * int64 magnitudes are far below binary32's maximum, so no entry
+      becomes inf.
+
+    Read by ``narrow`` and by a chain of products that bounds all its
+    steps at once (``applications._ybe_chain``).
     """
     if bound > _INT64_MAX:
         return object
-    return np.int64 if bound > _FLOAT64_EXACT else np.float64
+    if bound > _FLOAT64_EXACT:
+        return np.int64
+    return np.float64 if bound > _FLOAT32_EXACT else np.float32
 
 
-def _float64_ints(out: np.ndarray) -> np.ndarray:
-    """A float64-tier int product as int64, cast exactly inside its own buffer."""
+def _cast_back(out: np.ndarray) -> np.ndarray:
+    """An int product on any tier, with a float tier's result cast back to int64 exactly.
+
+    A float32 product, half the itemsize, is cast into a fresh int64
+    store; a float64 one inside its own buffer.  An int64 or object
+    product is returned as it is.
+    """
+    if out.dtype == np.float32:
+        return out.astype(np.int64)
+    if out.dtype != np.float64:
+        return out
     flat = out.reshape(-1)
     ints = flat.view(np.int64)
     # A 1-D copy between equal itemsizes over the same memory runs in place.
@@ -317,16 +351,14 @@ def checked_product(op, a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
 
     ``op`` receives the factors as ``narrow`` returns them and must
     multiply them in ``dtype`` into a fresh C-contiguous array.  Int
-    products come back int64 or as Python ints, not widened: a
-    float64-tier product holds integers of magnitude at most 2**53 and
-    is cast back to int64 exactly, inside the buffer ``op`` returned.
-    Float factors multiply as they are.
+    products come back int64 or as Python ints, not widened: a float-tier
+    product holds integers of magnitude at most 2**24 (float32) or 2**53
+    (float64) and ``_cast_back`` casts it to int64 exactly.  Float factors
+    multiply as they are.
     """
     na, nb, dtype = narrow(a, b, inner)
     out = op(na, nb, dtype)
-    if dtype is np.float64 and a.dtype.kind != "f":
-        return _float64_ints(out)
-    return out
+    return out if a.dtype.kind == "f" else _cast_back(out)
 
 
 def widen(out):

@@ -181,8 +181,12 @@ class LogicalMatrix(_Frozen):
         return out
 
     def gather_row(self, v) -> np.ndarray:
-        """Row-vector product ``v @ W``: out[j] = v[cols[j]]."""
-        v = np.asarray(v)
+        """Row-vector product ``v @ W``: out[j] = v[cols[j]].
+
+        ``v`` takes the scalar policy as ``apply``'s vector does: int
+        entries come back as Python ints, float ones in binary64.
+        """
+        (v,), _ = as_scalars_joint(v)
         if v.size != self.rows:
             raise ValueError(f"row vector of length {v.size} against {self.rows} rows")
         return v.reshape(-1)[self._idx]

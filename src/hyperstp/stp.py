@@ -11,9 +11,10 @@ whole product on binary64, and integer data stays exact.  Products run
 through ``np.matmul``, so float results follow its summation order; int
 products go through ``core.checked_product`` bounded by what a result row
 sums: an entry sums gcd(n, p) products and a row of ``mv_stp``'s n, so
-``core.narrow`` picks the tier from ``max|a| * max|b| * n``: float64 BLAS
-up to 2**53 (the block result cast back to int64 in its own buffer),
-int64 up to 2**63 - 1, Python ints past that.  ``vv_stp`` and
+``core.narrow`` picks the tier from ``max|a| * max|b| * n``: float32 BLAS
+up to 2**24 (the block result cast back into a fresh int64 store),
+float64 BLAS up to 2**53 (cast back to int64 in its own buffer), int64
+up to 2**63 - 1, Python ints past that.  ``vv_stp`` and
 ``stp_inner`` add their rows, t products, after widening.  When n divides
 p, or p divides n, the product is one (batched) matrix product that
 repeats neither factor.  The public products return Python ints, and

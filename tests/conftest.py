@@ -41,9 +41,11 @@ def mixed_dims(draw, max_size=2000):
     return tuple(dims)
 
 
-# |v| <= 9, |v| near 2**26.5, near 2**31.5 or past 2**63: products of
-# the large values fall on both sides of the float64 tier's bound and of
-# the int64 tier's, so all three tiers of the kernel meet here.
+# |v| <= 9, |v| near 2**12, near 2**26.5, near 2**31.5 or past 2**63:
+# products of the small values stay on the float32 tier, and those of the
+# large ones fall on both sides of the float32 tier's bound, the float64
+# tier's and the int64 tier's, so all four tiers of the kernel meet here.
+NEAR_FLOAT32 = 4096  # NEAR_FLOAT32**2 == 2**24
 NEAR_FLOAT64 = 94906265  # NEAR_FLOAT64**2 < 2**53 < (NEAR_FLOAT64 + 1)**2
 NEAR_BOUND = 3037000499  # NEAR_BOUND**2 < 2**63 - 1 < (NEAR_BOUND + 1)**2
 
@@ -56,6 +58,7 @@ def tier_values(scale=1):
     """One family of int entries, drawn once per array; ``scale`` divides the squares that set the near bounds."""
     return st.sampled_from([
         st.integers(-9, 9),
+        signed(st.integers(math.isqrt(NEAR_FLOAT32 ** 2 // scale) - 2, math.isqrt(NEAR_FLOAT32 ** 2 // scale) + 2)),
         signed(st.integers(math.isqrt(NEAR_FLOAT64 ** 2 // scale) - 2, math.isqrt(NEAR_FLOAT64 ** 2 // scale) + 2)),
         signed(st.integers(math.isqrt(NEAR_BOUND ** 2 // scale) - 2, math.isqrt(NEAR_BOUND ** 2 // scale) + 2)),
         signed(st.integers(2 ** 63, 2 ** 63 + 9)),

@@ -223,7 +223,8 @@ def test_one_chain_equals_a_chain_per_player(case):
         if type(b) is int:
             assert a == b and type(a) is int
         else:
-            scale = eval_multilinear_scalar(Hypermatrix(d.dims, np.abs(d.data)), [np.abs(x) for x in xs])
+            # abs over Python ints: numpy's would wrap an int64 array's -2**63 back to itself.
+            scale = eval_multilinear_scalar(Hypermatrix(d.dims, np.abs(d.data)), [[abs(v) for v in x] for x in xs])
             assert abs(a - b) <= 1e-9 * max(1, float(scale))
 
 
@@ -401,8 +402,9 @@ def _icbrt(x: int) -> int:
     return m
 
 
-# The bounds at which the matrix route's chain leaves a tier: float64 up to the first, int64 up to the second.
-_CHAIN_EDGES = (2 ** 53, 2 ** 63 - 1)
+# The bounds at which the matrix route's chain leaves a tier: float32 up to the first, float64 up to the
+# second, int64 up to the third.
+_CHAIN_EDGES = (2 ** 24, 2 ** 53, 2 ** 63 - 1)
 
 
 @st.composite
@@ -422,7 +424,9 @@ def ybe_tier_cases(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(ybe_tier_cases())
-# At n = 1 the bound is max|r|**3: just past 2**53, then just past 2**63 - 1.
+# At n = 1 the bound is max|r|**3: exactly 2**24, just past it, just past 2**53, then just past 2**63 - 1.
+@example((1, [256]))
+@example((1, [-257]))
 @example((1, [208064]))
 @example((1, [-2097152]))
 def test_the_matrix_route_chain_computes_the_library_index_sums_on_every_tier(case):
@@ -430,7 +434,7 @@ def test_the_matrix_route_chain_computes_the_library_index_sums_on_every_tier(ca
     r = np.array(entries, dtype=object).reshape((n,) * 4)
     m = max(map(abs, entries))
     bound = n ** 3 * m ** 3
-    tier = np.float64 if bound <= _CHAIN_EDGES[0] else np.int64 if bound <= _CHAIN_EDGES[1] else object
+    tier = next((t for t, edge in zip((np.float32, np.float64, np.int64), _CHAIN_EDGES) if bound <= edge), object)
     inst = YbeInstance(n, Hypermatrix((n,) * 4, entries))
     rf = r.astype(np.float64) / m if m else r.astype(np.float64)
     floats = YbeInstance(n, Hypermatrix((n,) * 4, rf.reshape(-1)))
@@ -441,7 +445,7 @@ def test_the_matrix_route_chain_computes_the_library_index_sums_on_every_tier(ca
             got = ybe_sides(inst, side, "matrix")
         # One tier for the whole chain, from n**3 * max|r|**3; an R past int64 runs on Python ints unmeasured.
         # -2**63 is still int64, so an R holding it is measured.
-        past_int64 = not all(-(2 ** 63) <= e <= _CHAIN_EDGES[1] for e in entries)
+        past_int64 = not all(-(2 ** 63) <= e <= _CHAIN_EDGES[-1] for e in entries)
         assert tiers == ([] if past_int64 else [(bound, tier)])
         assert got.data.tolist() == np.einsum(spec, r, r, r, optimize=True).reshape(-1).tolist()
         assert got == ybe_sides(inst, side, "stp")

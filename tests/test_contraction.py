@@ -177,7 +177,7 @@ def pairings(draw, kind="int", near_bounds=False):
     dims at random positions of b, among b's own free axes.  With
     ``near_bounds`` each operand's int entries come from one ``tier_values``
     family scaled by the paired size K, so ``max|a| * max|b| * K`` lands
-    around 2**53 or 2**63.
+    around 2**24, 2**53 or 2**63.
     """
     a_dims = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
     a_axes = tuple(draw(st.permutations(range(1, len(a_dims) + 1)))[: draw(st.integers(0, len(a_dims)))])

@@ -2,8 +2,8 @@
 
 ``core.as_scalars`` is the one check of raw data: it scans every object
 array that no value handed out.  ``core.narrow`` is the one place a
-product's factors are measured and its bound read against binary64's
-exact range.  No other module of the package names the helpers behind
+product's factors are measured and its bound read against the exact
+ranges of binary32 and binary64.  No other module of the package names the helpers behind
 either rule, so no second copy of one can grow there.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from test_dead_code import PACKAGE, _names
 
 ENTRY_RULE = {"_scanned", "_checked_ints", "_sequence_kind", "_is_value_data", "_handed_out", "_VALUE_DATA"}
-MAGNITUDE_RULE = {"narrow", "_magnitude", "_FLOAT64_EXACT"}
+MAGNITUDE_RULE = {"narrow", "_magnitude", "_FLOAT32_EXACT", "_FLOAT64_EXACT"}
 
 
 @pytest.mark.parametrize("rule", [ENTRY_RULE, MAGNITUDE_RULE], ids=["entry", "magnitude"])

@@ -1,9 +1,11 @@
 """The checked int product kernel (``core.narrow`` / ``core.checked_product``).
 
-``narrow`` picks a tier from ``max|a| * max|b| * inner``: float64 up to
-2**53 (every partial sum is then an integer binary64 holds exactly, and
-the product is cast back to int64), int64 up to 2**63 - 1, Python ints
-past that.  Each case sits on one side of a bound; results are always
+``narrow`` picks a tier from ``max|a| * max|b| * inner``: float32 up to
+2**24 and float64 up to 2**53 (every partial sum is then an integer that
+binary32, or binary64, holds exactly, and the product is cast back to
+int64), int64 up to 2**63 - 1, Python ints past that.  Each case sits on
+one side of a bound, and products straddling 2**24 match the oracle, as
+does a zero factor meeting entries that binary32 rounds; results are always
 ``==`` their Python-int value and ``data`` holds Python ints.  A spy on
 ``np.dot`` and ``np.matmul`` shows which tier ran, so a kernel that
 always falls back cannot pass.  A contraction result keeps the kernel's
@@ -11,8 +13,9 @@ int64 product as its int64 form alone, which the next product of a chain
 reads without a scan, comparisons read in numpy, and ``data`` widens on
 first read; a constructor-built input holds the int64 form its
 constructor made after scanning it once.  A float64-tier product is
-cast back in its own buffer, and an n = 6 Yang-Baxter side holds two
-result-sized arrays at most (four on the ``stp`` route).  Every product measures both of its
+cast back in its own buffer, a float32-tier one into a fresh int64
+store, and an n = 6 Yang-Baxter side on [-9, 9], on binary32, peaks
+within 1.6 result-sized arrays (four on the ``stp`` route).  Every product measures both of its
 int64 factors, counting negative entries; no value keeps a magnitude.
 """
 
@@ -22,15 +25,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperstp import (
     Hypermatrix,
+    MatrixExpression,
     YbeInstance,
     binary_apply,
     contract,
     contract_bruteforce,
     contract_via_expression,
+    eval_multilinear_scalar,
+    eval_multilinear_vector,
     iter_indices,
     loads_hm,
     matrix_expression,
@@ -46,7 +52,7 @@ from hyperstp import (
 from hyperstp import core
 from hyperstp.core import narrow, widen
 
-from conftest import random_hm
+from conftest import random_hm, signed, tier_spy
 
 INT64_MAX = 2 ** 63 - 1
 # 2**63 - 1 = 7 * A * B, so a 1 x 7 row of A times a 7 x 1 column of B
@@ -54,6 +60,8 @@ INT64_MAX = 2 ** 63 - 1
 A, B = 7 * 73 * 127 * 337, 92737 * 649657
 # 2**53 + 1 = 321 * C, so a single product of 321 and C has a bound of 2**53 + 1.
 C = 28059810762433
+# 2**24 + 1 = 673 * D, so a single product of 673 and D has a bound of 2**24 + 1.
+D = 97 * 257
 # NEAR**2 < 2**53 < (NEAR + 1)**2: sums of products near NEAR straddle the float64 tier's bound.
 NEAR = 94906265
 
@@ -131,20 +139,25 @@ def test_widen_gives_python_ints():
     assert out.dtype == object and python_ints(out)
 
 
-def rand_ints(rng, *shape):
-    return np.array(rng.integers(-9, 10, shape).tolist(), dtype=object)
+def rand_ints(rng, *shape, top=9):
+    """Signed ints of magnitude ``top - 9`` to ``top`` (any in [-9, 9] by default), as Python ints."""
+    magnitudes = rng.integers(top - 9, top + 1, shape)
+    return np.array((magnitudes * rng.choice([1, -1], shape)).tolist(), dtype=object)
 
 
 @pytest.mark.parametrize(
     "a, b, inner, tier",
     [
+        ([2 ** 12], [2 ** 12], 1, np.float32),
+        ([2 ** 12] * 2, [2 ** 11] * 2, 2, np.float32),
+        ([673], [D], 1, np.float64),
         ([2 ** 26], [2 ** 27], 1, np.float64),
         ([2 ** 26] * 2, [2 ** 26] * 2, 2, np.float64),
         ([321], [C], 1, np.int64),
         ([NEAR] * 2, [NEAR] * 2, 2, np.int64),
         ([2 ** 31] * 2, [2 ** 31] * 2, 2, object),
     ],
-    ids=["2^53", "2^53 over two terms", "2^53 + 1", "2^53 < bound by inner only", "past 2^63 - 1"],
+    ids=["2^24", "2^24 over two terms", "2^24 + 1", "2^53", "2^53 over two terms", "2^53 + 1", "2^53 < bound by inner only", "past 2^63 - 1"],
 )
 def test_each_bound_takes_its_tier(dots, a, b, inner, tier):
     assert len(a) == inner
@@ -174,25 +187,91 @@ def test_a_large_float64_tier_product_is_exact(rng, dots):
     assert out.data.tolist() == np.dot(a, b).reshape(-1).tolist()
 
 
-def test_every_product_reaches_the_float64_tier(rng, dots):
-    a = Hypermatrix.from_flat((3, 4, 2), rand_ints(rng, 24).tolist())
-    b = Hypermatrix.from_flat((4, 2, 5), rand_ints(rng, 40).tolist())
+def products_on_one_tier(rng, dots, top, tier):
+    """Every int product entry point, on entries of magnitude ``top - 9`` to ``top``: ``tier`` runs each."""
+    a = Hypermatrix.from_flat((3, 4, 2), rand_ints(rng, 24, top=top).tolist())
+    b = Hypermatrix.from_flat((4, 2, 5), rand_ints(rng, 40, top=top).tolist())
+    x, y = top - top % 3, top - top % 2
     cases = {
         "contract_via_expression": lambda: contract_via_expression(a, b, (2, 3), (1, 2)).data,
         "contract stp": lambda: contract(a, b, (2, 3), (1, 2), "stp").data,
-        "mm_stp": lambda: mm_stp(rand_ints(rng, 3, 4), rand_ints(rng, 6, 2)),
-        "mv_stp": lambda: mv_stp(rand_ints(rng, 3, 4), rand_ints(rng, 6)),
-        "vv_stp": lambda: vv_stp(rand_ints(rng, 4), rand_ints(rng, 6)),
-        "stp_inner": lambda: stp_inner(ints([3, 3]), ints([2, 2, 2])),
+        "mm_stp": lambda: mm_stp(rand_ints(rng, 3, 4, top=top), rand_ints(rng, 6, 2, top=top)),
+        "mv_stp": lambda: mv_stp(rand_ints(rng, 3, 4, top=top), rand_ints(rng, 6, top=top)),
+        "vv_stp": lambda: vv_stp(rand_ints(rng, 4, top=top), rand_ints(rng, 6, top=top)),
+        # Six equal products x * y over t = 6: the raw sum is divisible by t.
+        "stp_inner": lambda: stp_inner(ints([x, x]), ints([y, y, y])),
     }
     for name, run in cases.items():
         dots.clear()
         out = run()
-        assert dots and all(d == (np.float64, np.float64) for d in dots), name
+        assert dots and all(d == (tier, tier) for d in dots), name
         assert python_ints(out), name
+    assert stp_inner(ints([x, x]), ints([y, y, y])) == x * y
     want = contract_bruteforce(a, b, (2, 3), (1, 2))
     assert contract_via_expression(a, b, (2, 3), (1, 2)) == want
     assert contract(a, b, (2, 3), (1, 2), "stp") == want
+
+
+def test_every_product_reaches_the_float32_tier(rng, dots):
+    # On [-9, 9] every bound is at most 81 * 8, far within 2**24.
+    products_on_one_tier(rng, dots, 9, np.float32)
+
+
+def test_every_product_reaches_the_float64_tier(rng, dots):
+    # Entries near 2**12 put every bound between 2**24 (the inner lengths are 2 to 8) and 2**53.
+    products_on_one_tier(rng, dots, 2 ** 12, np.float64)
+
+
+@st.composite
+def straddling_2_24(draw):
+    """An m x K and a K x q int matrix, entries near isqrt(2**24 // K): their bound lands on either side of 2**24."""
+    k, m, q = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    near = math.isqrt(2 ** 24 // k)
+    values = signed(st.integers(near - 2, near + 2))
+    a, b = (draw(st.lists(values, min_size=size, max_size=size)) for size in (m * k, k * q))
+    return np.array(a, dtype=object).reshape(m, k), np.array(b, dtype=object).reshape(k, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(straddling_2_24())
+# 4096**2 = 2**24 is the last bound on binary32; 4097**2 = 2**24 + 8193 is odd, which binary32 would round.
+@example((ints([4096]).reshape(1, 1), ints([-4096]).reshape(1, 1)))
+@example((ints([4097]).reshape(1, 1), ints([4097]).reshape(1, 1)))
+def test_products_straddling_2_24_are_exact(case):
+    a, b = case
+    (m, k), q = a.shape, b.shape[1]
+    bound = max(map(abs, a.flat)) * max(map(abs, b.flat)) * k
+    want = np.dot(a, b)
+    ha, hb = Hypermatrix(a.shape, a.reshape(-1)), Hypermatrix(b.shape, b.reshape(-1))
+    brute = contract_bruteforce(ha, hb, (2,), (1,))
+    assert brute.data.tolist() == want.reshape(-1).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        tiers = tier_spy(mp)
+        for method in ("expression", "stp"):
+            assert contract(ha, hb, (2,), (1,), method) == brute, method
+    assert tiers == [(k, np.float32 if bound <= 2 ** 24 else np.float64)] * 2
+    assert mm_stp(a, b).tolist() == want.tolist()
+    assert mv_stp(a, b[:, 0]).tolist() == want[:, 0].tolist()
+    assert vv_stp(a[0], b[:, 0]) == want[0, 0]
+    # Chains: an expression's matrix, and a flat row whose first step multiplies by ones.
+    expr = MatrixExpression(a, (1,), (2,), (m, k), "int")
+    assert eval_multilinear_vector(expr, [b[:, 0]]).tolist() == want[:, 0].tolist()
+    assert eval_multilinear_scalar(ha, [[1] * m, b[:, 0]]) == sum(want[:, 0])
+
+
+def test_a_zero_factor_multiplies_entries_past_binary32_on_the_float32_tier(dots):
+    # The bound is 0: 2**40 + 1, which binary32 rounds, meets exact zeros only.
+    big, zero = ints([2 ** 40 + 1, -(2 ** 40 + 1)]), ints([0, 0])
+    for a, b in ((big, zero), (zero, big)):
+        assert narrow(a, b, 2)[2] == np.float32
+        ha, hb = Hypermatrix((2,), a), Hypermatrix((2,), b)
+        for method in ("expression", "stp"):
+            dots.clear()
+            assert contract(ha, hb, (1,), (1,), method).data.tolist() == [0], method
+            assert contract(ha, hb, (), (), method).data.tolist() == [0] * 4, method
+            assert dots == [(np.float32, np.float32)] * 2, method
+        assert mm_stp(a.reshape(1, 2), b.reshape(2, 1)).tolist() == [[0]]
+        assert vv_stp(a, b) == 0 and python_ints(mv_stp(a.reshape(1, 2), b))
 
 
 def test_contraction_near_the_bound_is_exact_on_both_paths():
@@ -480,29 +559,44 @@ def test_a_value_past_int64_keeps_nothing_and_stays_exact(dots):
     assert small._int64 is not None and small._int64.tolist() == [1, 2]
 
 
-def test_a_float64_tier_product_is_cast_back_in_its_own_buffer(rng, monkeypatch):
-    products = []
+@pytest.fixture
+def products(monkeypatch):
+    """The arrays every ``np.dot`` call returns."""
+    seen = []
+    dot = np.dot
 
-    def spy(real):
-        def record(*args):
-            products.append(real(*args))
-            return products[-1]
+    def record(*args):
+        seen.append(dot(*args))
+        return seen[-1]
 
-        return record
+    monkeypatch.setattr(np, "dot", record)
+    return seen
 
-    monkeypatch.setattr(np, "dot", spy(np.dot))
-    a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+
+def test_a_float64_tier_product_is_cast_back_in_its_own_buffer(rng, products):
+    # Entries of 2**12 and more put the bound past 2**24 (K = 8), on the float64 tier.
+    a, b = random_hm(rng, (3, 4, 2), 2 ** 12, 2 ** 12 + 9), random_hm(rng, (4, 2, 5), -(2 ** 12) - 9, -(2 ** 12))
     out = contract_via_expression(a, b, (2, 3), (1, 2))
     assert [p.dtype for p in products] == [np.float64]
     assert out._int64.dtype == np.int64 and np.shares_memory(out._int64, products[0])
     assert out == contract_bruteforce(a, b, (2, 3), (1, 2))
 
 
-@pytest.mark.parametrize("side, budget", [("lhs", 2.1), ("rhs", 2.1), ("residual", 3.1)])
+def test_a_float32_tier_product_is_cast_back_into_a_fresh_store(rng, products):
+    a, b = random_hm(rng, (3, 4, 2)), random_hm(rng, (4, 2, 5))
+    out = contract_via_expression(a, b, (2, 3), (1, 2))
+    assert [p.dtype for p in products] == [np.float32]
+    assert out._int64.dtype == np.int64 and not np.shares_memory(out._int64, products[0])
+    assert out == contract_bruteforce(a, b, (2, 3), (1, 2))
+
+
+@pytest.mark.parametrize("side, budget", [("lhs", 1.6), ("rhs", 1.6), ("residual", 3.1)])
 def test_an_n6_yang_baxter_product_stays_within_its_allocation_budget(rng, side, budget):
-    # In results of 6**6 int64 entries: the batched product W and the dot's
-    # result, cast back in its own buffer, make two; the residual also holds
-    # the first side while the second is made, then the difference in one buffer.
+    # In results of 6**6 int64 entries, on [-9, 9] a side runs on binary32: the
+    # batched product W and the dot's result make one, and W is dropped before
+    # the result is cast into its int64 store, one and a half.  The residual
+    # also holds the first side while the second is made, then the difference
+    # in one buffer.
     inst = YbeInstance(6, random_hm(rng, (6,) * 4))
     run = (lambda: ybe_residual(inst)) if side == "residual" else (lambda: ybe_sides(inst, side))
     tracemalloc.start()

@@ -151,6 +151,31 @@ def test_gather_row_length_mismatch():
         LogicalMatrix.identity(3).gather_row([1, 2])
 
 
+@pytest.mark.parametrize(
+    "v, error, message",
+    [
+        (["a", "b", "c"], TypeError, "^'a' at position 1 is not a scalar$"),
+        ([1.0, float("nan"), 2.0], ValueError, "^non-finite value nan at position 2$"),
+        ([1, True, 0], TypeError, "^True at position 2 is not a scalar$"),
+        (np.array([True, False, True]), TypeError, "^arrays of dtype bool do not hold scalars$"),
+    ],
+    ids=["strings", "nan", "bool list", "bool array"],
+)
+def test_gather_row_checks_its_vector_as_apply_does(v, error, message):
+    w = LogicalMatrix(3, (2, 1, 3))
+    for op in (w.apply, w.gather_row):
+        with pytest.raises(error, match=message):
+            op(v)
+
+
+def test_gather_row_keeps_the_backend():
+    w = LogicalMatrix(3, (2, 1, 3))
+    ints = w.gather_row(np.array([4, -5, 2 ** 40]))
+    assert ints.tolist() == [-5, 4, 2 ** 40] and all(type(x) is int for x in ints)
+    floats = w.gather_row([0.5, 1, 2])
+    assert floats.dtype == np.float64 and floats.tolist() == [1.0, 0.5, 2.0]
+
+
 def test_compose_with_inverse_is_identity():
     for p in permutations(range(1, 4)):
         w = build_perm_matrix((2, 2, 2), Permutation(p))
